@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,7 +39,7 @@ func script(e *Engine, nodes []idgen.NodeID) string {
 		fmt.Fprintf(&sb, "%03d drop=%v delay=%s dup=%v\n", i, v.Drop, v.Delay, v.Duplicate)
 		// Close the accounting loop the way a transport would.
 		if !v.Drop {
-			e.Delivered(from, to, kind, size)
+			e.Delivered(v, from, to, kind, size)
 		}
 	}
 	return sb.String()
@@ -149,19 +150,21 @@ func TestPartitionDropsCrossSide(t *testing.T) {
 	if v := e.Intercept(nodes[0], nodes[2], "get", 64); !v.Drop {
 		t.Fatal("cross-side message must drop")
 	}
-	if v := e.Intercept(nodes[2], nodes[3], "get", 64); v.Drop {
+	v := e.Intercept(nodes[2], nodes[3], "get", 64)
+	if v.Drop {
 		t.Fatal("same-side message must pass")
 	}
-	e.Delivered(nodes[2], nodes[3], "get", 64)
+	e.Delivered(v, nodes[2], nodes[3], "get", 64)
 
 	e.HealPartition()
 	if e.Partitioned(nodes[0], nodes[2]) {
 		t.Fatal("heal must clear the partition")
 	}
-	if v := e.Intercept(nodes[0], nodes[2], "get", 64); v.Drop {
+	v = e.Intercept(nodes[0], nodes[2], "get", 64)
+	if v.Drop {
 		t.Fatal("post-heal message must pass")
 	}
-	e.Delivered(nodes[0], nodes[2], "get", 64)
+	e.Delivered(v, nodes[0], nodes[2], "get", 64)
 
 	a := e.Accounting()
 	if !a.Balanced() {
@@ -351,13 +354,13 @@ func TestCheckerAccounting(t *testing.T) {
 	e.Install(&Plan{Seed: 1}, nodes)
 	c := NewChecker(View{}, e)
 
-	e.Intercept(nodes[0], nodes[1], "get", 4096)
+	v := e.Intercept(nodes[0], nodes[1], "get", 4096)
 	// No Delivered/Undeliverable: the message vanished.
 	got := c.Check()
 	if len(got) != 1 || got[0].Invariant != "I5-accounting" {
 		t.Fatalf("violations = %v, want exactly one I5", got)
 	}
-	e.Undeliverable(nodes[0], nodes[1], "get", 4096)
+	e.Undeliverable(v, nodes[0], nodes[1], "get", 4096)
 	if got := c.Check(); len(got) != 0 {
 		t.Fatalf("balanced engine still flagged: %v", got)
 	}
@@ -388,10 +391,11 @@ func TestUninstalledEngineIsTransparent(t *testing.T) {
 	f, nodes := testCluster(2)
 	e := NewEngine(f, Hooks{})
 	for i := 0; i < 50; i++ {
-		if v := e.Intercept(nodes[0], nodes[1], "get", 64); v.Drop || v.Delay != 0 || v.Duplicate {
+		v := e.Intercept(nodes[0], nodes[1], "get", 64)
+		if v.Drop || v.Delay != 0 || v.Duplicate {
 			t.Fatal("uninstalled engine injected a fault")
 		}
-		e.Delivered(nodes[0], nodes[1], "get", 64)
+		e.Delivered(v, nodes[0], nodes[1], "get", 64)
 	}
 	if !e.Accounting().Balanced() {
 		t.Fatal("transparent engine unbalanced")
@@ -437,5 +441,77 @@ func TestCheckerDurability(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAccountingIgnoresEarlierEpoch: a message attempted before Install and
+// resolved after it belongs to no episode — its attempt was wiped by the
+// reset, so its outcome must not count. Before verdicts carried an epoch
+// this left delivered > attempted (I5) whenever traffic straddled Install.
+func TestAccountingIgnoresEarlierEpoch(t *testing.T) {
+	f, nodes := testCluster(2)
+	e := NewEngine(f, Hooks{})
+	e.Install(&Plan{Seed: 1}, nodes)
+	early := e.Intercept(nodes[0], nodes[1], "get", 64)
+	stuck := e.Intercept(nodes[1], nodes[0], "get", 128)
+
+	e.Install(&Plan{Seed: 2}, nodes)
+	e.Delivered(early, nodes[0], nodes[1], "get", 64)
+	e.Undeliverable(stuck, nodes[1], nodes[0], "get", 128)
+	if a := e.Accounting(); a != (Accounting{}) {
+		t.Fatalf("outcomes of the previous epoch leaked into the new one: %+v", a)
+	}
+
+	v := e.Intercept(nodes[0], nodes[1], "get", 64)
+	e.Delivered(v, nodes[0], nodes[1], "get", 64)
+	if a := e.Accounting(); a.Attempted != 1 || a.Delivered != 1 || !a.Balanced() {
+		t.Fatalf("current epoch miscounted: %+v", a)
+	}
+}
+
+// TestAccountingBalancesAcrossConcurrentInstall hammers Intercept/outcome
+// pairs from several goroutines while Install keeps resetting the episode;
+// once traffic stops, whatever epoch is current must balance.
+func TestAccountingBalancesAcrossConcurrentInstall(t *testing.T) {
+	f, nodes := testCluster(4)
+	e := NewEngine(f, Hooks{})
+	plan := &Plan{Seed: 9, Rules: []Rule{{Name: "mix", DropPct: 20, DupPct: 20}}}
+	e.Install(plan, nodes)
+	stop := make(chan struct{})
+	var senders sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		senders.Add(1)
+		go func(g int) {
+			defer senders.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				from, to := nodes[g], nodes[(g+1+i%3)%4]
+				v := e.Intercept(from, to, "get", 64+i%100)
+				switch {
+				case v.Drop:
+				case i%5 == 0:
+					e.Undeliverable(v, from, to, "get", 64+i%100)
+				default:
+					e.Delivered(v, from, to, "get", 64+i%100)
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 200; i++ {
+		e.Install(plan, nodes)
+		if a := e.Accounting(); a.Delivered+a.Dropped+a.Undeliverable > a.Attempted {
+			close(stop)
+			senders.Wait()
+			t.Fatalf("install %d: outcomes exceed attempts: %+v", i, a)
+		}
+	}
+	close(stop)
+	senders.Wait()
+	if a := e.Accounting(); !a.Balanced() {
+		t.Fatalf("unbalanced at quiesce: %+v", a)
 	}
 }

@@ -64,8 +64,14 @@ type Engine struct {
 
 	counters map[linkKey]*atomic.Uint64
 
-	attempted, delivered, dropped, undeliverable, duplicated atomic.Uint64
-	attemptedB, deliveredB, droppedB, undeliverableB         atomic.Uint64
+	// epoch numbers the accounting episode: Install starts a new one, each
+	// Verdict carries the epoch its message was attempted in, and an outcome
+	// reported for an earlier epoch is ignored — that message's attempt was
+	// wiped by the reset, so counting its delivery would unbalance the new
+	// episode. Both are guarded by mu, so a reset cannot fall between an
+	// attempt and its epoch stamp.
+	epoch uint64
+	acct  Accounting
 }
 
 // NewEngine builds an engine over a fabric with runtime hooks.
@@ -82,8 +88,8 @@ func NewEngine(f *fabric.Fabric, hooks Hooks) *Engine {
 
 // Install arms the engine with a plan over an ordered node list. Node
 // indices in the plan's events refer to positions in nodes. Counters,
-// journal, and partition state reset; accounting resets too so each
-// episode balances independently.
+// journal, and partition state reset; accounting starts a new epoch so each
+// episode balances independently of messages still in flight from the last.
 func (e *Engine) Install(p *Plan, nodes []idgen.NodeID) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -99,15 +105,8 @@ func (e *Engine) Install(p *Plan, nodes []idgen.NodeID) {
 	e.journal = e.journal[:0]
 	e.seq = 0
 	e.start = time.Now()
-	e.attempted.Store(0)
-	e.delivered.Store(0)
-	e.dropped.Store(0)
-	e.undeliverable.Store(0)
-	e.duplicated.Store(0)
-	e.attemptedB.Store(0)
-	e.deliveredB.Store(0)
-	e.droppedB.Store(0)
-	e.undeliverableB.Store(0)
+	e.epoch++
+	e.acct = Accounting{}
 	if p != nil {
 		e.logLocked("install seed=%d rules=%d events=%d nodes=%d",
 			p.Seed, len(p.Rules), len(p.Events), len(nodes))
@@ -236,24 +235,25 @@ func (e *Engine) RestoreNode(n idgen.NodeID) {
 // lock-light: partition checks take the mutex briefly; probabilistic
 // verdicts are lock-free hashes over atomic per-link counters.
 func (e *Engine) Intercept(from, to idgen.NodeID, kind string, size int) transport.Verdict {
-	e.attempted.Add(1)
-	e.attemptedB.Add(uint64(size))
-
 	e.mu.Lock()
+	v := transport.Verdict{Epoch: e.epoch}
+	e.acct.Attempted++
+	e.acct.AttemptedBytes += uint64(size)
 	p := e.plan
 	// Partitions apply with or without an armed plan: tests raise ad-hoc
 	// partitions via Partition(), and transport traffic (including gossip
 	// probes — the failure detector rides the same wire) must see them.
 	if e.parted && e.group[from] != e.group[to] {
 		e.logLocked("partition-drop %s->%s kind=%s size=%d", from.Short(), to.Short(), kind, size)
+		e.acct.Dropped++
+		e.acct.DroppedBytes += uint64(size)
 		e.mu.Unlock()
-		e.dropped.Add(1)
-		e.droppedB.Add(uint64(size))
-		return transport.Verdict{Drop: true}
+		v.Drop = true
+		return v
 	}
 	if p == nil {
 		e.mu.Unlock()
-		return transport.Verdict{}
+		return v
 	}
 	fi, fok := e.index[from]
 	ti, tok := e.index[to]
@@ -261,12 +261,11 @@ func (e *Engine) Intercept(from, to idgen.NodeID, kind string, size int) transpo
 	e.mu.Unlock()
 
 	if !fok || !tok || len(p.Rules) == 0 {
-		return transport.Verdict{}
+		return v
 	}
 	class := e.fabric.ClassBetween(from, to)
 	n := ctr.Add(1) - 1
 
-	var v transport.Verdict
 	for ri := range p.Rules {
 		r := &p.Rules[ri]
 		if !r.matches(kind, class) {
@@ -278,10 +277,12 @@ func (e *Engine) Intercept(from, to idgen.NodeID, kind string, size int) transpo
 		if r.DropPct > 0 && int(mix(h, 0xd09)%100) < r.DropPct {
 			e.mu.Lock()
 			e.logLocked("rule-drop rule=%s %s->%s kind=%s n=%d size=%d", r.Name, from.Short(), to.Short(), kind, n, size)
+			if e.epoch == v.Epoch {
+				e.acct.Dropped++
+				e.acct.DroppedBytes += uint64(size)
+			}
 			e.mu.Unlock()
-			e.dropped.Add(1)
-			e.droppedB.Add(uint64(size))
-			return transport.Verdict{Drop: true}
+			return transport.Verdict{Epoch: v.Epoch, Drop: true}
 		}
 		if r.DelayPct > 0 && int(mix(h, 0xde1)%100) < r.DelayPct && r.Delay > v.Delay {
 			v.Delay = r.Delay
@@ -290,49 +291,51 @@ func (e *Engine) Intercept(from, to idgen.NodeID, kind string, size int) transpo
 			v.Duplicate = true
 		}
 	}
-	if v.Delay > 0 {
+	if v.Delay > 0 || v.Duplicate {
 		e.mu.Lock()
-		e.logLocked("rule-delay %s->%s kind=%s n=%d delay=%s", from.Short(), to.Short(), kind, n, v.Delay)
-		e.mu.Unlock()
-	}
-	if v.Duplicate {
-		e.duplicated.Add(1)
-		e.mu.Lock()
-		e.logLocked("rule-dup %s->%s kind=%s n=%d", from.Short(), to.Short(), kind, n)
+		if v.Delay > 0 {
+			e.logLocked("rule-delay %s->%s kind=%s n=%d delay=%s", from.Short(), to.Short(), kind, n, v.Delay)
+		}
+		if v.Duplicate {
+			if e.epoch == v.Epoch {
+				e.acct.Duplicated++
+			}
+			e.logLocked("rule-dup %s->%s kind=%s n=%d", from.Short(), to.Short(), kind, n)
+		}
 		e.mu.Unlock()
 	}
 	return v
 }
 
 // Delivered implements transport.Interposer accounting.
-func (e *Engine) Delivered(from, to idgen.NodeID, kind string, size int) {
-	e.delivered.Add(1)
-	e.deliveredB.Add(uint64(size))
+func (e *Engine) Delivered(v transport.Verdict, from, to idgen.NodeID, kind string, size int) {
+	e.mu.Lock()
+	if e.epoch == v.Epoch {
+		e.acct.Delivered++
+		e.acct.DeliveredBytes += uint64(size)
+	}
+	e.mu.Unlock()
 }
 
 // Undeliverable implements transport.Interposer accounting: the message
 // was attempted but the substrate refused it (endpoint down, context
 // cancelled, charge failed).
-func (e *Engine) Undeliverable(from, to idgen.NodeID, kind string, size int) {
-	e.undeliverable.Add(1)
-	e.undeliverableB.Add(uint64(size))
+func (e *Engine) Undeliverable(v transport.Verdict, from, to idgen.NodeID, kind string, size int) {
+	e.mu.Lock()
+	if e.epoch == v.Epoch {
+		e.acct.Undeliverable++
+		e.acct.UndeliverableBytes += uint64(size)
+	}
+	e.mu.Unlock()
 }
 
-// Accounting returns a snapshot of the counters. Only meaningful at
-// quiesce (after transports drain); mid-flight the attempted counter leads
-// the outcome counters.
+// Accounting returns a snapshot of the current epoch's counters. Only
+// meaningful at quiesce (after transports drain); mid-flight the attempted
+// counter leads the outcome counters.
 func (e *Engine) Accounting() Accounting {
-	return Accounting{
-		Attempted:          e.attempted.Load(),
-		Delivered:          e.delivered.Load(),
-		Dropped:            e.dropped.Load(),
-		Undeliverable:      e.undeliverable.Load(),
-		Duplicated:         e.duplicated.Load(),
-		AttemptedBytes:     e.attemptedB.Load(),
-		DeliveredBytes:     e.deliveredB.Load(),
-		DroppedBytes:       e.droppedB.Load(),
-		UndeliverableBytes: e.undeliverableB.Load(),
-	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.acct
 }
 
 func (e *Engine) counterLocked(from, to idgen.NodeID) *atomic.Uint64 {

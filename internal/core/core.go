@@ -181,7 +181,9 @@ func (s *Skadi) Explain(query string, tables map[string]*arrowlite.Batch) (strin
 }
 
 // RunGraph lowers and executes an arbitrary logical FlowGraph; the general
-// entry point the domain frontends build on.
+// entry point the domain frontends build on. The caller only ever sees the
+// gathered sink datums, so every object the run put in the cluster is freed
+// before it returns.
 func (s *Skadi) RunGraph(ctx context.Context, g *flowgraph.Graph, inputs map[string][]*ir.Datum) (map[string]*ir.Datum, error) {
 	degree := s.Parallelism
 	if degree <= 0 {
@@ -194,7 +196,7 @@ func (s *Skadi) RunGraph(ctx context.Context, g *flowgraph.Graph, inputs map[str
 	if err != nil {
 		return nil, err
 	}
-	return physical.NewExecutor(s.rt, plan).Run(ctx, inputs)
+	return physical.NewExecutor(s.rt, plan).FreeIntermediates(true).Run(ctx, inputs)
 }
 
 func (s *Skadi) availableWithCPU() map[string]bool {

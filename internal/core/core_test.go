@@ -78,6 +78,33 @@ func TestSQLEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSQLFreesItsObjects: a query leaves nothing behind in the cluster. The
+// caller gets the gathered result batch; shard inputs, partition pieces and
+// vertex outputs used to stay in the directory and the stores forever
+// (1.2 GB of heap after 54 benchmark queries).
+func TestSQLFreesItsObjects(t *testing.T) {
+	s := newSkadi(t)
+	rt := s.Runtime()
+	records, stored := rt.Head.Table.Len(), rt.Layer.StorageBytes()
+	for i := 0; i < 3; i++ {
+		got, err := s.SQL(context.Background(),
+			"SELECT region, SUM(amount) FROM orders GROUP BY region",
+			map[string]*arrowlite.Batch{"orders": ordersTable(t)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.NumRows() != 2 {
+			t.Fatalf("query %d: groups = %d", i, got.NumRows())
+		}
+		if n := rt.Head.Table.Len(); n != records {
+			t.Errorf("query %d: %d ownership records left, want %d", i, n, records)
+		}
+		if b := rt.Layer.StorageBytes(); b != stored {
+			t.Errorf("query %d: %d bytes left in the stores, want %d", i, b, stored)
+		}
+	}
+}
+
 func TestSQLSyntaxError(t *testing.T) {
 	s := newSkadi(t)
 	if _, err := s.SQL(context.Background(), "SELEC nope", nil); err == nil {

@@ -40,7 +40,7 @@ func init() { register("e20", E20Decentralized) }
 //
 // At the smallest sweep size two extra comparisons run:
 //   - sharded-tcp serves every directory op over real TCP sockets through
-//     the hand-coded own.* codecs (the cross-process deployment shape);
+//     the fixed-tag own.* frames (the cross-process deployment shape);
 //     the station charge is the server-side handler cost, so the row
 //     isolates the serve-path overhead of the wire format, not loopback
 //     RTT (which the sequential driver pays in wall ops/s instead).
@@ -148,7 +148,7 @@ func E20Decentralized() (*Table, error) {
 		"shard/scheduler stations); at >=500 nodes the sharded plane clears 5x. Steal rate is the fraction " +
 		"of placements a peer accepted from a saturated home. Wall ops/s (sequential driver) is the raw " +
 		"structure cost: the sharded path pays ring routing per op — and the tcp arm a loopback RTT — which " +
-		"the parallelism buys back. sharded-tcp charges the server-side serve cost of the hand-coded own.* " +
+		"the parallelism buys back. sharded-tcp charges the server-side serve cost of the fixed-tag own.* " +
 		"frames and must stay within 2x of in-process sharded. sharded-loc vs sharded-rand: chained tasks " +
 		"carry 1 KiB ref args; locality-aware steal ordering shifts the local/remote split toward local, " +
 		"cutting steal-induced arg fetches."
@@ -304,17 +304,17 @@ func e20Run(cfg e20Config) (*e20Arm, error) {
 			switch kind {
 			case raylet.KindOwnCreate:
 				var r raylet.OwnCreateRequest
-				if derr := raylet.DecodeOwnCreateRequest(payload, &r); derr == nil && len(r.IDs) > 0 {
+				if derr := transport.Decode(payload, &r); derr == nil && len(r.IDs) > 0 {
 					obj = r.IDs[0]
 				}
 			case raylet.KindOwnReady:
 				var r raylet.OwnReadyRequest
-				if derr := raylet.DecodeOwnReadyRequest(payload, &r); derr == nil {
+				if derr := transport.Decode(payload, &r); derr == nil {
 					obj = r.ID
 				}
 			case raylet.KindOwnGet:
 				var r raylet.OwnGetRequest
-				if derr := raylet.DecodeOwnGetRequest(payload, &r); derr == nil {
+				if derr := transport.Decode(payload, &r); derr == nil {
 					obj = r.ID
 				}
 			}
@@ -408,19 +408,19 @@ func e20Run(cfg e20Config) (*e20Arm, error) {
 				return nil
 			}
 			if err := phase(func(j int) (string, []byte) {
-				return raylet.KindOwnCreate, raylet.EncodeOwnCreateRequest(&raylet.OwnCreateRequest{
+				return raylet.KindOwnCreate, transport.MustEncode(raylet.OwnCreateRequest{
 					IDs: []idgen.ObjectID{waveObjs[j]}, Owner: waveNodes[j], Task: waveTask[j]})
 			}); err != nil {
 				return nil, err
 			}
 			if err := phase(func(j int) (string, []byte) {
-				return raylet.KindOwnReady, raylet.EncodeOwnReadyRequest(&raylet.OwnReadyRequest{
+				return raylet.KindOwnReady, transport.MustEncode(raylet.OwnReadyRequest{
 					ID: waveObjs[j], Size: e20ArgBytes, Location: waveNodes[j]})
 			}); err != nil {
 				return nil, err
 			}
 			if err := phase(func(j int) (string, []byte) {
-				return raylet.KindOwnGet, raylet.EncodeOwnGetRequest(&raylet.OwnGetRequest{ID: waveObjs[j]})
+				return raylet.KindOwnGet, transport.MustEncode(raylet.OwnGetRequest{ID: waveObjs[j]})
 			}); err != nil {
 				return nil, err
 			}

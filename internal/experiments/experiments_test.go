@@ -428,7 +428,7 @@ func TestE20Shape(t *testing.T) {
 	}
 
 	// Cross-process arm: serving the directory over TCP through the
-	// hand-coded own.* frames must keep virtual throughput within 2x of the
+	// fixed-tag own.* frames must keep virtual throughput within 2x of the
 	// in-process sharded plane at the same size. The true warm ratio sits
 	// around 1.8x, but both arms charge sub-µs op costs, so a loaded
 	// single-core runner can shove a marginal run past the bar — grant one

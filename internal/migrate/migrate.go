@@ -85,8 +85,8 @@ type ObjectReport struct {
 }
 
 // call issues one coordination RPC.
-func (m *Migrator) call(ctx context.Context, to idgen.NodeID, kind string, req any) ([]byte, error) {
-	return m.cfg.Transport.Call(ctx, m.cfg.Self, to, kind, transport.MustEncode(req))
+func (m *Migrator) call(ctx context.Context, to idgen.NodeID, kind string, payload []byte) ([]byte, error) {
+	return m.cfg.Transport.Call(ctx, m.cfg.Self, to, kind, payload)
 }
 
 // MigrateActor live-migrates one actor from → to using the freeze /
@@ -104,7 +104,8 @@ func (m *Migrator) MigrateActor(ctx context.Context, actor idgen.ActorID, from, 
 	}
 
 	// 1. Freeze: running task drains, queued tasks park.
-	frozeB, err := m.call(ctx, from, raylet.KindMigrateFreeze, raylet.MigrateFreezeRequest{Actor: actor})
+	frozeB, err := m.call(ctx, from, raylet.KindMigrateFreeze,
+		transport.MustEncode(raylet.MigrateFreezeRequest{Actor: actor}))
 	if err != nil {
 		return rep, fmt.Errorf("migrate: freeze %s at %s: %w", actor.Short(), from.Short(), err)
 	}
@@ -124,7 +125,7 @@ func (m *Migrator) MigrateActor(ctx context.Context, actor idgen.ActorID, from, 
 	shipped := false
 	if froze.Known {
 		xferB, err := m.call(ctx, from, raylet.KindMigrateTransfer,
-			raylet.MigrateTransferRequest{Actor: actor, Dest: to})
+			transport.MustEncode(raylet.MigrateTransferRequest{Actor: actor, Dest: to}))
 		if err != nil {
 			m.rollback(ctx, actor, from)
 			return rep, fmt.Errorf("migrate: transfer %s: %w", actor.Short(), err)
@@ -138,7 +139,7 @@ func (m *Migrator) MigrateActor(ctx context.Context, actor idgen.ActorID, from, 
 		shipped = xfer.Found
 	}
 	if !shipped {
-		install := raylet.MigrateInstallRequest{Actor: actor, Stateless: true}
+		install := transport.MustEncode(raylet.MigrateInstallRequest{Actor: actor, Stateless: true})
 		if _, err := m.call(ctx, to, raylet.KindMigrateInstall, install); err != nil {
 			m.rollback(ctx, actor, from)
 			return rep, fmt.Errorf("migrate: install %s at %s: %w", actor.Short(), to.Short(), err)
@@ -148,7 +149,7 @@ func (m *Migrator) MigrateActor(ctx context.Context, actor idgen.ActorID, from, 
 	// 3. Resume with commit: cutover tombstone, parked tasks bounce to the
 	// destination.
 	if _, err := m.call(ctx, from, raylet.KindMigrateResume,
-		raylet.MigrateResumeRequest{Actor: actor, Dest: to, Commit: true}); err != nil {
+		transport.MustEncode(raylet.MigrateResumeRequest{Actor: actor, Dest: to, Commit: true})); err != nil {
 		return rep, fmt.Errorf("migrate: resume %s: %w", actor.Short(), err)
 	}
 	sp.SetAttr("bytes", fmt.Sprint(rep.Bytes))
@@ -158,7 +159,7 @@ func (m *Migrator) MigrateActor(ctx context.Context, actor idgen.ActorID, from, 
 // rollback lifts a freeze without cutting over; best effort.
 func (m *Migrator) rollback(ctx context.Context, actor idgen.ActorID, from idgen.NodeID) {
 	_, _ = m.call(ctx, from, raylet.KindMigrateResume,
-		raylet.MigrateResumeRequest{Actor: actor, Commit: false})
+		transport.MustEncode(raylet.MigrateResumeRequest{Actor: actor, Commit: false}))
 }
 
 // MigrateObject moves one resident object's copy from → to: the source
@@ -175,7 +176,7 @@ func (m *Migrator) MigrateObject(ctx context.Context, id idgen.ObjectID, from, t
 		return rep, fmt.Errorf("migrate: object %s: source and destination are both %s", id.Short(), from.Short())
 	}
 	xferB, err := m.call(ctx, from, raylet.KindMigrateTransfer,
-		raylet.MigrateTransferRequest{Object: id, Dest: to})
+		transport.MustEncode(raylet.MigrateTransferRequest{Object: id, Dest: to}))
 	if err != nil {
 		return rep, fmt.Errorf("migrate: transfer object %s: %w", id.Short(), err)
 	}
@@ -191,7 +192,7 @@ func (m *Migrator) MigrateObject(ctx context.Context, id idgen.ObjectID, from, t
 
 	// Cutover: retarget the ownership location set and record the forward.
 	if _, err := m.call(ctx, m.cfg.Head, raylet.KindOwnMoveLoc,
-		raylet.OwnMoveLocRequest{ID: id, From: from, To: to}); err != nil {
+		transport.MustEncode(raylet.OwnMoveLocRequest{ID: id, From: from, To: to})); err != nil {
 		// The bytes are at the destination and the source has a tombstone,
 		// so reads still resolve; only the table is stale. Surface it.
 		return rep, fmt.Errorf("migrate: own.moveloc %s: %w", id.Short(), err)

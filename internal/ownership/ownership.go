@@ -22,6 +22,7 @@ import (
 
 	"skadi/internal/idgen"
 	"skadi/internal/skaderr"
+	"skadi/internal/wire"
 )
 
 // State is an object's lifecycle state.
@@ -107,6 +108,20 @@ type Record struct {
 	// DeviceHandle carries the opaque driver handle needed to reach it.
 	DeviceID     idgen.NodeID
 	DeviceHandle string
+}
+
+// Wire lists Record's fields for the message codec (see transport.Message).
+func (r *Record) Wire(c *wire.Coder) {
+	c.ID(&r.ID)
+	c.ID(&r.Owner)
+	state := int64(r.State)
+	c.Varint(&state)
+	r.State = State(state)
+	c.Varint(&r.Size)
+	c.ID(&r.Task)
+	wire.Slice(c, &r.Locations, 16, (*wire.Coder).ID)
+	c.ID(&r.DeviceID)
+	c.String(&r.DeviceHandle)
 }
 
 type entry struct {

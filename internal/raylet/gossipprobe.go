@@ -29,13 +29,13 @@ func GossipProber(tr transport.Transport, timeout time.Duration) func(from, to i
 		n := nonce.Add(1)
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		defer cancel()
-		payload := EncodeGossipProbe(&GossipProbeRequest{From: from, Nonce: n})
+		payload := transport.MustEncode(GossipProbeRequest{From: from, Nonce: n})
 		resp, err := tr.Call(ctx, from, to, KindGossipProbe, payload)
 		if err != nil {
 			return false
 		}
 		var ack GossipProbeAck
-		if err := DecodeGossipAck(resp, &ack); err != nil {
+		if err := transport.Decode(resp, &ack); err != nil {
 			return false
 		}
 		return ack.Nonce == n && ack.Node == to

@@ -82,6 +82,11 @@ func (h *Head) Start(tr transport.Transport) error {
 // service with a co-located raylet on one node.
 func (h *Head) Handler() transport.Handler { return h.handle }
 
+// noSubscribers is the own.ready response of every commit nobody subscribed
+// to — all of them outside push resolution — encoded once. Shared and
+// read-only: transports and decoders never write into a payload.
+var noSubscribers = transport.MustEncode(OwnReadyResponse{})
+
 // ServeOwnership dispatches one own.* RPC against a Directory. It is
 // shared between the head service (centralized control plane) and worker
 // raylets hosting directory shards (decentralized control plane), so both
@@ -90,7 +95,7 @@ func ServeOwnership(ctx context.Context, dir ownership.Directory, kind string, p
 	switch kind {
 	case KindOwnCreate:
 		var req OwnCreateRequest
-		if err := DecodeOwnCreateRequest(payload, &req); err != nil {
+		if err := transport.Decode(payload, &req); err != nil {
 			return nil, true, err
 		}
 		for _, id := range req.IDs {
@@ -102,25 +107,28 @@ func ServeOwnership(ctx context.Context, dir ownership.Directory, kind string, p
 
 	case KindOwnReady:
 		var req OwnReadyRequest
-		if err := DecodeOwnReadyRequest(payload, &req); err != nil {
+		if err := transport.Decode(payload, &req); err != nil {
 			return nil, true, err
 		}
 		subs, err := dir.MarkReady(req.ID, req.Size, req.Location, req.DeviceID, req.DeviceHandle)
 		if err != nil {
 			return nil, true, err
 		}
-		return EncodeOwnReadyResponse(&OwnReadyResponse{Subscribers: subs}), true, nil
+		if len(subs) == 0 {
+			return noSubscribers, true, nil
+		}
+		return transport.MustEncode(OwnReadyResponse{Subscribers: subs}), true, nil
 
 	case KindOwnGet:
 		var req OwnGetRequest
-		if err := DecodeOwnGetRequest(payload, &req); err != nil {
+		if err := transport.Decode(payload, &req); err != nil {
 			return nil, true, err
 		}
 		rec, err := dir.Get(req.ID)
 		if err != nil {
 			return nil, true, err
 		}
-		return EncodeOwnGetResponse(&OwnGetResponse{Rec: rec}), true, nil
+		return transport.MustEncode(OwnGetResponse{Rec: rec}), true, nil
 
 	case KindOwnWait:
 		var req OwnWaitRequest
@@ -141,8 +149,7 @@ func ServeOwnership(ctx context.Context, dir ownership.Directory, kind string, p
 		if err != nil {
 			return nil, true, err
 		}
-		resp, err = transport.Encode(OwnSubscribeResponse{Ready: ready, Rec: rec})
-		return resp, true, err
+		return transport.MustEncode(OwnSubscribeResponse{Ready: ready, Rec: rec}), true, nil
 
 	case KindOwnAddLoc:
 		var req OwnAddLocRequest
@@ -170,8 +177,7 @@ func ServeOwnership(ctx context.Context, dir ownership.Directory, kind string, p
 			return nil, true, err
 		}
 		to, found := dir.ResolveForward(req.ID, req.Stale)
-		resp, err = transport.Encode(OwnForwardResponse{To: to, Found: found})
-		return resp, true, err
+		return transport.MustEncode(OwnForwardResponse{To: to, Found: found}), true, nil
 	}
 	return nil, false, nil
 }
@@ -181,10 +187,10 @@ func ServeOwnership(ctx context.Context, dir ownership.Directory, kind string, p
 // ack probes, or the detector would convict it.
 func ServeGossipProbe(node idgen.NodeID, payload []byte) ([]byte, error) {
 	var req GossipProbeRequest
-	if err := DecodeGossipProbe(payload, &req); err != nil {
+	if err := transport.Decode(payload, &req); err != nil {
 		return nil, err
 	}
-	return EncodeGossipAck(&GossipProbeAck{Node: node, Nonce: req.Nonce}), nil
+	return transport.Encode(GossipProbeAck{Node: node, Nonce: req.Nonce})
 }
 
 // handle dispatches one inbound RPC.

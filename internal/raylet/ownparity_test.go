@@ -36,7 +36,7 @@ type ctxObservation struct {
 	tenant      string
 }
 
-// TestOwnershipRPCContextParity: the new hand-coded ownership RPCs
+// TestOwnershipRPCContextParity: the per-task ownership RPCs
 // (own.create / own.ready / own.get) and gossip probes must thread the
 // caller's deadline, TraceID/SpanID pair, and tenant through the frame on
 // the TCP transport exactly as in process. A shard served by a worker
@@ -83,10 +83,10 @@ func TestOwnershipRPCContextParity(t *testing.T) {
 
 		obj, owner, tid := idgen.Next(), idgen.Next(), idgen.Next()
 		calls := map[string][]byte{
-			KindOwnCreate:   EncodeOwnCreateRequest(&OwnCreateRequest{IDs: []idgen.ObjectID{obj}, Owner: owner, Task: tid}),
-			KindOwnReady:    EncodeOwnReadyRequest(&OwnReadyRequest{ID: obj, Size: 64, Location: owner}),
-			KindOwnGet:      EncodeOwnGetRequest(&OwnGetRequest{ID: obj}),
-			KindGossipProbe: EncodeGossipProbe(&GossipProbeRequest{From: client, Nonce: 7}),
+			KindOwnCreate:   transport.MustEncode(OwnCreateRequest{IDs: []idgen.ObjectID{obj}, Owner: owner, Task: tid}),
+			KindOwnReady:    transport.MustEncode(OwnReadyRequest{ID: obj, Size: 64, Location: owner}),
+			KindOwnGet:      transport.MustEncode(OwnGetRequest{ID: obj}),
+			KindGossipProbe: transport.MustEncode(GossipProbeRequest{From: client, Nonce: 7}),
 		}
 		for _, kind := range kinds { // create before ready before get
 			if _, err := tr.Call(ctx, client, server, kind, calls[kind]); err != nil {
@@ -116,7 +116,7 @@ func TestOwnershipRPCContextParity(t *testing.T) {
 	}
 }
 
-// TestOwnershipRPCErrorParity: a miss on the hand-coded own.get path must
+// TestOwnershipRPCErrorParity: a miss on the own.get path must
 // fail with the same skaderr code and message over both transports.
 func TestOwnershipRPCErrorParity(t *testing.T) {
 	got := make(map[string]error)
@@ -131,7 +131,7 @@ func TestOwnershipRPCErrorParity(t *testing.T) {
 			t.Fatalf("%s Listen: %v", name, err)
 		}
 		_, cerr := tr.Call(context.Background(), client, server, KindOwnGet,
-			EncodeOwnGetRequest(&OwnGetRequest{ID: idgen.FromSeq(404)}))
+			transport.MustEncode(OwnGetRequest{ID: idgen.FromSeq(404)}))
 		if cerr == nil {
 			t.Fatalf("%s: want NotFound error", name)
 		}

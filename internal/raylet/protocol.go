@@ -4,6 +4,7 @@ import (
 	"skadi/internal/idgen"
 	"skadi/internal/ownership"
 	"skadi/internal/task"
+	"skadi/internal/wire"
 )
 
 // RPC kinds served by raylets.
@@ -80,9 +81,25 @@ const (
 	KindGossipProbe = "gossip.probe"
 )
 
+// Every message below is a transport.Message: its Wire method is the only
+// place its fields are listed, and transport.Encode/Decode walk it in either
+// direction. The leading tag byte names the type, so a payload decoded as the
+// wrong kind is an error rather than garbage: 0xA1–0xA2 are the bulk get and
+// push, 0xB1–0xB7 the per-task ownership and gossip kinds, 0xC1–0xD4 the
+// rest; the 0xA and 0xB layouts are pinned byte for byte by
+// TestCodecGoldenBytes. GetResponse.Data and PushRequest.Data decode as
+// views of the input buffer (the zero-copy bulk path: the transport hands
+// each payload to exactly one consumer); every other decoded field is a copy.
+
 // ExecRequest asks for one task execution.
 type ExecRequest struct {
 	Spec task.Spec
+}
+
+// Wire implements transport.Message.
+func (m *ExecRequest) Wire(c *wire.Coder) {
+	c.Tag(0xC1)
+	m.Spec.Wire(c)
 }
 
 // ExecResponse reports a completed task.
@@ -99,9 +116,23 @@ type ExecResponse struct {
 	ActorMovedTo idgen.NodeID
 }
 
+// Wire implements transport.Message.
+func (m *ExecResponse) Wire(c *wire.Coder) {
+	c.Tag(0xC2)
+	wire.Slice(c, &m.ResultSizes, 1, (*wire.Coder).Varint)
+	c.Varint(&m.StallMicros)
+	c.ID(&m.ActorMovedTo)
+}
+
 // GetRequest fetches object bytes.
 type GetRequest struct {
 	ID idgen.ObjectID
+}
+
+// Wire implements transport.Message.
+func (m *GetRequest) Wire(c *wire.Coder) {
+	c.Tag(0xC3)
+	c.ID(&m.ID)
 }
 
 // GetResponse carries object bytes. When the object migrated away from
@@ -113,6 +144,20 @@ type GetResponse struct {
 	MovedTo idgen.NodeID
 }
 
+// Wire implements transport.Message. A presence byte keeps a nil Data (the
+// MovedTo case) distinct from an empty object.
+func (m *GetResponse) Wire(c *wire.Coder) {
+	c.Tag(0xA1)
+	c.ID(&m.MovedTo)
+	c.String(&m.Format)
+	hasData := m.Data != nil
+	c.Bool(&hasData)
+	c.LenBytesView(&m.Data)
+	if !hasData {
+		m.Data = nil
+	}
+}
+
 // PushRequest delivers object bytes proactively.
 type PushRequest struct {
 	ID     idgen.ObjectID
@@ -120,9 +165,23 @@ type PushRequest struct {
 	Format string
 }
 
+// Wire implements transport.Message.
+func (m *PushRequest) Wire(c *wire.Coder) {
+	c.Tag(0xA2)
+	c.ID(&m.ID)
+	c.String(&m.Format)
+	c.LenBytesView(&m.Data)
+}
+
 // DeleteRequest removes an object from a local store.
 type DeleteRequest struct {
 	ID idgen.ObjectID
+}
+
+// Wire implements transport.Message.
+func (m *DeleteRequest) Wire(c *wire.Coder) {
+	c.Tag(0xC4)
+	c.ID(&m.ID)
 }
 
 // OwnCreateRequest registers pending objects for a task's returns.
@@ -130,6 +189,14 @@ type OwnCreateRequest struct {
 	IDs   []idgen.ObjectID
 	Owner idgen.NodeID
 	Task  idgen.TaskID
+}
+
+// Wire implements transport.Message.
+func (m *OwnCreateRequest) Wire(c *wire.Coder) {
+	c.Tag(0xB1)
+	wire.Slice(c, &m.IDs, 16, (*wire.Coder).ID)
+	c.ID(&m.Owner)
+	c.ID(&m.Task)
 }
 
 // OwnReadyRequest commits one object.
@@ -141,9 +208,25 @@ type OwnReadyRequest struct {
 	DeviceHandle string
 }
 
+// Wire implements transport.Message.
+func (m *OwnReadyRequest) Wire(c *wire.Coder) {
+	c.Tag(0xB2)
+	c.ID(&m.ID)
+	c.Varint(&m.Size)
+	c.ID(&m.Location)
+	c.ID(&m.DeviceID)
+	c.String(&m.DeviceHandle)
+}
+
 // OwnReadyResponse lists the nodes subscribed for a push of the object.
 type OwnReadyResponse struct {
 	Subscribers []idgen.NodeID
+}
+
+// Wire implements transport.Message.
+func (m *OwnReadyResponse) Wire(c *wire.Coder) {
+	c.Tag(0xB3)
+	wire.Slice(c, &m.Subscribers, 16, (*wire.Coder).ID)
 }
 
 // OwnGetRequest fetches an ownership record.
@@ -151,9 +234,21 @@ type OwnGetRequest struct {
 	ID idgen.ObjectID
 }
 
+// Wire implements transport.Message.
+func (m *OwnGetRequest) Wire(c *wire.Coder) {
+	c.Tag(0xB4)
+	c.ID(&m.ID)
+}
+
 // OwnGetResponse carries the record.
 type OwnGetResponse struct {
 	Rec ownership.Record
+}
+
+// Wire implements transport.Message.
+func (m *OwnGetResponse) Wire(c *wire.Coder) {
+	c.Tag(0xB5)
+	m.Rec.Wire(c)
 }
 
 // OwnWaitRequest blocks until the object is ready.
@@ -161,10 +256,23 @@ type OwnWaitRequest struct {
 	ID idgen.ObjectID
 }
 
+// Wire implements transport.Message.
+func (m *OwnWaitRequest) Wire(c *wire.Coder) {
+	c.Tag(0xC5)
+	c.ID(&m.ID)
+}
+
 // OwnSubscribeRequest subscribes a node for a push of the object.
 type OwnSubscribeRequest struct {
 	ID   idgen.ObjectID
 	Node idgen.NodeID
+}
+
+// Wire implements transport.Message.
+func (m *OwnSubscribeRequest) Wire(c *wire.Coder) {
+	c.Tag(0xC6)
+	c.ID(&m.ID)
+	c.ID(&m.Node)
 }
 
 // OwnSubscribeResponse reports whether the object was already ready (in
@@ -174,10 +282,24 @@ type OwnSubscribeResponse struct {
 	Rec   ownership.Record
 }
 
+// Wire implements transport.Message.
+func (m *OwnSubscribeResponse) Wire(c *wire.Coder) {
+	c.Tag(0xC7)
+	c.Bool(&m.Ready)
+	m.Rec.Wire(c)
+}
+
 // OwnAddLocRequest records an additional location for an object.
 type OwnAddLocRequest struct {
 	ID   idgen.ObjectID
 	Node idgen.NodeID
+}
+
+// Wire implements transport.Message.
+func (m *OwnAddLocRequest) Wire(c *wire.Coder) {
+	c.Tag(0xC8)
+	c.ID(&m.ID)
+	c.ID(&m.Node)
 }
 
 // ActorCkptRequest persists an actor's state snapshot.
@@ -188,9 +310,23 @@ type ActorCkptRequest struct {
 	State map[string][]byte
 }
 
+// Wire implements transport.Message.
+func (m *ActorCkptRequest) Wire(c *wire.Coder) {
+	c.Tag(0xC9)
+	c.ID(&m.Actor)
+	c.Uvarint(&m.Seq)
+	wire.Map(c, &m.State, (*wire.Coder).LenBytes)
+}
+
 // ActorRestoreRequest fetches an actor's latest checkpoint.
 type ActorRestoreRequest struct {
 	Actor idgen.ActorID
+}
+
+// Wire implements transport.Message.
+func (m *ActorRestoreRequest) Wire(c *wire.Coder) {
+	c.Tag(0xCA)
+	c.ID(&m.Actor)
 }
 
 // ActorRestoreResponse returns the checkpoint (nil State if none).
@@ -199,10 +335,25 @@ type ActorRestoreResponse struct {
 	State map[string][]byte
 }
 
+// Wire implements transport.Message.
+func (m *ActorRestoreResponse) Wire(c *wire.Coder) {
+	c.Tag(0xCB)
+	c.Uvarint(&m.Seq)
+	wire.Map(c, &m.State, (*wire.Coder).LenBytes)
+}
+
 // OwnMoveLocRequest retargets one copy (live migration cutover).
 type OwnMoveLocRequest struct {
 	ID       idgen.ObjectID
 	From, To idgen.NodeID
+}
+
+// Wire implements transport.Message.
+func (m *OwnMoveLocRequest) Wire(c *wire.Coder) {
+	c.Tag(0xCC)
+	c.ID(&m.ID)
+	c.ID(&m.From)
+	c.ID(&m.To)
 }
 
 // OwnForwardRequest resolves a stale location after a migration.
@@ -211,10 +362,24 @@ type OwnForwardRequest struct {
 	Stale idgen.NodeID
 }
 
+// Wire implements transport.Message.
+func (m *OwnForwardRequest) Wire(c *wire.Coder) {
+	c.Tag(0xCD)
+	c.ID(&m.ID)
+	c.ID(&m.Stale)
+}
+
 // OwnForwardResponse carries the forward target, if one exists.
 type OwnForwardResponse struct {
 	To    idgen.NodeID
 	Found bool
+}
+
+// Wire implements transport.Message.
+func (m *OwnForwardResponse) Wire(c *wire.Coder) {
+	c.Tag(0xCE)
+	c.ID(&m.To)
+	c.Bool(&m.Found)
 }
 
 // GossipProbeRequest is one failure-detector probe. From is the gossip
@@ -226,10 +391,24 @@ type GossipProbeRequest struct {
 	Nonce uint64
 }
 
+// Wire implements transport.Message.
+func (m *GossipProbeRequest) Wire(c *wire.Coder) {
+	c.Tag(0xB6)
+	c.ID(&m.From)
+	c.Uvarint(&m.Nonce)
+}
+
 // GossipProbeAck answers a probe; Nonce echoes the request.
 type GossipProbeAck struct {
 	Node  idgen.NodeID
 	Nonce uint64
+}
+
+// Wire implements transport.Message.
+func (m *GossipProbeAck) Wire(c *wire.Coder) {
+	c.Tag(0xB7)
+	c.ID(&m.Node)
+	c.Uvarint(&m.Nonce)
 }
 
 // MigrateFreezeRequest pauses an actor on the source raylet.
@@ -237,11 +416,24 @@ type MigrateFreezeRequest struct {
 	Actor idgen.ActorID
 }
 
+// Wire implements transport.Message.
+func (m *MigrateFreezeRequest) Wire(c *wire.Coder) {
+	c.Tag(0xCF)
+	c.ID(&m.Actor)
+}
+
 // MigrateFreezeResponse reports the frozen actor's checkpoint sequence and
 // whether this raylet actually hosts state for it.
 type MigrateFreezeResponse struct {
 	Seq   uint64
 	Known bool
+}
+
+// Wire implements transport.Message.
+func (m *MigrateFreezeResponse) Wire(c *wire.Coder) {
+	c.Tag(0xD0)
+	c.Uvarint(&m.Seq)
+	c.Bool(&m.Known)
 }
 
 // MigrateTransferRequest asks the source raylet to ship an actor's state
@@ -252,12 +444,27 @@ type MigrateTransferRequest struct {
 	Dest   idgen.NodeID
 }
 
+// Wire implements transport.Message.
+func (m *MigrateTransferRequest) Wire(c *wire.Coder) {
+	c.Tag(0xD1)
+	c.ID(&m.Actor)
+	c.ID(&m.Object)
+	c.ID(&m.Dest)
+}
+
 // MigrateTransferResponse reports the bytes that crossed the fabric.
 type MigrateTransferResponse struct {
 	Bytes int64
 	// Found is false when the source holds no copy/state to ship (e.g. the
 	// object lives only in DSM, or the actor never ran here).
 	Found bool
+}
+
+// Wire implements transport.Message.
+func (m *MigrateTransferResponse) Wire(c *wire.Coder) {
+	c.Tag(0xD2)
+	c.Varint(&m.Bytes)
+	c.Bool(&m.Found)
 }
 
 // MigrateInstallRequest delivers actor state to the destination raylet.
@@ -272,6 +479,15 @@ type MigrateInstallRequest struct {
 	Stateless bool
 }
 
+// Wire implements transport.Message.
+func (m *MigrateInstallRequest) Wire(c *wire.Coder) {
+	c.Tag(0xD3)
+	c.ID(&m.Actor)
+	c.Uvarint(&m.Seq)
+	wire.Map(c, &m.State, (*wire.Coder).LenBytes)
+	c.Bool(&m.Stateless)
+}
+
 // MigrateResumeRequest finishes a migration on the source raylet.
 type MigrateResumeRequest struct {
 	Actor idgen.ActorID
@@ -279,4 +495,12 @@ type MigrateResumeRequest struct {
 	// Commit true cuts over (parked tasks bounce to Dest); false rolls the
 	// freeze back and resumes local execution.
 	Commit bool
+}
+
+// Wire implements transport.Message.
+func (m *MigrateResumeRequest) Wire(c *wire.Coder) {
+	c.Tag(0xD4)
+	c.ID(&m.Actor)
+	c.ID(&m.Dest)
+	c.Bool(&m.Commit)
 }

@@ -317,15 +317,15 @@ func (r *Raylet) dispatch(ctx context.Context, from idgen.NodeID, kind string, p
 			}
 			r.migMu.Unlock()
 			if moved {
-				return EncodeGetResponse(&GetResponse{MovedTo: fwd.to}), nil
+				return transport.Encode(GetResponse{MovedTo: fwd.to})
 			}
 			return nil, err
 		}
-		return EncodeGetResponse(&GetResponse{Data: data, Format: format}), nil
+		return transport.Encode(GetResponse{Data: data, Format: format})
 
 	case KindPush:
 		var req PushRequest
-		if err := DecodePushRequest(payload, &req); err != nil {
+		if err := transport.Decode(payload, &req); err != nil {
 			return nil, err
 		}
 		r.receivePush(req.ID, req.Data, req.Format)
@@ -598,7 +598,7 @@ func (r *Raylet) migrateTransferObject(ctx context.Context, req *MigrateTransfer
 		// No local copy (DSM-only or already evicted): nothing to move.
 		return transport.Encode(MigrateTransferResponse{Found: false})
 	}
-	push := EncodePushRequest(&PushRequest{ID: req.Object, Data: data, Format: format})
+	push := transport.MustEncode(PushRequest{ID: req.Object, Data: data, Format: format})
 	if _, err := r.call(ctx, req.Dest, KindPush, push); err != nil {
 		return nil, fmt.Errorf("raylet: migrate push to %s: %w", req.Dest.Short(), err)
 	}
@@ -902,7 +902,7 @@ func (r *Raylet) commit(ctx context.Context, id idgen.ObjectID, data []byte) err
 		deviceID = r.cfg.Node
 		handle = fmt.Sprintf("%s:%s/obj-%s", r.cfg.Backend, r.cfg.Node.Short(), id.Short())
 	}
-	payload := EncodeOwnReadyRequest(&OwnReadyRequest{
+	payload := transport.MustEncode(OwnReadyRequest{
 		ID: id, Size: int64(len(data)), Location: r.cfg.Node,
 		DeviceID: deviceID, DeviceHandle: handle,
 	})
@@ -911,7 +911,7 @@ func (r *Raylet) commit(ctx context.Context, id idgen.ObjectID, data []byte) err
 		return fmt.Errorf("raylet: own.ready: %w", err)
 	}
 	var ready OwnReadyResponse
-	if err := DecodeOwnReadyResponse(resp, &ready); err != nil {
+	if err := transport.Decode(resp, &ready); err != nil {
 		return err
 	}
 	for _, sub := range ready.Subscribers {
@@ -929,7 +929,7 @@ func (r *Raylet) pushTo(ctx context.Context, to idgen.NodeID, id idgen.ObjectID,
 	ctx, sp := trace.Start(ctx, trace.KindPush, r.cfg.Node)
 	sp.SetAttr("to", to.Short()).SetAttr("obj", id.Short())
 	defer sp.End()
-	payload := EncodePushRequest(&PushRequest{ID: id, Data: data, Format: format})
+	payload := transport.MustEncode(PushRequest{ID: id, Data: data, Format: format})
 	if _, err := r.call(ctx, to, KindPush, payload); err != nil {
 		return err
 	}
@@ -960,13 +960,13 @@ func (r *Raylet) resolvePull(ctx context.Context, id idgen.ObjectID) ([]byte, er
 	if _, err := r.callOwner(ctx, id, KindOwnWait, wait); err != nil {
 		return nil, err
 	}
-	get := EncodeOwnGetRequest(&OwnGetRequest{ID: id})
+	get := transport.MustEncode(OwnGetRequest{ID: id})
 	resp, err := r.callOwner(ctx, id, KindOwnGet, get)
 	if err != nil {
 		return nil, err
 	}
 	var rec OwnGetResponse
-	if err := DecodeOwnGetResponse(resp, &rec); err != nil {
+	if err := transport.Decode(resp, &rec); err != nil {
 		return nil, err
 	}
 	return r.fetch(ctx, id, rec.Rec.Locations)
@@ -1051,7 +1051,7 @@ func (r *Raylet) fetch(ctx context.Context, id idgen.ObjectID, locations []idgen
 				continue
 			}
 			var get GetResponse
-			if err := DecodeGetResponse(resp, &get); err != nil {
+			if err := transport.Decode(resp, &get); err != nil {
 				break
 			}
 			if !get.MovedTo.IsNil() {

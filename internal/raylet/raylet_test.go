@@ -100,7 +100,7 @@ func registerTestFns(reg *task.Registry) {
 // raylet at index idx, returning the exec response.
 func (r *rig) submit(idx int, spec *task.Spec) (*ExecResponse, error) {
 	r.t.Helper()
-	create := EncodeOwnCreateRequest(&OwnCreateRequest{IDs: spec.Returns, Owner: r.driver, Task: spec.ID})
+	create := transport.MustEncode(OwnCreateRequest{IDs: spec.Returns, Owner: r.driver, Task: spec.ID})
 	if _, err := r.cluster.Transport.Call(context.Background(), r.driver, r.head.Node, KindOwnCreate, create); err != nil {
 		return nil, err
 	}
@@ -130,7 +130,7 @@ func (r *rig) fetch(idx int, id idgen.ObjectID) ([]byte, error) {
 		return nil, err
 	}
 	var resp GetResponse
-	if err := DecodeGetResponse(respB, &resp); err != nil {
+	if err := transport.Decode(respB, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Data, nil
@@ -212,7 +212,7 @@ func TestPushResolutionDeliversProactively(t *testing.T) {
 	// Register both, start the consumer first: it must block, subscribe,
 	// and receive the push when the producer commits.
 	for _, s := range []*task.Spec{prod, cons} {
-		create := EncodeOwnCreateRequest(&OwnCreateRequest{IDs: s.Returns, Owner: r.driver, Task: s.ID})
+		create := transport.MustEncode(OwnCreateRequest{IDs: s.Returns, Owner: r.driver, Task: s.ID})
 		if _, err := r.cluster.Transport.Call(context.Background(), r.driver, r.head.Node, KindOwnCreate, create); err != nil {
 			t.Fatal(err)
 		}
@@ -295,7 +295,7 @@ func TestGen1DPUHopsCharged(t *testing.T) {
 
 	spec := task.NewSpec(idgen.Next(), "produce", []task.Arg{task.ValueArg([]byte("gpu-data"))}, 1)
 	spec.Backend = "gpu"
-	create := EncodeOwnCreateRequest(&OwnCreateRequest{IDs: spec.Returns, Owner: headNode.ID, Task: spec.ID})
+	create := transport.MustEncode(OwnCreateRequest{IDs: spec.Returns, Owner: headNode.ID, Task: spec.ID})
 	if _, err := c.Transport.Call(context.Background(), headNode.ID, headNode.ID, KindOwnCreate, create); err != nil {
 		t.Fatal(err)
 	}

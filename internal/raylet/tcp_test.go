@@ -44,7 +44,7 @@ func TestTCPEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resp GetResponse
-	if err := DecodeGetResponse(respB, &resp); err != nil {
+	if err := transport.Decode(respB, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(resp.Data, []byte("over-tcp!")) {
@@ -156,7 +156,7 @@ func (tr *tcpRig) setResolution(t *testing.T, res Resolution) {
 }
 
 func (tr *tcpRig) create(spec *task.Spec) error {
-	payload := EncodeOwnCreateRequest(&OwnCreateRequest{IDs: spec.Returns, Owner: tr.head.Node, Task: spec.ID})
+	payload := transport.MustEncode(OwnCreateRequest{IDs: spec.Returns, Owner: tr.head.Node, Task: spec.ID})
 	_, err := tr.transport.Call(context.Background(), tr.head.Node, tr.head.Node, KindOwnCreate, payload)
 	return err
 }

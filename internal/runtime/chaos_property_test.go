@@ -252,12 +252,12 @@ func TestCheckerCatchesAccountingHole(t *testing.T) {
 	}
 
 	nodes, _ := rt.ChaosNodes()
-	rt.Chaos().Intercept(nodes[0], nodes[1], "test.hole", 4096)
+	hole := rt.Chaos().Intercept(nodes[0], nodes[1], "test.hole", 4096)
 	vs := checker.Check()
 	if len(vs) != 1 || vs[0].Invariant != "I5-accounting" {
 		t.Fatalf("violations = %v, want exactly one I5", vs)
 	}
-	rt.Chaos().Undeliverable(nodes[0], nodes[1], "test.hole", 4096)
+	rt.Chaos().Undeliverable(hole, nodes[0], nodes[1], "test.hole", 4096)
 	if vs := checker.Check(); len(vs) != 0 {
 		t.Fatalf("balanced accounting still flagged: %v", vs)
 	}

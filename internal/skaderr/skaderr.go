@@ -12,7 +12,6 @@ package skaderr
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 )
@@ -84,7 +83,7 @@ func (c Code) String() string {
 // an error value).
 func (c Code) Error() string { return "skaderr: " + c.String() }
 
-// Error is a coded error. Code and Msg are exported (and gob-safe); the
+// Error is a coded error. Code and Msg are what EncodeWire carries; the
 // cause chain is process-local and deliberately not encoded — crossing the
 // wire flattens an error to (Code, Msg), which is exactly what RoundTrip
 // reproduces so the in-proc transport cannot leak more type information
@@ -228,10 +227,4 @@ func DecodeWire(code byte, msg string) error {
 func IsRemote(err error) bool {
 	var e *Error
 	return errors.As(err, &e) && e.Remote
-}
-
-func init() {
-	// Coded errors may ride inside gob-encoded control messages; register
-	// the concrete type so interface-typed fields round-trip.
-	gob.Register(&Error{})
 }

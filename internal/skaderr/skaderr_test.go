@@ -1,9 +1,7 @@
 package skaderr
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"testing"
@@ -134,22 +132,22 @@ func TestRoundTripContextErrors(t *testing.T) {
 	}
 }
 
-func TestGobSafe(t *testing.T) {
-	in := New(ResourceExhausted, "no slots")
-	in.Remote = true
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-		t.Fatalf("gob encode: %v", err)
+func TestWireRoundTrip(t *testing.T) {
+	in := fmt.Errorf("commit: %w", New(ResourceExhausted, "no slots"))
+	code, msg := EncodeWire(in)
+	out := DecodeWire(code, msg)
+	var e *Error
+	if !errors.As(out, &e) || e.Code != ResourceExhausted || e.Msg != "commit: no slots" || !e.Remote {
+		t.Errorf("wire round trip = %+v", out)
 	}
-	var out Error
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
-		t.Fatalf("gob decode: %v", err)
-	}
-	if out.Code != ResourceExhausted || out.Msg != "no slots" || !out.Remote {
-		t.Errorf("gob round trip = %+v", out)
-	}
-	if !errors.Is(&out, ResourceExhausted) {
+	if !errors.Is(out, ResourceExhausted) {
 		t.Error("decoded error must still match its code")
+	}
+	if !errors.Is(out, RoundTrip(in)) {
+		t.Error("DecodeWire(EncodeWire(err)) must equal RoundTrip(err) under errors.Is")
+	}
+	if code, msg := EncodeWire(nil); code != byte(OK) || msg != "" {
+		t.Errorf("EncodeWire(nil) = (%d, %q), want (OK, \"\")", code, msg)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 
 	"skadi/internal/idgen"
 	"skadi/internal/skaderr"
+	"skadi/internal/wire"
 )
 
 // Arg is one task argument: either an inline value or a reference to an
@@ -30,6 +31,17 @@ type Arg struct {
 	// IsRef selects between the two.
 	IsRef bool
 }
+
+// Wire lists Arg's fields for the message codec (see transport.Message).
+func (a *Arg) Wire(c *wire.Coder) {
+	c.LenBytes(&a.Value)
+	c.ID(&a.Ref)
+	c.Bool(&a.IsRef)
+}
+
+// argWireMin is the smallest encoded Arg: an empty Value's length byte, the
+// 16-byte Ref and the IsRef byte.
+const argWireMin = 18
 
 // ValueArg returns an inline-value argument.
 func ValueArg(v []byte) Arg { return Arg{Value: v} }
@@ -69,6 +81,22 @@ type Spec struct {
 	// the wire beside TraceID/SpanID/deadline so attribution survives the
 	// TCP hop. Empty means unattributed (single-job workloads).
 	Tenant string
+}
+
+// Wire lists Spec's fields for the message codec (see transport.Message).
+func (s *Spec) Wire(c *wire.Coder) {
+	c.ID(&s.ID)
+	c.ID(&s.Job)
+	c.String(&s.Fn)
+	wire.Slice(c, &s.Args, argWireMin, func(c *wire.Coder, a *Arg) { a.Wire(c) })
+	wire.Slice(c, &s.Returns, 16, (*wire.Coder).ID)
+	c.String(&s.Backend)
+	c.Varint((*int64)(&s.Duration))
+	c.ID(&s.Owner)
+	c.String(&s.Gang)
+	c.ID(&s.Actor)
+	wire.Map(c, &s.Meta, (*wire.Coder).String)
+	c.String(&s.Tenant)
 }
 
 // Context is passed to executing functions.

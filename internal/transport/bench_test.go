@@ -56,14 +56,9 @@ func BenchmarkTCPCall(b *testing.B) {
 	}
 }
 
-func BenchmarkGobEncodeControlMessage(b *testing.B) {
-	type msg struct {
-		ID      [16]byte
-		Size    int64
-		Backend string
-	}
-	m := msg{Size: 1024, Backend: "gpu"}
-	b.ResetTimer()
+func BenchmarkEncodeControlMessage(b *testing.B) {
+	m := testMsg{Size: 1024, Name: "gpu"}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Encode(m); err != nil {
 			b.Fatal(err)

@@ -97,8 +97,9 @@ func (t *InProc) Call(ctx context.Context, from, to idgen.NodeID, kind string, p
 		return nil, callerErr(err)
 	}
 	size := len(payload) + messageOverhead
+	var v Verdict
 	if ip != nil {
-		v := ip.Intercept(from, to, kind, size)
+		v = ip.Intercept(from, to, kind, size)
 		if v.Drop {
 			return nil, unavailable(fmt.Errorf("%w: injected fault (%s)", ErrUnreachable, kind))
 		}
@@ -106,7 +107,7 @@ func (t *InProc) Call(ctx context.Context, from, to idgen.NodeID, kind string, p
 			select {
 			case <-time.After(v.Delay):
 			case <-ctx.Done():
-				ip.Undeliverable(from, to, kind, size)
+				ip.Undeliverable(v, from, to, kind, size)
 				return nil, callerErr(ctx.Err())
 			}
 		}
@@ -128,12 +129,12 @@ func (t *InProc) Call(ctx context.Context, from, to idgen.NodeID, kind string, p
 	if _, err := t.chargeErr(ctx, from, to, payload); err != nil {
 		// The fabric refused the message (endpoint unregistered mid-call).
 		if ip != nil {
-			ip.Undeliverable(from, to, kind, size)
+			ip.Undeliverable(v, from, to, kind, size)
 		}
 		return nil, unavailable(err)
 	}
 	if ip != nil {
-		ip.Delivered(from, to, kind, size)
+		ip.Delivered(v, from, to, kind, size)
 	}
 	resp, err := h(ctx, from, kind, payload)
 	if err != nil {

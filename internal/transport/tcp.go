@@ -235,7 +235,7 @@ func (t *TCP) Call(ctx context.Context, from, to idgen.NodeID, kind string, payl
 			select {
 			case <-time.After(v.Delay):
 			case <-ctx.Done():
-				ip.Undeliverable(from, to, kind, size)
+				ip.Undeliverable(v, from, to, kind, size)
 				return nil, callerErr(ctx.Err())
 			}
 		}
@@ -250,9 +250,9 @@ func (t *TCP) Call(ctx context.Context, from, to idgen.NodeID, kind string, payl
 		}
 		resp, err := client.call(ctx, from, sc, kind, payload)
 		if err != nil && !IsRemote(err) {
-			ip.Undeliverable(from, to, kind, size)
+			ip.Undeliverable(v, from, to, kind, size)
 		} else {
-			ip.Delivered(from, to, kind, size)
+			ip.Delivered(v, from, to, kind, size)
 		}
 		return resp, err
 	}

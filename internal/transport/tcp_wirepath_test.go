@@ -56,8 +56,8 @@ func (d *dupInterposer) Intercept(_, _ idgen.NodeID, _ string, _ int) Verdict {
 	d.intercepts.Add(1)
 	return Verdict{Duplicate: true}
 }
-func (d *dupInterposer) Delivered(_, _ idgen.NodeID, _ string, _ int)     {}
-func (d *dupInterposer) Undeliverable(_, _ idgen.NodeID, _ string, _ int) {}
+func (d *dupInterposer) Delivered(_ Verdict, _, _ idgen.NodeID, _ string, _ int)     {}
+func (d *dupInterposer) Undeliverable(_ Verdict, _, _ idgen.NodeID, _ string, _ int) {}
 
 // TestTCPDuplicateAsync: the chaos duplicate must not serialize ahead of
 // the original call. A handler that stalls until its second invocation

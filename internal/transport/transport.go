@@ -7,8 +7,11 @@
 //   - TCP: nodes are separate processes connected by real sockets, proving
 //     the runtime is not simulation-bound.
 //
-// All payloads are bytes; Encode/Decode provide the gob-based encoding used
-// for control messages, while bulk data moves as raw bytes.
+// All payloads are bytes. Encode/Decode are the one codec for every message
+// kind, on both transports: a Message lists its fields once in a Wire method
+// and a wire.Coder walks that list to write or to read them, so no call site
+// needs to know how its kind is laid out. InProc callers encode too — the
+// fabric charges bytes-on-wire from the payload.
 //
 // Error semantics are uniform across both implementations: a failure of the
 // transport itself (unreachable peer, closed transport, expired caller
@@ -21,15 +24,13 @@
 package transport
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
-	"fmt"
 	"time"
 
 	"skadi/internal/idgen"
 	"skadi/internal/skaderr"
+	"skadi/internal/wire"
 )
 
 // Errors returned by transports.
@@ -67,6 +68,9 @@ type Verdict struct {
 	// Duplicate delivers the request twice (the duplicate's response is
 	// discarded), the way a retransmitted request would arrive.
 	Duplicate bool
+	// Epoch is the interposer's own stamp, opaque to transports, which hand
+	// the verdict back with the message's outcome (see Interposer).
+	Epoch uint64
 }
 
 // Interposer intercepts messages between the caller and the wire. The chaos
@@ -76,12 +80,13 @@ type Verdict struct {
 //
 // Delivered/Undeliverable close the accounting loop: every intercepted
 // message is reported exactly once as delivered (it reached the handler) or
-// undeliverable (the fabric refused it after the verdict), letting the
-// interposer balance attempts against outcomes.
+// undeliverable (the fabric refused it after the verdict), together with the
+// verdict Intercept returned for it, letting the interposer balance attempts
+// against outcomes and tell which of its episodes a late outcome belongs to.
 type Interposer interface {
 	Intercept(from, to idgen.NodeID, kind string, size int) Verdict
-	Delivered(from, to idgen.NodeID, kind string, size int)
-	Undeliverable(from, to idgen.NodeID, kind string, size int)
+	Delivered(v Verdict, from, to idgen.NodeID, kind string, size int)
+	Undeliverable(v Verdict, from, to idgen.NodeID, kind string, size int)
 }
 
 // Transport moves messages between nodes.
@@ -97,30 +102,30 @@ type Transport interface {
 	Close() error
 }
 
-// Encode gob-encodes v for use as a message payload.
-func Encode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("transport: encode: %w", err)
-	}
-	return buf.Bytes(), nil
+// Message is anything the codec carries; see wire.Message.
+type Message = wire.Message
+
+// messagePtr is *T for a message struct T whose Wire method has a pointer
+// receiver. It lets Encode take the struct by value, `Encode(req)`, and have
+// the compiler infer the pointer type that implements Message.
+type messagePtr[T any] interface {
+	*T
+	Message
 }
 
-// Decode gob-decodes a payload produced by Encode into v (a pointer).
-func Decode(data []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("transport: decode: %w", err)
-	}
-	return nil
+// Encode encodes a message value for use as a payload. It cannot fail; the
+// error result lets a handler end with `return transport.Encode(resp)`.
+func Encode[T any, P messagePtr[T]](v T) ([]byte, error) {
+	return wire.Marshal(P(&v)), nil
 }
 
-// MustEncode is Encode for values that cannot fail (fixed struct types);
-// it panics on error. Control-plane message structs are all gob-safe, so
-// failures indicate a programming error, not an input error.
-func MustEncode(v any) []byte {
-	b, err := Encode(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
+// MustEncode is Encode without the error result.
+func MustEncode[T any, P messagePtr[T]](v T) []byte {
+	return wire.Marshal(P(&v))
+}
+
+// Decode decodes a payload produced by Encode into m. Truncated, mistagged
+// or otherwise corrupt input is an error, never a panic.
+func Decode(data []byte, m Message) error {
+	return wire.Unmarshal(data, m)
 }

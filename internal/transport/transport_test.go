@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"skadi/internal/idgen"
 	"skadi/internal/skaderr"
 	"skadi/internal/tenancy"
+	"skadi/internal/wire"
 )
 
 // echoHandler responds with "kind:payload".
@@ -430,29 +433,46 @@ func TestCancelPropagatesToServer(t *testing.T) {
 	}
 }
 
+// testMsg is a Message the way raylet/protocol.go declares them.
+type testMsg struct {
+	ID   idgen.ID
+	Size int64
+	Name string
+	Body []byte
+}
+
+func (m *testMsg) Wire(c *wire.Coder) {
+	c.Tag(0x7F)
+	c.ID(&m.ID)
+	c.Varint(&m.Size)
+	c.String(&m.Name)
+	c.LenBytes(&m.Body)
+}
+
 func TestEncodeDecode(t *testing.T) {
-	type msg struct {
-		A int
-		B string
-		C []byte
-	}
-	in := msg{A: 42, B: "hello", C: []byte{1, 2, 3}}
+	in := testMsg{ID: idgen.Next(), Size: -42, Name: "hello", Body: []byte{1, 2, 3}}
 	data, err := Encode(in)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	var out msg
+	if !bytes.Equal(data, MustEncode(in)) {
+		t.Error("Encode and MustEncode disagree")
+	}
+	var out testMsg
 	if err := Decode(data, &out); err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if out.A != in.A || out.B != in.B || len(out.C) != 3 {
+	if !reflect.DeepEqual(out, in) {
 		t.Errorf("round trip = %+v, want %+v", out, in)
 	}
 }
 
 func TestDecodeGarbage(t *testing.T) {
-	var v struct{ X int }
-	if err := Decode([]byte{0xde, 0xad}, &v); err == nil {
-		t.Error("Decode of garbage should fail")
+	good := MustEncode(testMsg{Name: "x"})
+	for _, b := range [][]byte{nil, {0xde, 0xad}, good[:len(good)-1], append([]byte{0x7E}, good[1:]...)} {
+		var out testMsg
+		if err := Decode(b, &out); err == nil {
+			t.Errorf("Decode(%x) should fail", b)
+		}
 	}
 }
