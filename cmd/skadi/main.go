@@ -7,7 +7,7 @@
 //	skadi                      # default cluster
 //	skadi -servers 8 -gpus 4   # bigger cluster
 //	skadi -gen2                # device-centric (Gen-2) wiring
-//	skadi -decentralized       # sharded directory + work stealing + gossip
+//	skadi -decentralized       # every worker hosts a directory shard; work stealing; gossip pump
 package main
 
 import (
@@ -36,7 +36,7 @@ func main() {
 		gpus    = flag.Int("gpus", 2, "disaggregated GPUs")
 		fpgas   = flag.Int("fpgas", 2, "disaggregated FPGAs")
 		gen2    = flag.Bool("gen2", false, "device-centric (Gen-2) wiring instead of Gen-1")
-		decent  = flag.Bool("decentralized", false, "decentralized control plane: sharded ownership directory, work-stealing schedulers, gossip liveness")
+		decent  = flag.Bool("decentralized", false, "spread the control plane over the workers: every raylet hosts an ownership-directory shard, saturated nodes hand tasks to peers, a gossip loop detects silent failures")
 		showTr  = flag.Bool("trace", false, "dump the last task's span timeline and critical path")
 	)
 	flag.Parse()
@@ -44,11 +44,13 @@ func main() {
 	// The tenancy plane stays inert until the first tenant registers (the
 	// tour's own workloads run unattributed), then the tenancy section
 	// below turns it on live.
-	opts := core.Options{Tenancy: tenancy.Options{FairShare: true, Preemption: true}}
+	opts := core.Options{
+		Tenancy:       tenancy.Options{FairShare: true, Preemption: true},
+		Decentralized: *decent,
+	}
 	if *gen2 {
 		opts.DeviceMode = runtime.Gen2
 	}
-	opts.Decentralized = *decent
 	s, err := core.New(core.ClusterSpec{
 		Servers: *servers, ServerSlots: 4, ServerMemBytes: 256 << 20,
 		GPUs: *gpus, FPGAs: *fpgas, DeviceSlots: 2, DeviceMemBytes: 64 << 20,
@@ -262,23 +264,28 @@ func main() {
 			}
 		}
 
-		// Decentralized control plane: gossip view, per-shard directory
-		// sizes, and per-node steal counters (gauges refreshed by
-		// SampleControlPlane — the same families E20's regime reads).
-		if cp := s.Runtime().SampleControlPlane(); cp.Decentralized {
-			fmt.Println("\n== control plane (decentralized) ==")
-			fmt.Printf("gossip view: %d alive, %d suspect, %d dead\n", cp.Alive, cp.Suspect, cp.Dead)
-			fmt.Printf("directory: %d shards, %d handoffs\n", len(cp.ShardEntries), cp.Handoffs)
-			fmt.Printf("replication: %d replicas, %d promotions, %d restored, %d lost\n",
-				cp.Repl.Replicas, cp.Repl.Promotions, cp.Repl.Restored, cp.Repl.Lost)
-			for _, line := range strings.Split(s.Runtime().Metrics.Snapshot(), "\n") {
-				if strings.Contains(line, "gossip_") ||
-					strings.Contains(line, "directory_") ||
-					strings.Contains(line, "repl_") ||
-					strings.Contains(line, "lineage_") ||
-					strings.Contains(line, "sched_steal") {
-					fmt.Println(line)
-				}
+		// Control plane: gossip view, per-shard directory sizes, and
+		// per-node steal counters (gauges refreshed by SampleControlPlane —
+		// the same families E20's regime reads). The centralized
+		// configuration is the same plane with one shard host: one shard,
+		// no handoffs, no steals, nothing to replicate.
+		cp := s.Runtime().SampleControlPlane()
+		shape := "centralized"
+		if cp.Decentralized {
+			shape = "decentralized"
+		}
+		fmt.Printf("\n== control plane (%s) ==\n", shape)
+		fmt.Printf("gossip view: %d alive, %d suspect, %d dead\n", cp.Alive, cp.Suspect, cp.Dead)
+		fmt.Printf("directory: %d shards, %d handoffs\n", len(cp.ShardEntries), cp.Handoffs)
+		fmt.Printf("replication: %d replicas, %d promotions, %d restored, %d lost\n",
+			cp.Repl.Replicas, cp.Repl.Promotions, cp.Repl.Restored, cp.Repl.Lost)
+		for _, line := range strings.Split(s.Runtime().Metrics.Snapshot(), "\n") {
+			if strings.Contains(line, "gossip_") ||
+				strings.Contains(line, "directory_") ||
+				strings.Contains(line, "repl_") ||
+				strings.Contains(line, "lineage_") ||
+				strings.Contains(line, "sched_steal") {
+				fmt.Println(line)
 			}
 		}
 	}

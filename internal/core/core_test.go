@@ -81,12 +81,14 @@ func TestSQLEndToEnd(t *testing.T) {
 // TestSQLFreesItsObjects: a query leaves nothing behind in the cluster. The
 // caller gets the gathered result batch; shard inputs, partition pieces and
 // vertex outputs used to stay in the directory and the stores forever
-// (1.2 GB of heap after 54 benchmark queries).
+// (1.2 GB of heap after 54 benchmark queries), and each query's task
+// functions in the registry.
 func TestSQLFreesItsObjects(t *testing.T) {
 	s := newSkadi(t)
 	rt := s.Runtime()
 	records, stored := rt.Head.Table.Len(), rt.Layer.StorageBytes()
-	for i := 0; i < 3; i++ {
+	fns := len(rt.Registry.Names())
+	for i := 0; i < 100; i++ {
 		got, err := s.SQL(context.Background(),
 			"SELECT region, SUM(amount) FROM orders GROUP BY region",
 			map[string]*arrowlite.Batch{"orders": ordersTable(t)})
@@ -101,6 +103,9 @@ func TestSQLFreesItsObjects(t *testing.T) {
 		}
 		if b := rt.Layer.StorageBytes(); b != stored {
 			t.Errorf("query %d: %d bytes left in the stores, want %d", i, b, stored)
+		}
+		if n := len(rt.Registry.Names()); n != fns {
+			t.Fatalf("query %d: %d registered task functions, want %d", i, n, fns)
 		}
 	}
 }

@@ -20,10 +20,11 @@ func init() { register("e20", E20Decentralized) }
 
 // E20 models the control plane at disaggregated-data-center scale
 // (§2.3.1: "the centralized architecture limits scalability"): a sweep
-// over simulated cluster sizes comparing the centralized control plane
-// (one head service owning the whole directory and the scheduler) against
-// the decentralized one (directory sharded by consistent hashing across
-// nodes, per-node work-stealing placement).
+// over simulated cluster sizes comparing the control plane's two
+// configurations: centralized (the head is the directory ring's only
+// member and the one station serving every placement) against
+// decentralized (every node a ring member, per-node work-stealing
+// placement).
 //
 // Method: virtual-time stations over the REAL data structures. Every
 // control operation — Pick on the placement engine, CreatePending /
@@ -189,8 +190,8 @@ func e20Cost(d time.Duration) time.Duration {
 	return d
 }
 
-// e20Config selects one arm: the centralized baseline, the in-process
-// sharded plane, the same plane served over TCP sockets, or the
+// e20Config selects one arm: the one-member (centralized) baseline, the
+// in-process sharded plane, the same plane served over TCP sockets, or the
 // ref-arg-chained variants comparing steal orderings.
 type e20Config struct {
 	n        int
@@ -227,51 +228,46 @@ func e20Run(cfg e20Config) (*e20Arm, error) {
 		nodes[i] = idgen.Next()
 	}
 
+	// Both arms are the same two structures. What differs is who is on the
+	// ring and who serves: the central arm's only shard host — and only
+	// station — is the head, and its placer never steals.
 	var (
-		dir      ownership.Directory
-		placer   scheduler.Placer
+		sh       = ownership.NewSharded(e20VNodes)
 		mesh     *scheduler.Mesh
-		sh       *ownership.ShardedTable
 		loc      *e20Locator
 		stations = make(map[idgen.NodeID]*e20Station, n+1)
 		head     = idgen.NodeID(idgen.Next())
 	)
 	if cfg.sharded {
-		sh = ownership.NewSharded(e20VNodes)
 		for _, id := range nodes {
 			sh.AddMember(id)
 			stations[id] = &e20Station{}
 		}
-		dir = sh
+		var locator scheduler.ObjectLocator
 		if cfg.chained {
 			loc = &e20Locator{home: make(map[idgen.ObjectID]idgen.NodeID, n*e20TasksPerNode)}
-			mesh = scheduler.NewMesh(scheduler.Random, loc)
-			mesh.SetLocalitySteal(cfg.locality)
-		} else {
-			// Random homes (not round-robin): with half the fleet's slots held,
-			// a random home is saturated about half the time, so the steal path
-			// is actually exercised instead of rotating around it.
-			mesh = scheduler.NewMesh(scheduler.Random, nil)
+			locator = loc
 		}
-		placer = mesh
+		// Random homes (not round-robin): with half the fleet's slots held,
+		// a random home is saturated about half the time, so the steal path
+		// is actually exercised instead of rotating around it.
+		mesh = scheduler.NewMesh(scheduler.Random, locator)
+		mesh.SetLocalitySteal(cfg.locality)
 	} else {
-		dir = ownership.NewTable()
-		placer = scheduler.New(scheduler.Random, nil)
+		sh.AddMember(head)
 		stations[head] = &e20Station{}
+		mesh = scheduler.New(scheduler.Random, nil)
 	}
 	for _, id := range nodes {
-		placer.AddNode(scheduler.NodeInfo{ID: id, Backend: "cpu", Slots: e20Slots})
+		mesh.AddNode(scheduler.NodeInfo{ID: id, Backend: "cpu", Slots: e20Slots})
 	}
 	schedStation := func(node idgen.NodeID) *e20Station {
-		if !cfg.sharded {
-			return stations[head]
+		if st, ok := stations[node]; ok {
+			return st
 		}
-		return stations[node]
+		return stations[head]
 	}
 	dirOwner := func(obj idgen.ObjectID) idgen.NodeID {
-		if !cfg.sharded {
-			return head
-		}
 		owner, _ := sh.OwnerOf(obj)
 		return owner
 	}
@@ -355,7 +351,7 @@ func e20Run(cfg e20Config) (*e20Arm, error) {
 		completions = append(completions, done)
 		inflight = append(inflight, node)
 		if len(inflight) > maxInflight {
-			placer.Finished(inflight[0])
+			mesh.Finished(inflight[0])
 			inflight = inflight[1:]
 		}
 	}
@@ -375,7 +371,7 @@ func e20Run(cfg e20Config) (*e20Arm, error) {
 			for j := 0; j < w; j++ {
 				spec := task.NewSpec(job, "e20/noop", nil, 1)
 				t0 := time.Now()
-				node, err := placer.Pick(spec)
+				node, err := mesh.Pick(spec)
 				cost := time.Since(t0)
 				if err != nil {
 					return nil, err
@@ -446,7 +442,7 @@ func e20Run(cfg e20Config) (*e20Arm, error) {
 			spec := task.NewSpec(job, "e20/noop", args, 1)
 
 			t0 := time.Now()
-			node, err := placer.Pick(spec)
+			node, err := mesh.Pick(spec)
 			cost := time.Since(t0)
 			if err != nil {
 				return nil, err
@@ -457,7 +453,7 @@ func e20Run(cfg e20Config) (*e20Arm, error) {
 			st := stations[dirOwner(obj)]
 
 			t0 = time.Now()
-			err = dir.CreatePending(obj, node, spec.ID)
+			err = sh.CreatePending(obj, node, spec.ID)
 			cost = time.Since(t0)
 			if err != nil {
 				return nil, err
@@ -465,7 +461,7 @@ func e20Run(cfg e20Config) (*e20Arm, error) {
 			done = st.serve(done, e20Cost(cost))
 
 			t0 = time.Now()
-			_, err = dir.MarkReady(obj, e20ArgBytes, node, idgen.Nil, "")
+			_, err = sh.MarkReady(obj, e20ArgBytes, node, idgen.Nil, "")
 			cost = time.Since(t0)
 			if err != nil {
 				return nil, err
@@ -473,7 +469,7 @@ func e20Run(cfg e20Config) (*e20Arm, error) {
 			done = st.serve(done, e20Cost(cost))
 
 			t0 = time.Now()
-			_, err = dir.Get(obj)
+			_, err = sh.Get(obj)
 			cost = time.Since(t0)
 			if err != nil {
 				return nil, err
@@ -502,10 +498,8 @@ func e20Run(cfg e20Config) (*e20Arm, error) {
 		tasksPerSec:   float64(total) / makespan.Seconds(),
 		p99:           p99,
 		wallOpsPerSec: float64(ops) / wall.Seconds(),
+		stealRate:     float64(mesh.StealCount()) / float64(total),
 	}
-	if mesh != nil {
-		arm.stealRate = float64(mesh.StealCount()) / float64(total)
-		arm.stealLocalBytes, arm.stealRemoteBytes = mesh.StealBytes()
-	}
+	arm.stealLocalBytes, arm.stealRemoteBytes = mesh.StealBytes()
 	return arm, nil
 }

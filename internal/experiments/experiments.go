@@ -1,5 +1,5 @@
 // Package experiments implements the reproduction harness: one function
-// per experiment in DESIGN.md's per-experiment index (E1–E12), each
+// per experiment in DESIGN.md's per-experiment index (E1–E20), each
 // regenerating the figure or claim it reproduces as a printable table.
 // The skadi-bench command runs them from the command line and the
 // repository-root benchmarks wrap them as testing.B benchmarks.
@@ -18,7 +18,7 @@ import (
 
 // Table is one experiment's result.
 type Table struct {
-	// ID is the experiment identifier (e1..e12).
+	// ID is the experiment identifier (e1..e20).
 	ID string
 	// Title says what figure/claim the experiment reproduces.
 	Title string

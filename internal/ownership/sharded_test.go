@@ -3,6 +3,9 @@ package ownership
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -313,5 +316,104 @@ func TestShardedChurnRace(t *testing.T) {
 	}
 	if s.Handoffs() == 0 {
 		t.Fatal("churn produced no handoffs; test proved nothing")
+	}
+}
+
+// TestOneMemberRingMatchesTable: the centralized control plane is a
+// ShardedTable whose ring has one member. A seeded random walk over every
+// Directory operation must be indistinguishable from the same walk on a
+// bare Table — same results, same errors, same Records — and must never
+// touch the replication machinery (a lone member has no successor).
+func TestOneMemberRingMatchesTable(t *testing.T) {
+	sharded, _ := newShardedWith(1)
+	dirs := [2]Directory{NewTable(), sharded}
+
+	rng := rand.New(rand.NewSource(15))
+	objs := make([]idgen.ObjectID, 24)
+	for i := range objs {
+		objs[i] = idgen.Next()
+	}
+	nodes := make([]idgen.NodeID, 5)
+	for i := range nodes {
+		nodes[i] = idgen.Next()
+	}
+	ghost := nodes[len(nodes)-1] // the commit guard, when armed, rejects it
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return skaderr.CodeOf(err).String() + ": " + err.Error()
+	}
+	for step := 0; step < 6000; step++ {
+		op := rng.Intn(17)
+		obj := objs[rng.Intn(len(objs))]
+		n1, n2 := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
+		size := int64(rng.Intn(1 << 20))
+		armed := rng.Intn(2) == 0
+		var got [2]any
+		for i, d := range dirs {
+			switch op {
+			case 0:
+				var g CommitGuard
+				if armed {
+					g = func(loc idgen.NodeID, _ idgen.ObjectID) bool { return loc != ghost }
+				}
+				d.SetCommitGuard(g)
+			case 1:
+				got[i] = errText(d.CreatePending(obj, n1, idgen.TaskID(n2)))
+			case 2:
+				subs, err := d.MarkReady(obj, size, n1, idgen.Nil, "")
+				got[i] = []any{subs, errText(err)}
+			case 3:
+				got[i] = errText(d.AddLocation(obj, n1))
+			case 4:
+				got[i] = errText(d.MoveLocation(obj, n1, n2))
+			case 5:
+				to, ok := d.ResolveForward(obj, n1)
+				got[i] = []any{to, ok}
+			case 6:
+				ready, rec, err := d.Subscribe(obj, n1)
+				got[i] = []any{ready, rec, errText(err)}
+			case 7:
+				rec, err := d.Get(obj)
+				got[i] = []any{rec, errText(err)}
+			case 8:
+				got[i] = d.Records()
+			case 9:
+				// A pre-cancelled wait resolves at once whatever the state:
+				// nil if Ready, lost if Lost, the context error if Pending.
+				got[i] = errText(d.WaitReady(cancelled, obj))
+			case 10:
+				got[i] = d.PendingIDs()
+			case 11:
+				got[i] = d.AbortPending()
+			case 12:
+				got[i] = d.RemoveNodeLocations(n1)
+			case 13:
+				got[i] = errText(d.MarkLost(obj))
+			case 14:
+				got[i] = errText(d.Reset(obj))
+			case 15:
+				d.Delete(obj)
+			case 16:
+				got[i] = d.Len()
+			}
+		}
+		// Rendered, so a nil and an empty slice compare equal.
+		if a, b := fmt.Sprintf("%+v", got[0]), fmt.Sprintf("%+v", got[1]); a != b {
+			t.Fatalf("step %d op %d: Table = %s, one-member ring = %s", step, op, a, b)
+		}
+	}
+	if a, b := dirs[0].Records(), dirs[1].Records(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("final Records differ:\nTable: %+v\nring:  %+v", a, b)
+	}
+	if st := sharded.ReplicationStats(); st != (ReplicationStats{}) {
+		t.Fatalf("ReplicationStats = %+v, want all zero", st)
+	}
+	if h := sharded.Handoffs(); h != 0 {
+		t.Fatalf("Handoffs = %d, want 0", h)
 	}
 }

@@ -25,6 +25,8 @@ type Executor struct {
 	rt     *runtime.Runtime
 	plan   *Plan
 	prefix string
+	// fns names every function this executor registered.
+	fns []string
 	// freeIntermediates releases non-sink objects after the results are
 	// gathered (see FreeIntermediates).
 	freeIntermediates bool
@@ -32,7 +34,9 @@ type Executor struct {
 
 // FreeIntermediates makes Run release every intermediate object (shard
 // inputs, partition pieces, non-sink vertex outputs) once the sink results
-// have been gathered — trading lineage re-readability for cluster memory.
+// have been gathered — trading lineage re-readability for cluster memory —
+// and then the executor's task functions, which nothing can replay any
+// more. Such an executor runs once.
 func (ex *Executor) FreeIntermediates(on bool) *Executor {
 	ex.freeIntermediates = on
 	return ex
@@ -52,9 +56,14 @@ func NewExecutor(rt *runtime.Runtime, plan *Plan) *Executor {
 			ex.registerIRVertex(v, plan.Vertices[v.ID].Backend)
 		}
 	}
-	rt.Registry.Register(ex.prefix+"/partition", partitionFn)
-	rt.Registry.Register(ex.prefix+"/split", splitFn)
+	ex.register(ex.prefix+"/partition", partitionFn)
+	ex.register(ex.prefix+"/split", splitFn)
 	return ex
+}
+
+func (ex *Executor) register(name string, fn task.Func) {
+	ex.rt.Registry.Register(name, fn)
+	ex.fns = append(ex.fns, name)
 }
 
 // vertexFn returns the registered function name for a vertex.
@@ -72,7 +81,7 @@ func (ex *Executor) vertexFn(v *flowgraph.Vertex) string {
 // model for its backend via Context.Compute.
 func (ex *Executor) registerIRVertex(v *flowgraph.Vertex, backend string) {
 	f := v.IR
-	ex.rt.Registry.Register(ex.vertexFn(v), func(tctx *task.Context, args [][]byte) ([][]byte, error) {
+	ex.register(ex.vertexFn(v), func(tctx *task.Context, args [][]byte) ([][]byte, error) {
 		groups, err := parseGroups(tctx.Spec.Meta["groups"], len(args))
 		if err != nil {
 			return nil, err
@@ -379,6 +388,9 @@ func (ex *Executor) Run(ctx context.Context, inputs map[string][]*ir.Datum) (map
 		// harmless (Free is idempotent).
 		ex.rt.Drain()
 		ex.rt.Free(tracked...)
+		// Every object these functions could re-derive is freed and its
+		// lineage forgotten, so no dispatch or replay can name them again.
+		ex.rt.Registry.Unregister(ex.fns...)
 	}
 	return results, nil
 }

@@ -12,15 +12,15 @@ import (
 )
 
 // Head is the cluster's control-plane service (the GCS of Fig. 2's
-// centralized scheduler): it hosts the ownership table, the lineage log,
-// and the actor-checkpoint store, and serves the own.*/actor.* RPCs that
-// raylets use for future resolution and stateful-function durability.
+// centralized scheduler): it hosts the lineage log and the actor-checkpoint
+// store, serves the actor.* RPCs raylets use for stateful-function
+// durability, and is the permanent member of the ownership directory's
+// ring, serving own.* RPCs for whatever share of it the ring assigns.
 type Head struct {
 	Node idgen.NodeID
-	// Table is the ownership directory this head serves. NewHead installs a
-	// centralized *ownership.Table; the decentralized runtime swaps in an
-	// *ownership.ShardedTable before serving traffic, and worker raylets
-	// then serve their own shards through the same Directory.
+	// Table is the ownership directory this head serves: the runtime's
+	// *ownership.ShardedTable, which worker raylets serve their own shards
+	// of through the same Directory.
 	Table   ownership.Directory
 	Lineage *lineage.Log
 
@@ -33,11 +33,11 @@ type actorCkpt struct {
 	state map[string][]byte
 }
 
-// NewHead returns a head service identified by the given node.
-func NewHead(node idgen.NodeID) *Head {
+// NewHead returns a head service identified by the given node, serving dir.
+func NewHead(node idgen.NodeID, dir ownership.Directory) *Head {
 	return &Head{
 		Node:    node,
-		Table:   ownership.NewTable(),
+		Table:   dir,
 		Lineage: lineage.NewLog(),
 		ckpts:   make(map[idgen.ActorID]*actorCkpt),
 	}
@@ -88,9 +88,9 @@ func (h *Head) Handler() transport.Handler { return h.handle }
 var noSubscribers = transport.MustEncode(OwnReadyResponse{})
 
 // ServeOwnership dispatches one own.* RPC against a Directory. It is
-// shared between the head service (centralized control plane) and worker
-// raylets hosting directory shards (decentralized control plane), so both
-// serve byte-identical protocols. handled is false for non-own.* kinds.
+// shared between the head service and worker raylets hosting directory
+// shards, so every ring member serves a byte-identical protocol. handled
+// is false for non-own.* kinds.
 func ServeOwnership(ctx context.Context, dir ownership.Directory, kind string, payload []byte) (resp []byte, handled bool, err error) {
 	switch kind {
 	case KindOwnCreate:

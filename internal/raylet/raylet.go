@@ -96,14 +96,14 @@ type Config struct {
 	// TimeScale scales simulated kernel durations.
 	TimeScale float64
 
-	// Directory, when set, makes this raylet a shard host of the
-	// decentralized ownership directory: inbound own.* RPCs are served
-	// against it instead of being rejected as unknown kinds.
+	// Directory is the ownership directory inbound own.* RPCs are served
+	// against; they arrive only while the ring lists this node as a shard
+	// host. Required.
 	Directory ownership.Directory
-	// OwnerRouter, when set, routes outbound own.* RPCs for an object to
-	// its owning shard node instead of Head (the decentralized control
-	// plane's consistent-hash lookup). Head remains the fallback when the
-	// routed owner is unreachable mid-handoff.
+	// OwnerRouter names the shard host that owns an object's directory
+	// entry (the ring's consistent-hash lookup); outbound own.* RPCs go
+	// there. Head is the fallback when the ring is empty or the routed
+	// owner is unreachable mid-handoff. Required.
 	OwnerRouter func(id idgen.ObjectID) (idgen.NodeID, bool)
 }
 
@@ -249,15 +249,11 @@ func (r *Raylet) call(ctx context.Context, to idgen.NodeID, kind string, payload
 }
 
 // callOwner issues an own.* RPC for an object to the node that owns its
-// directory entry. Centralized (no OwnerRouter) that is always Head; with
-// a router it is the object's shard host on the consistent-hash ring. A
+// directory entry: the object's shard host on the consistent-hash ring. A
 // transport failure re-resolves once — the ring may have handed the shard
 // off while the call was in flight — and finally falls back to Head, which
 // always hosts a shard.
 func (r *Raylet) callOwner(ctx context.Context, id idgen.ObjectID, kind string, payload []byte) ([]byte, error) {
-	if r.cfg.OwnerRouter == nil {
-		return r.call(ctx, r.cfg.Head, kind, payload)
-	}
 	owner, ok := r.cfg.OwnerRouter(id)
 	if !ok {
 		owner = r.cfg.Head
@@ -381,12 +377,9 @@ func (r *Raylet) dispatch(ctx context.Context, from idgen.NodeID, kind string, p
 		return nil, nil
 
 	default:
-		// Decentralized control plane: shard hosts serve own.* RPCs with
-		// the same dispatch the head uses.
-		if r.cfg.Directory != nil {
-			if resp, handled, err := ServeOwnership(ctx, r.cfg.Directory, kind, payload); handled {
-				return resp, err
-			}
+		// Shard hosts serve own.* RPCs with the same dispatch the head uses.
+		if resp, handled, err := ServeOwnership(ctx, r.cfg.Directory, kind, payload); handled {
+			return resp, err
 		}
 		return nil, fmt.Errorf("raylet: unknown RPC kind %q", kind)
 	}
@@ -631,6 +624,12 @@ func (r *Raylet) receivePush(id idgen.ObjectID, data []byte, format string) {
 	delete(r.movedObjects, id)
 	r.migMu.Unlock()
 	r.bump(func(s *Stats) { s.PushesRecv++ })
+	r.wakeArrivals(id)
+}
+
+// wakeArrivals releases every waitArrival parked on id, after the object
+// has landed in the local store.
+func (r *Raylet) wakeArrivals(id idgen.ObjectID) {
 	r.arrivalsMu.Lock()
 	for _, ch := range r.arrivals[id] {
 		close(ch)
@@ -639,8 +638,9 @@ func (r *Raylet) receivePush(id idgen.ObjectID, data []byte, format string) {
 	r.arrivalsMu.Unlock()
 }
 
-// waitArrival blocks until the object lands in the local store (via push)
-// or the context ends; on context end the registration is removed.
+// waitArrival blocks until the object lands in the local store (a push
+// from its producer, or a local commit) or the context ends; on context
+// end the registration is removed.
 func (r *Raylet) waitArrival(ctx context.Context, id idgen.ObjectID) error {
 	r.arrivalsMu.Lock()
 	if r.store.Contains(id) {
@@ -894,6 +894,9 @@ func (r *Raylet) commit(ctx context.Context, id idgen.ObjectID, data []byte) err
 	if err := r.cfg.Layer.PutCtx(ctx, r.cfg.Node, id, data, "raw"); err != nil && !errors.Is(err, objectstore.ErrExists) {
 		return err
 	}
+	// A consumer on this node that subscribed before the commit gets no
+	// push: own.ready leaves the producing node out of the subscriber list.
+	r.wakeArrivals(id)
 	handle := ""
 	deviceID := idgen.Nil
 	if r.cfg.Backend != "" && r.cfg.Backend != "cpu" {

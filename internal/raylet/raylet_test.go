@@ -13,6 +13,7 @@ import (
 	"skadi/internal/cluster"
 	"skadi/internal/idgen"
 	"skadi/internal/objectstore"
+	"skadi/internal/ownership"
 	"skadi/internal/task"
 	"skadi/internal/transport"
 )
@@ -29,11 +30,16 @@ type rig struct {
 	driver  idgen.NodeID
 }
 
+// routeTo is the OwnerRouter of a directory with one shard host.
+func routeTo(host idgen.NodeID) func(idgen.ObjectID) (idgen.NodeID, bool) {
+	return func(idgen.ObjectID) (idgen.NodeID, bool) { return host, true }
+}
+
 func newRig(t *testing.T, nServers int, res Resolution) *rig {
 	t.Helper()
 	c := cluster.New(cluster.Config{TimeScale: 0})
 	headNode := c.AddServer("head", 0, 4, 1<<30)
-	head := NewHead(headNode.ID)
+	head := NewHead(headNode.ID, ownership.NewTable())
 	if err := head.Start(c.Transport); err != nil {
 		t.Fatal(err)
 	}
@@ -53,6 +59,7 @@ func newRig(t *testing.T, nServers int, res Resolution) *rig {
 			Node: node.ID, Backend: "cpu", Slots: 2,
 			Head: headNode.ID, Transport: c.Transport, Fabric: c.Fabric,
 			Layer: layer, Registry: reg, Resolution: res,
+			Directory: head.Table, OwnerRouter: routeTo(headNode.ID),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -248,6 +255,64 @@ func TestPushResolutionDeliversProactively(t *testing.T) {
 	}
 }
 
+// TestPushResolutionWakesColocatedConsumer: a consumer that subscribes
+// before a producer on its own node commits gets no push (own.ready never
+// lists the producing node as a subscriber), so the commit itself must wake
+// it — not the pushWait timeout, two seconds later.
+func TestPushResolutionWakesColocatedConsumer(t *testing.T) {
+	r := newRig(t, 1, Push)
+	rl := r.raylets[0]
+	prod := task.NewSpec(idgen.Next(), "produce", []task.Arg{task.ValueArg([]byte("local"))}, 1)
+	cons := task.NewSpec(idgen.Next(), "produce", []task.Arg{task.RefArg(prod.Returns[0])}, 1)
+	for _, s := range []*task.Spec{prod, cons} {
+		create := transport.MustEncode(OwnCreateRequest{IDs: s.Returns, Owner: r.driver, Task: s.ID})
+		if _, err := r.cluster.Transport.Call(context.Background(), r.driver, r.head.Node, KindOwnCreate, create); err != nil {
+			t.Fatal(err)
+		}
+	}
+	consDone := make(chan error, 1)
+	go func() {
+		_, err := r.exec(0, cons)
+		consDone <- err
+	}()
+	// Subscribe first: wait until the consumer is parked on the arrival.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		rl.arrivalsMu.Lock()
+		parked := len(rl.arrivals[prod.Returns[0]])
+		rl.arrivalsMu.Unlock()
+		if parked == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("consumer never parked on the arrival")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	// Commit second, on the same node.
+	start := time.Now()
+	if _, err := r.exec(0, prod); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-consDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(rl.pushWait):
+		t.Fatal("consumer slept out pushWait")
+	}
+	if d := time.Since(start); d >= 100*time.Millisecond {
+		t.Errorf("co-located consumer resolved in %v, want < 100ms", d)
+	}
+	if st := rl.Stats(); st.PushesRecv != 0 || st.PushesSent != 0 {
+		t.Errorf("stats = %+v, want no push on a single node", st)
+	}
+	data, err := r.fetch(0, cons.Returns[0])
+	if err != nil || string(data) != "local" {
+		t.Errorf("result = %q, %v", data, err)
+	}
+}
+
 func TestPushResolutionReadyObjectFallsBackToPull(t *testing.T) {
 	r := newRig(t, 2, Push)
 	prod := task.NewSpec(idgen.Next(), "produce", []task.Arg{task.ValueArg([]byte("already"))}, 1)
@@ -267,7 +332,7 @@ func TestPushResolutionReadyObjectFallsBackToPull(t *testing.T) {
 func TestGen1DPUHopsCharged(t *testing.T) {
 	c := cluster.New(cluster.Config{TimeScale: 0})
 	headNode := c.AddServer("head", 0, 4, 1<<30)
-	head := NewHead(headNode.ID)
+	head := NewHead(headNode.ID, ownership.NewTable())
 	if err := head.Start(c.Transport); err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +349,8 @@ func TestGen1DPUHopsCharged(t *testing.T) {
 		Node: devices[0].ID, Backend: "gpu", Slots: 1,
 		Head: headNode.ID, Transport: c.Transport, Fabric: c.Fabric,
 		Layer: layer, Registry: reg, Resolution: Pull,
-		DPUProxy: dpu.ID,
+		DPUProxy:  dpu.ID,
+		Directory: head.Table, OwnerRouter: routeTo(headNode.ID),
 	})
 	if err != nil {
 		t.Fatal(err)

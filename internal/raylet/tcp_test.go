@@ -9,6 +9,7 @@ import (
 	"skadi/internal/fabric"
 	"skadi/internal/idgen"
 	"skadi/internal/objectstore"
+	"skadi/internal/ownership"
 	"skadi/internal/task"
 	"skadi/internal/transport"
 )
@@ -109,7 +110,7 @@ func NewTCPRig(t *testing.T) *tcpRig {
 
 	headNode := idgen.Next()
 	fab.Register(headNode, fabric.Location{Rack: 0, Island: -1})
-	head := NewHead(headNode)
+	head := NewHead(headNode, ownership.NewTable())
 	if err := head.Start(tcp); err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +124,7 @@ func NewTCPRig(t *testing.T) *tcpRig {
 			Node: node, Backend: "cpu", Slots: 2,
 			Head: headNode, Transport: tcp, Fabric: fab,
 			Layer: layer, Registry: reg, Resolution: Pull,
+			Directory: head.Table, OwnerRouter: routeTo(headNode),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -144,6 +146,7 @@ func (tr *tcpRig) setResolution(t *testing.T, res Resolution) {
 			Node: old.Node(), Backend: "cpu", Slots: 2,
 			Head: tr.head.Node, Transport: tr.transport, Fabric: tr.fab,
 			Layer: tr.layer, Registry: tr.reg, Resolution: res,
+			Directory: tr.head.Table, OwnerRouter: routeTo(tr.head.Node),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -157,10 +157,11 @@ func (rt *Runtime) reviveReachable() {
 	rt.mu.Unlock()
 	for _, id := range ids {
 		if n := rt.Cluster.Node(id); n != nil && n.Alive() {
+			// Undo dispatch's unreachable verdicts, which gossip never saw.
 			rt.Sched.SetAlive(id, true)
-			// Decentralized: a partition may have gossip-convicted a node
-			// that never actually died; rejoining clears the verdict and
-			// hands its key range back.
+			// A partition may have gossip-convicted a node that never
+			// actually died; rejoining clears the verdict and hands a shard
+			// host its key range back.
 			rt.noteNodeAlive(id)
 		}
 	}
@@ -222,7 +223,12 @@ func (rt *Runtime) ChaosChecker() *chaos.Checker {
 			return out
 		},
 		Durability: func() *chaos.Durability {
-			if rt.sharded == nil {
+			rt.mu.Lock()
+			replicated := len(rt.shardHosts) > 1
+			rt.mu.Unlock()
+			if !replicated {
+				// A lone shard host has no successor to replicate to; its
+				// metadata is as durable as the head, which never crashes.
 				return nil
 			}
 			st := rt.sharded.ReplicationStats()

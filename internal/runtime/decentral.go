@@ -8,12 +8,13 @@ import (
 	"skadi/internal/ownership"
 )
 
-// decentral.go wires the decentralized control plane (Options.Decentralized)
-// into the runtime: the SWIM gossip detector is the single source of truth
-// for node liveness, and its verdicts drive both the consistent-hash shard
-// ring (ownership directory handoff) and the work-stealing mesh's candidate
-// set. Centralized runtimes leave rt.gossip nil and every hook here is a
-// no-op, so the default path pays nothing.
+// decentral.go wires liveness through the control plane: the gossip view is
+// the single source of truth for which nodes are up, and its transitions
+// drive both the consistent-hash shard ring (ownership directory handoff)
+// and the mesh's candidate set. Kill/Restart/Decommission record what the
+// runtime witnessed; with Options.Decentralized the background pump also
+// convicts nodes nobody reported. A runtime whose only shard host is the
+// head takes the same path — the ring calls just find nothing to move.
 
 // Control-plane metric names, refreshed by SampleControlPlane and shown by
 // `skadi -trace`.
@@ -59,10 +60,6 @@ const MetricLineageRecoveries = "lineage_recoveries"
 // a chaos episode, far outside a healthy RPC.
 const defaultGossipInterval = 2 * time.Millisecond
 
-// Decentralized reports whether this runtime runs the distributed control
-// plane.
-func (rt *Runtime) Decentralized() bool { return rt.sharded != nil }
-
 // gossipReachable is the detector's network oracle. Liveness is checked
 // against cluster state first (a crashed node must never ack), then the
 // probe rides the real transport as a gossip.probe RPC: it crosses the
@@ -80,8 +77,8 @@ func (rt *Runtime) gossipReachable(from, to idgen.NodeID) bool {
 // applyGossipEvents feeds membership transitions into the shard ring and
 // the scheduler. Suspect withdraws a node from scheduling but keeps its
 // shard (the suspicion may be refuted); Dead additionally hands its key
-// range to the survivors; Alive reverses both. The head is a permanent
-// ring member and never leaves.
+// range to the survivors; Alive reverses both, rejoining the ring only for
+// shard hosts. The head is a permanent ring member and never leaves.
 func (rt *Runtime) applyGossipEvents(events []gossip.Event) {
 	for _, e := range events {
 		switch e.Status {
@@ -104,7 +101,12 @@ func (rt *Runtime) applyGossipEvents(events []gossip.Event) {
 			// Re-admit only nodes that are actually up: a stale Alive event
 			// must not resurrect a crashed node in the scheduler.
 			if n := rt.Cluster.Node(e.Node); n != nil && n.Alive() {
-				rt.sharded.AddMember(e.Node)
+				rt.mu.Lock()
+				hostsShard := rt.shardHosts[e.Node]
+				rt.mu.Unlock()
+				if hostsShard {
+					rt.sharded.AddMember(e.Node)
+				}
 				if e.Node != rt.driver {
 					rt.Sched.SetAlive(e.Node, true)
 				}
@@ -114,31 +116,25 @@ func (rt *Runtime) applyGossipEvents(events []gossip.Event) {
 }
 
 // noteNodeDead records a confirmed crash (KillNode) in gossip and applies
-// the resulting shard handoff synchronously. No-op when centralized.
+// the resulting transition synchronously.
 func (rt *Runtime) noteNodeDead(node idgen.NodeID) {
-	if rt.gossip == nil {
-		return
-	}
 	rt.gossip.DeclareDead(node)
 	rt.applyGossipEvents(rt.gossip.Drain())
 }
 
-// noteNodeAlive records a (re)join: RestartNode and partition heal route
-// through here. Rejoining bumps the incarnation, which refutes any standing
-// suspicion or death verdict. No-op when centralized or already alive.
+// noteNodeAlive records a (re)join: new raylets, RestartNode and partition
+// heal route through here. Rejoining bumps the incarnation, which refutes
+// any standing suspicion or death verdict. No-op when already alive.
 func (rt *Runtime) noteNodeAlive(node idgen.NodeID) {
-	if rt.gossip == nil {
-		return
-	}
 	rt.gossip.Join(node)
 	rt.applyGossipEvents(rt.gossip.Drain())
 }
 
 // noteNodeLeft records a graceful, permanent departure (Decommission).
 func (rt *Runtime) noteNodeLeft(node idgen.NodeID) {
-	if rt.gossip == nil {
-		return
-	}
+	rt.mu.Lock()
+	delete(rt.shardHosts, node)
+	rt.mu.Unlock()
 	rt.gossip.Leave(node)
 	rt.sharded.RemoveMember(node)
 	rt.applyGossipEvents(rt.gossip.Drain())
@@ -172,8 +168,8 @@ func (rt *Runtime) startGossipPump(interval time.Duration) {
 	}()
 }
 
-// stopGossipPump halts the background loop (idempotent; safe when
-// centralized).
+// stopGossipPump halts the background loop (idempotent; safe when it was
+// never started).
 func (rt *Runtime) stopGossipPump() {
 	if rt.gossipStop == nil {
 		return
@@ -191,9 +187,6 @@ func (rt *Runtime) stopGossipPump() {
 // it to drive suspicion → death deterministically instead of sleeping
 // against the background pump.
 func (rt *Runtime) StepGossip(n int) int {
-	if rt.gossip == nil {
-		return 0
-	}
 	applied := 0
 	for i := 0; i < n; i++ {
 		events := rt.gossip.Tick()
@@ -204,9 +197,10 @@ func (rt *Runtime) StepGossip(n int) int {
 	return applied
 }
 
-// ControlPlaneSample is a point-in-time view of the decentralized control
-// plane's health, for experiments and `skadi -trace`.
+// ControlPlaneSample is a point-in-time view of the control plane's
+// health, for experiments and `skadi -trace`.
 type ControlPlaneSample struct {
+	// Decentralized is Options.Decentralized.
 	Decentralized bool
 	// ShardEntries maps each ring member to its directory shard size.
 	ShardEntries map[idgen.NodeID]int
@@ -226,14 +220,10 @@ type ControlPlaneSample struct {
 
 // SampleControlPlane refreshes the control-plane gauge families (gossip
 // view counts, per-shard directory sizes, per-node steal counters) and
-// returns the sample. On a centralized runtime it returns a zero sample and
-// touches nothing.
+// returns the sample.
 func (rt *Runtime) SampleControlPlane() ControlPlaneSample {
-	if rt.sharded == nil {
-		return ControlPlaneSample{}
-	}
 	s := ControlPlaneSample{
-		Decentralized: true,
+		Decentralized: rt.decentralized,
 		ShardEntries:  rt.sharded.ShardSizes(),
 		Handoffs:      rt.sharded.Handoffs(),
 		Steals:        rt.mesh.Steals(),

@@ -12,6 +12,7 @@ import (
 	"skadi/internal/chaos"
 	"skadi/internal/gossip"
 	"skadi/internal/idgen"
+	"skadi/internal/ownership"
 	"skadi/internal/skaderr"
 	"skadi/internal/task"
 	"skadi/internal/tenancy"
@@ -37,9 +38,6 @@ func TestDecentralizedEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Shutdown()
-	if !rt.Decentralized() {
-		t.Fatal("Decentralized() = false")
-	}
 	// Ring membership: the head (permanent member) plus every worker.
 	members := rt.sharded.Members()
 	if len(members) != 5 {
@@ -77,17 +75,37 @@ func TestDecentralizedEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDecentralizedCrashHandsOffShard: killing a ring member moves its
-// directory shard to the survivors with nothing lost, and a restart takes a
-// key range back.
-func TestDecentralizedCrashHandsOffShard(t *testing.T) {
+// runControlPlaneLifecycle walks one worker through kill → restart →
+// decommission and a second through partition → conviction → heal, on
+// either configuration of the control plane. Liveness takes the same
+// gossip-event path in both; the only thing the configuration changes is
+// whether a worker hosts a directory shard, so every ring assertion is
+// "member iff decentralized and up".
+func runControlPlaneLifecycle(t *testing.T, decentralized bool) {
 	rt, err := New(ClusterSpec{
 		Servers: 4, ServerSlots: 2, ServerMemBytes: 64 << 20,
-	}, Options{Decentralized: true, Recovery: RecoverLineage})
+	}, Options{Decentralized: decentralized, Recovery: RecoverLineage,
+		GossipInterval: time.Hour}) // manual ticks only
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Shutdown()
+	check := func(when string, node idgen.NodeID, up bool, wantStatus gossip.Status, wantSched int) {
+		t.Helper()
+		if got, want := ringHas(rt.sharded.Members(), node), up && decentralized; got != want {
+			t.Fatalf("%s: ring member = %v, want %v", when, got, want)
+		}
+		if st, _, ok := rt.gossip.Status(node); !ok || st != wantStatus {
+			t.Fatalf("%s: gossip status = %v, %v; want %v", when, st, ok, wantStatus)
+		}
+		if got := rt.Sched.NodeCount(); got != wantSched {
+			t.Fatalf("%s: schedulable nodes = %d, want %d", when, got, wantSched)
+		}
+		if !ringHas(rt.sharded.Members(), rt.Driver()) {
+			t.Fatalf("%s: head left the ring", when)
+		}
+	}
+
 	registerSquareAgg(rt, 0)
 	aggRefs, _, want := submitFanOutFanIn(rt, 12, 3)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -99,24 +117,18 @@ func TestDecentralizedCrashHandsOffShard(t *testing.T) {
 	}
 	rt.Drain()
 	recordsBefore := len(rt.Head.Table.Records())
+	workers := rt.workerServers()
+	victim, second := workers[0], workers[1]
+	check("boot", victim, true, gossip.Alive, 4)
 
-	victim := rt.workerServers()[0]
-	if !ringHas(rt.sharded.Members(), victim) {
-		t.Fatalf("victim %s not a ring member", victim.Short())
-	}
+	// Kill: the node leaves scheduling and hands off any shard it hosted
+	// with nothing dropped (locations shrink, the directory does not);
+	// results stay fetchable through lineage recovery + rerouted lookups.
 	rt.KillNode(victim)
-	if ringHas(rt.sharded.Members(), victim) {
-		t.Fatal("dead node still owns a shard")
-	}
-	if st, _, ok := rt.gossip.Status(victim); !ok || st != gossip.Dead {
-		t.Fatalf("gossip status = %v, %v; want dead", st, ok)
-	}
-	// The handoff must not drop entries: every record survives on the
-	// remaining shards (locations shrink, the directory does not).
+	check("kill", victim, false, gossip.Dead, 3)
 	if got := len(rt.Head.Table.Records()); got != recordsBefore {
-		t.Fatalf("records after handoff = %d, want %d", got, recordsBefore)
+		t.Fatalf("records after kill = %d, want %d", got, recordsBefore)
 	}
-	// Results remain fetchable through lineage recovery + rerouted lookups.
 	for a, ref := range aggRefs {
 		data, err := rt.Get(ctx, ref)
 		if err != nil {
@@ -127,57 +139,61 @@ func TestDecentralizedCrashHandsOffShard(t *testing.T) {
 		}
 	}
 
+	// Restart: schedulable again, and a shard host takes a key range back.
 	rt.RestartNode(victim)
-	if !ringHas(rt.sharded.Members(), victim) {
-		t.Fatal("restarted node did not rejoin the ring")
-	}
-	if st, _, ok := rt.gossip.Status(victim); !ok || st != gossip.Alive {
-		t.Fatalf("gossip status after restart = %v, %v; want alive", st, ok)
-	}
-}
+	check("restart", victim, true, gossip.Alive, 4)
 
-// TestDecentralizedGossipConvictsPartitioned: a silent partition — no
-// KillNode call — is detected by the background protocol (here stepped
-// manually for determinism), the victim loses its shard and its place in
-// the scheduler, and the heal path brings it back via refutation.
-func TestDecentralizedGossipConvictsPartitioned(t *testing.T) {
-	rt, err := New(ClusterSpec{
-		Servers: 3, ServerSlots: 2, ServerMemBytes: 64 << 20,
-	}, Options{Decentralized: true, GossipInterval: time.Hour}) // manual ticks only
-	if err != nil {
+	// Decommission: a graceful drain leaves gossip and the ring for good —
+	// further protocol rounds must not resurrect the node.
+	if _, err := rt.Decommission(ctx, victim); err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Shutdown()
-
-	victim := rt.workerServers()[0]
-	rt.Chaos().Partition([]idgen.NodeID{victim})
-	// One tick to suspect, SuspectTicks more to convict.
-	rt.StepGossip(8)
+	if _, _, ok := rt.gossip.Status(victim); ok {
+		t.Fatal("decommissioned node still a gossip member")
+	}
+	rt.StepGossip(4)
 	if ringHas(rt.sharded.Members(), victim) {
-		t.Fatal("partitioned node still owns a shard after conviction")
+		t.Fatal("gossip resurrected a decommissioned node")
 	}
-	if st, _, _ := rt.gossip.Status(victim); st != gossip.Dead {
-		t.Fatalf("gossip status = %v, want dead", st)
-	}
-	s := rt.SampleControlPlane()
-	if s.Dead != 1 {
+	check("decommission", second, true, gossip.Alive, 3)
+
+	// Partition: a silent failure — no KillNode call — is convicted by the
+	// protocol (one tick to suspect, SuspectTicks more to convict).
+	rt.Chaos().Partition([]idgen.NodeID{second})
+	rt.StepGossip(8)
+	check("partition", second, false, gossip.Dead, 2)
+	if s := rt.SampleControlPlane(); s.Dead != 1 {
 		t.Fatalf("sample dead = %d, want 1", s.Dead)
 	}
 
-	// Heal: the node never actually died, so it refutes and rejoins.
+	// Heal: the node never actually died, so it refutes and rejoins, and
+	// further ticks must not re-convict anyone.
 	rt.Chaos().HealPartition()
 	rt.HealChaos()
-	if !ringHas(rt.sharded.Members(), victim) {
-		t.Fatal("healed node did not rejoin the ring")
+	check("heal", second, true, gossip.Alive, 3)
+	if _, inc, _ := rt.gossip.Status(second); inc == 0 {
+		t.Fatal("healed node kept incarnation 0: the death verdict was not refuted")
 	}
-	if st, inc, _ := rt.gossip.Status(victim); st != gossip.Alive || inc == 0 {
-		t.Fatalf("gossip status = %v inc=%d, want alive with bumped incarnation", st, inc)
-	}
-	// Steady state: further ticks must not re-convict anyone.
 	rt.StepGossip(8)
-	if s := rt.SampleControlPlane(); s.Dead != 0 || s.Suspect != 0 {
+	s := rt.SampleControlPlane()
+	if s.Decentralized != decentralized || s.Dead != 0 || s.Suspect != 0 {
 		t.Fatalf("post-heal sample = %+v, want all alive", s)
 	}
+	wantShards := 1
+	if decentralized {
+		wantShards += 3
+	}
+	if len(s.ShardEntries) != wantShards {
+		t.Fatalf("shards = %d, want %d", len(s.ShardEntries), wantShards)
+	}
+	if !decentralized && (s.Handoffs != 0 || s.Repl != (ownership.ReplicationStats{})) {
+		t.Fatalf("one shard host moved or replicated entries: handoffs=%d repl=%+v", s.Handoffs, s.Repl)
+	}
+}
+
+func TestControlPlaneLifecycle(t *testing.T) {
+	t.Run("centralized", func(t *testing.T) { runControlPlaneLifecycle(t, false) })
+	t.Run("decentralized", func(t *testing.T) { runControlPlaneLifecycle(t, true) })
 }
 
 // TestDecentralizedHandoffRacesCrash: two ring members crash and restart
@@ -236,33 +252,6 @@ func TestDecentralizedHandoffRacesCrash(t *testing.T) {
 	}
 	if vs := checker.Check(); len(vs) != 0 {
 		t.Fatalf("%d invariant violation(s): %v", len(vs), vs)
-	}
-}
-
-// TestDecentralizedDecommission: a graceful drain leaves gossip and the
-// ring permanently — no refutation resurrects a decommissioned node.
-func TestDecentralizedDecommission(t *testing.T) {
-	rt, err := New(ClusterSpec{
-		Servers: 3, ServerSlots: 2, ServerMemBytes: 64 << 20,
-	}, Options{Decentralized: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Shutdown()
-	victim := rt.workerServers()[0]
-	if _, err := rt.Decommission(context.Background(), victim); err != nil {
-		t.Fatal(err)
-	}
-	if ringHas(rt.sharded.Members(), victim) {
-		t.Fatal("decommissioned node still owns a shard")
-	}
-	if _, _, ok := rt.gossip.Status(victim); ok {
-		t.Fatal("decommissioned node still a gossip member")
-	}
-	// Further protocol rounds must not resurrect it.
-	rt.StepGossip(4)
-	if ringHas(rt.sharded.Members(), victim) {
-		t.Fatal("gossip resurrected a decommissioned node")
 	}
 }
 

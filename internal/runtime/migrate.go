@@ -205,8 +205,8 @@ func (rt *Runtime) Decommission(ctx context.Context, node idgen.NodeID) (Decommi
 	rl.Stop()
 	rt.Cluster.Kill(node)
 	rt.Sched.RemoveNode(node)
-	// Decentralized: a drained node leaves gossip and the shard ring for
-	// good — Leave, unlike a death verdict, cannot be refuted by a rejoin.
+	// A drained node leaves gossip and the shard ring for good — Leave,
+	// unlike a death verdict, cannot be refuted by a rejoin.
 	rt.noteNodeLeft(node)
 	rt.Layer.DropNode(node)
 	rep.StaleDropped = len(rt.Head.Table.RemoveNodeLocations(node))

@@ -1,7 +1,9 @@
 // Package runtime composes the substrates into Skadi's stateful serverless
 // runtime (§2.3): a simulated disaggregated cluster with a head service
 // (ownership + lineage), a raylet per executable node, the caching layer
-// spanning every memory tier, and the centralized scheduler. It exposes the
+// spanning every memory tier, and one control plane — sharded ownership
+// directory, placement mesh, gossip liveness — whose centralized form is
+// the configuration with a single shard host. It exposes the
 // distributed task API — Put/Submit/Get/Wait, actors, gang submission — and
 // failure handling by lineage re-execution or reliable caching.
 package runtime
@@ -117,14 +119,16 @@ type Options struct {
 	// preemption). The controller stays inert — zero cost on every submit
 	// path — until RegisterTenant is called.
 	Tenancy tenancy.Options
-	// Decentralized replaces the centralized control plane with the
-	// distributed one: the ownership directory is sharded across raylet
-	// nodes by consistent hashing, placement runs on the per-node
-	// work-stealing mesh instead of the global-lock scheduler, and node
-	// liveness is decided by SWIM-style gossip instead of the head.
+	// Decentralized spreads the control plane over the workers: every
+	// raylet node joins the head on the directory's consistent-hash ring,
+	// a saturated home node hands tasks to peers by work stealing, and a
+	// background SWIM-style gossip loop detects silent failures. Off, the
+	// same plane runs with the head as the ring's only member, no
+	// stealing, and liveness changes applied only when the runtime itself
+	// kills, restarts or removes a node.
 	Decentralized bool
-	// GossipInterval is the background failure-detector tick period in
-	// decentralized mode (default 2ms; ignored when Decentralized is off).
+	// GossipInterval is the background failure-detector tick period
+	// (default 2ms; the loop runs only when Decentralized is on).
 	GossipInterval time.Duration
 }
 
@@ -133,8 +137,7 @@ type Runtime struct {
 	Cluster *cluster.Cluster
 	Layer   *caching.Layer
 	Head    *raylet.Head
-	// Sched is the placement engine: the centralized *scheduler.Scheduler
-	// by default, the work-stealing *scheduler.Mesh in decentralized mode.
+	// Sched is the placement engine, a *scheduler.Mesh.
 	Sched    scheduler.Placer
 	Registry *task.Registry
 	// Metrics holds runtime-level gauges: per-node resident bytes, actor
@@ -177,13 +180,19 @@ type Runtime struct {
 	// present, transparent until a plan is installed. See chaosctl.go.
 	chaosEng *chaos.Engine
 
-	// Decentralized control plane (all nil/zero in centralized mode). See
-	// decentral.go for the wiring.
-	sharded    *ownership.ShardedTable
-	mesh       *scheduler.Mesh
-	gossip     *gossip.Cluster
-	gossipStop chan struct{}
-	gossipWG   sync.WaitGroup
+	// The control plane; decentral.go wires liveness through it. sharded is
+	// also Head.Table and mesh is also Sched.
+	sharded *ownership.ShardedTable
+	mesh    *scheduler.Mesh
+	gossip  *gossip.Cluster
+	// shardHosts is the set of nodes that join the directory ring while
+	// alive: always the head, plus every raylet node when Decentralized.
+	// Guarded by mu.
+	shardHosts map[idgen.NodeID]bool
+	// decentralized is Options.Decentralized, kept for ControlPlaneSample.
+	decentralized bool
+	gossipStop    chan struct{}
+	gossipWG      sync.WaitGroup
 	// gossipProbe sends one failure-detector probe over the transport
 	// (raylet.GossipProber); gossipReachable composes it with cluster
 	// liveness.
@@ -274,6 +283,8 @@ func New(spec ClusterSpec, opts Options) (*Runtime, error) {
 		actorLoc:  make(map[idgen.ActorID]actorPlacement),
 		actorGate: make(map[idgen.ActorID]chan struct{}),
 		job:       idgen.Next(),
+
+		decentralized: opts.Decentralized,
 	}
 	rt.initChaos()
 	rt.Tenancy = tenancy.NewController(opts.Tenancy, rt.Metrics)
@@ -293,21 +304,18 @@ func New(spec ClusterSpec, opts Options) (*Runtime, error) {
 	// raylet for result fetching. It is not a scheduling target.
 	headNode := c.AddServer("head", 0, 2, 1<<30)
 	rt.driver = headNode.ID
-	rt.Head = raylet.NewHead(headNode.ID)
 	layer.AddStore(headNode.ID, caching.HostDRAM, objectstore.New(1<<30, nil))
-	if opts.Decentralized {
-		// Swap the head's centralized table for the sharded directory before
-		// any traffic. The head is a permanent ring member, so the ring is
-		// never empty: worker crashes hand their shards somewhere, and a
-		// one-node cluster still resolves every key.
-		rt.sharded = ownership.NewSharded(0)
-		rt.sharded.AddMember(headNode.ID)
-		rt.Head.Table = rt.sharded
-		rt.gossipProbe = raylet.GossipProber(c.Transport, 0)
-		rt.gossip = gossip.New(gossip.Config{}, rt.gossipReachable)
-		rt.gossip.Join(headNode.ID)
-		rt.gossip.Drain()
-	}
+	// The head is a permanent ring member, so the ring is never empty:
+	// worker crashes hand their shards somewhere, and a cluster whose only
+	// shard host is the head still resolves every key.
+	rt.sharded = ownership.NewSharded(0)
+	rt.sharded.AddMember(headNode.ID)
+	rt.shardHosts = map[idgen.NodeID]bool{headNode.ID: true}
+	rt.Head = raylet.NewHead(headNode.ID, rt.sharded)
+	rt.gossipProbe = raylet.GossipProber(c.Transport, 0)
+	rt.gossip = gossip.New(gossip.Config{}, rt.gossipReachable)
+	rt.gossip.Join(headNode.ID)
+	rt.gossip.Drain()
 	// Residency guard: a commit naming a location must be backed by bytes —
 	// either in that node's store or redundantly elsewhere (DSM, EC,
 	// another verified replica). Rejects own.ready/own.addloc messages from
@@ -320,13 +328,13 @@ func New(spec ClusterSpec, opts Options) (*Runtime, error) {
 		return layer.RecoverableWithout(loc, id)
 	})
 
-	loc := &locator{layer: layer, table: rt.Head.Table}
+	loc := &locator{layer: layer, table: rt.sharded}
 	if opts.Decentralized {
 		rt.mesh = scheduler.NewMesh(opts.Policy, loc)
-		rt.Sched = rt.mesh
 	} else {
-		rt.Sched = scheduler.New(opts.Policy, loc)
+		rt.mesh = scheduler.New(opts.Policy, loc)
 	}
+	rt.Sched = rt.mesh
 	// Worker quotas are enforced twice: at the tenancy slot gate (the
 	// primary, fair-share path) and here at placement, covering gang and
 	// recovery placements that bypass the gate.
@@ -386,10 +394,7 @@ func New(spec ClusterSpec, opts Options) (*Runtime, error) {
 		Head: headNode.ID, Transport: c.Transport, Fabric: c.Fabric,
 		Layer: layer, Registry: rt.Registry, Resolution: opts.Resolution,
 		TimeScale: opts.TimeScale,
-	}
-	if rt.sharded != nil {
-		drvCfg.Directory = rt.sharded
-		drvCfg.OwnerRouter = rt.sharded.OwnerOf
+		Directory: rt.sharded, OwnerRouter: rt.sharded.OwnerOf,
 	}
 	drv, err := raylet.New(drvCfg)
 	if err != nil {
@@ -410,7 +415,7 @@ func New(spec ClusterSpec, opts Options) (*Runtime, error) {
 	rt.migrator = migrate.New(migrate.Config{
 		Self: headNode.ID, Head: headNode.ID, Transport: c.Transport,
 	})
-	if rt.gossip != nil {
+	if opts.Decentralized {
 		rt.startGossipPump(opts.GossipInterval)
 	}
 	return rt, nil
@@ -424,12 +429,9 @@ func (rt *Runtime) addRaylet(node *cluster.Node, backend string, slots int, dpuP
 		Head: rt.driver, Transport: rt.Cluster.Transport, Fabric: rt.Cluster.Fabric,
 		Layer: rt.Layer, Registry: rt.Registry, Resolution: rt.opts.Resolution,
 		DPUProxy: dpuProxy, TimeScale: rt.opts.TimeScale,
-	}
-	if rt.sharded != nil {
-		// Decentralized: the raylet serves its own directory shard and
+		// The raylet serves whatever directory shard the ring gives it and
 		// routes ownership RPCs to whichever node the ring says owns the key.
-		cfg.Directory = rt.sharded
-		cfg.OwnerRouter = rt.sharded.OwnerOf
+		Directory: rt.sharded, OwnerRouter: rt.sharded.OwnerOf,
 	}
 	rl, err := raylet.New(cfg)
 	if err != nil {
@@ -441,16 +443,16 @@ func (rt *Runtime) addRaylet(node *cluster.Node, backend string, slots int, dpuP
 	rt.mu.Lock()
 	rt.raylets[node.ID] = rl
 	rt.rayletCfg[node.ID] = cfg
+	if rt.opts.Decentralized {
+		rt.shardHosts[node.ID] = true
+	}
 	rt.mu.Unlock()
 	rt.Sched.AddNode(scheduler.NodeInfo{ID: node.ID, Backend: backend, Slots: slots})
-	if rt.sharded != nil {
-		// Joining the ring pulls this node's key range over from the
-		// existing members (whole-entry handoff: waiters and forwards move
-		// with the records); joining gossip makes it probe-able.
-		rt.sharded.AddMember(node.ID)
-		rt.gossip.Join(node.ID)
-		rt.applyGossipEvents(rt.gossip.Drain())
-	}
+	// Joining gossip makes the node's liveness tracked; a shard host's
+	// Alive event also joins the ring, pulling its key range over from the
+	// existing members (whole-entry handoff: waiters and forwards move with
+	// the records).
+	rt.noteNodeAlive(node.ID)
 	// The node's slots and store bytes join the capacity pool the
 	// fair-share controller divides among tenants.
 	rt.Tenancy.AddCapacity(slots, node.Res.MemBytes)
@@ -1059,10 +1061,10 @@ func (rt *Runtime) KillNode(node idgen.NodeID) []idgen.ObjectID {
 	// instead of silently completing against a dead peer.
 	rt.chaosEng.CrashNode(node)
 	rt.Cluster.Kill(node)
-	rt.Sched.SetAlive(node, false)
-	// Decentralized: confirm the death in gossip (the crash is known, not
-	// suspected) so the event handler hands the victim's directory shard to
-	// the surviving ring members before locations are scrubbed.
+	// Confirm the death in gossip (the crash is known, not suspected): the
+	// event handler withdraws the node from scheduling and hands any
+	// directory shard it hosted to the surviving ring members before
+	// locations are scrubbed.
 	rt.noteNodeDead(node)
 	if store := rt.Layer.Store(node); store != nil {
 		store.Clear()
@@ -1306,9 +1308,9 @@ func (rt *Runtime) RestartNode(node idgen.NodeID) {
 			}
 		}
 	}
-	rt.Sched.SetAlive(node, true)
-	// Decentralized: rejoin gossip (bumping the incarnation refutes any
-	// stale suspicion) and take a key range back from the ring.
+	// Rejoin gossip (bumping the incarnation refutes the death verdict): the
+	// event handler makes the node schedulable again and, for a shard host,
+	// takes a key range back from the ring.
 	rt.noteNodeAlive(node)
 }
 

@@ -7,12 +7,9 @@ import (
 	"skadi/internal/task"
 )
 
-func benchScheduler(b *testing.B, policy Policy, nodes int) *Scheduler {
+func benchScheduler(b *testing.B, policy Policy, nodes int) *Mesh {
 	b.Helper()
-	s := New(policy, &mapLocator{
-		locs:  map[idgen.ObjectID][]idgen.NodeID{},
-		sizes: map[idgen.ObjectID]int64{},
-	})
+	s := New(policy, newMapLocator())
 	for i := 0; i < nodes; i++ {
 		s.AddNode(NodeInfo{ID: idgen.Next(), Backend: "cpu", Slots: 64})
 	}
@@ -33,10 +30,7 @@ func BenchmarkPickRoundRobin(b *testing.B) {
 }
 
 func BenchmarkPickDataLocality(b *testing.B) {
-	loc := &mapLocator{
-		locs:  map[idgen.ObjectID][]idgen.NodeID{},
-		sizes: map[idgen.ObjectID]int64{},
-	}
+	loc := newMapLocator()
 	s := New(DataLocality, loc)
 	var nodes []idgen.NodeID
 	for i := 0; i < 64; i++ {

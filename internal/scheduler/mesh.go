@@ -88,24 +88,31 @@ var emptySnap = &meshSnap{
 // watching).
 type capHolder struct{ ch chan struct{} }
 
-// Mesh is the decentralized control plane's Placer: per-node local slot
-// accounting plus work stealing. Submission picks a home node from a
-// lock-free snapshot (round-robin, random, locality — same policies as the
-// centralized Scheduler); if the home is saturated, it probes a few random
-// peers and hands the task to the first with a free slot, counting a
-// steal. Only membership changes (add/remove/liveness) take the mesh-wide
-// lock; Pick, Started, and Finished touch at most a couple of per-node
-// mutexes, so submit→exec scales with node count instead of serializing on
-// one scheduler mutex.
+// Mesh is the placement engine: per-node slot accounting, each node behind
+// its own lock, plus work stealing. Submission picks a home node from a
+// lock-free snapshot by policy; NewMesh reserves the home strictly, so a
+// saturated home hands the task to the first of a few probed peers with a
+// free slot and counts a steal. New (the centralized configuration)
+// reserves the home whether or not it has a free slot, so it never steals.
+// Only membership changes (add/remove/liveness) take the mesh-wide lock;
+// Pick, Started, and Finished touch at most a couple of per-node mutexes.
 type Mesh struct {
 	gateMu sync.RWMutex
 	gate   func(*task.Spec) error
 
-	mu      sync.Mutex // membership, policy; never held on the Pick fast path
-	policy  Policy
+	mu      sync.Mutex // membership; never held on the Pick fast path
+	policy  atomic.Int32
 	locator ObjectLocator
 	locals  map[idgen.NodeID]*local
 	order   []idgen.NodeID
+	// strict makes a full home refuse the task (the steal path takes over);
+	// fixed at construction.
+	strict bool
+
+	// gangMu serializes PickGang: two gangs reserving node by node at once
+	// could each fail on the other's partial reservations and then both
+	// wait for a capacity wakeup that their own rollbacks never send.
+	gangMu sync.Mutex
 
 	snap   atomic.Value // *meshSnap
 	capPtr atomic.Pointer[capHolder]
@@ -121,14 +128,27 @@ type Mesh struct {
 	stealRemoteBytes atomic.Int64
 }
 
+// New returns an empty mesh that oversubscribes a task's home node rather
+// than steal from it: placement is the policy's choice alone, as with one
+// scheduler that sees every node. locator may be nil for policies that
+// ignore data placement.
+func New(policy Policy, locator ObjectLocator) *Mesh {
+	return newMesh(policy, locator, false)
+}
+
 // NewMesh returns an empty work-stealing mesh with the given policy.
 // locator may be nil for policies that ignore data placement.
 func NewMesh(policy Policy, locator ObjectLocator) *Mesh {
+	return newMesh(policy, locator, true)
+}
+
+func newMesh(policy Policy, locator ObjectLocator, strict bool) *Mesh {
 	m := &Mesh{
-		policy:  policy,
 		locator: locator,
 		locals:  make(map[idgen.NodeID]*local),
+		strict:  strict,
 	}
+	m.policy.Store(int32(policy))
 	m.seq.Store(0x9e3779b97f4a7c15) // fixed seed: probe order is reproducible
 	m.snap.Store(emptySnap)
 	m.localitySteal.Store(true)
@@ -214,18 +234,10 @@ func (m *Mesh) checkGate(spec *task.Spec) error {
 }
 
 // SetPolicy switches the placement policy at runtime.
-func (m *Mesh) SetPolicy(p Policy) {
-	m.mu.Lock()
-	m.policy = p
-	m.mu.Unlock()
-}
+func (m *Mesh) SetPolicy(p Policy) { m.policy.Store(int32(p)) }
 
 // Policy returns the active policy.
-func (m *Mesh) Policy() Policy {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.policy
-}
+func (m *Mesh) Policy() Policy { return Policy(m.policy.Load()) }
 
 // AddNode registers a schedulable node.
 func (m *Mesh) AddNode(info NodeInfo) {
@@ -292,178 +304,155 @@ func (m *Mesh) NodeCount() int {
 	return n
 }
 
+// argBytes scores nodes by how many of the task's reference-arg bytes they
+// already hold, and totals those bytes over all refs. Unknown sizes count
+// as one byte so presence still ranks. byNode is nil when no locator is
+// wired or no ref arg has a known copy.
+func (m *Mesh) argBytes(spec *task.Spec) (byNode map[idgen.NodeID]int64, total int64) {
+	if m.locator == nil {
+		return nil, 0
+	}
+	for _, a := range spec.Args {
+		if !a.IsRef {
+			continue
+		}
+		size := m.locator.Size(a.Ref)
+		if size == 0 {
+			size = 1
+		}
+		total += size
+		for _, node := range m.locator.Locations(a.Ref) {
+			if byNode == nil {
+				byNode = make(map[idgen.NodeID]int64)
+			}
+			byNode[node] += size
+		}
+	}
+	return byNode, total
+}
+
+// prefer reports whether a beats b for a task whose resident arg bytes per
+// node are byNode: more local bytes first, the lighter-loaded node on ties.
+func prefer(byNode map[idgen.NodeID]int64, a, b *local) bool {
+	if ab, bb := byNode[a.info.ID], byNode[b.info.ID]; ab != bb {
+		return ab > bb
+	}
+	return a.load() < b.load()
+}
+
 // pickHome selects the task's home node from the snapshot candidates.
 func (m *Mesh) pickHome(spec *task.Spec, cands []*local) *local {
 	switch m.Policy() {
 	case Random:
 		return cands[splitmix64(m.seq.Add(1))%uint64(len(cands))]
 	case CPUCentric:
-		// Approximate least-loaded with a bounded probe instead of a
-		// global scan: power-of-k-choices over the snapshot.
-		best := cands[m.rr.Add(1)%uint64(len(cands))]
-		for i := 0; i < stealProbes; i++ {
-			c := cands[splitmix64(m.seq.Add(1))%uint64(len(cands))]
-			if c.load() < best.load() {
-				best = c
-			}
-		}
-		return best
+		// Least-loaded, first on ties: compute-centric, data-oblivious.
+		return best(nil, cands)
 	case DataLocality:
-		if m.locator == nil {
-			return cands[m.rr.Add(1)%uint64(len(cands))]
-		}
-		localBytes := make(map[idgen.NodeID]int64)
-		for _, ref := range spec.RefArgs() {
-			size := m.locator.Size(ref)
-			if size == 0 {
-				size = 1
-			}
-			for _, node := range m.locator.Locations(ref) {
-				localBytes[node] += size
-			}
-		}
-		best := cands[0]
-		for _, c := range cands[1:] {
-			bi, ci := localBytes[best.info.ID], localBytes[c.info.ID]
-			if ci > bi || (ci == bi && c.load() < best.load()) {
-				best = c
-			}
-		}
-		return best
+		byNode, _ := m.argBytes(spec)
+		return best(byNode, cands)
 	default: // RoundRobin
 		return cands[m.rr.Add(1)%uint64(len(cands))]
 	}
 }
 
+// best returns the candidate prefer ranks first.
+func best(byNode map[idgen.NodeID]int64, cands []*local) *local {
+	b := cands[0]
+	for _, c := range cands[1:] {
+		if prefer(byNode, c, b) {
+			b = c
+		}
+	}
+	return b
+}
+
 // Pick chooses a node for the task and accounts one in-flight task on it.
-// The hot path reads the membership snapshot lock-free, reserves on the
-// home node's own mutex, and only on saturation probes a few peers — the
-// steal protocol.
+// The hot path reads the membership snapshot lock-free and reserves on the
+// home node's own mutex; only a refused home enters the steal protocol.
 func (m *Mesh) Pick(spec *task.Spec) (idgen.NodeID, error) {
 	if err := m.checkGate(spec); err != nil {
 		return idgen.Nil, err
 	}
 	cands := m.loadSnap().byBackend[spec.Backend]
 	if len(cands) == 0 {
-		return idgen.Nil, skaderr.Mark(skaderr.FailedPrecondition,
-			fmt.Errorf("%w: backend %q", ErrNoNodes, spec.Backend))
+		return idgen.Nil, errNoNodes(spec.Backend)
 	}
 	home := m.pickHome(spec, cands)
-	if home.tryReserve(true) {
+	if home.tryReserve(m.strict) {
 		return home.info.ID, nil
 	}
-	// Home saturated (or died behind a stale snapshot): probe a few peers
-	// for a free slot — the first taker steals the task. With a locator
-	// wired, probe order is locality-aware: peers already holding the
-	// task's reference args go first (reusing the data-centric policy's
-	// byte accounting), so a stolen task moves fewer arg bytes; remaining
-	// probe slots fill with random picks, preserving the power-of-k
-	// load-balance property.
-	probed := m.stealOrder(spec, cands, home)
-	for _, c := range probed {
-		if c == nil || c == home {
-			continue
-		}
-		if c.tryReserve(true) {
-			m.noteSteal(spec, c)
-			return c.info.ID, nil
-		}
-	}
-	// Everyone probed is full: fall back to the least-loaded of the nodes
-	// we looked at, oversubscribing like the centralized Pick (which never
-	// fails on capacity, only on liveness).
-	var best *local
-	for _, c := range append(probed[:], home) {
-		if c == nil || !c.isAlive() {
-			continue
-		}
-		if best == nil || c.load() < best.load() {
-			best = c
-		}
-	}
-	if best == nil {
-		// Stale snapshot full of dead nodes; rebuild and retry once.
-		m.mu.Lock()
-		m.rebuildLocked()
-		m.mu.Unlock()
-		cands = m.loadSnap().byBackend[spec.Backend]
-		for _, c := range cands {
-			if c.tryReserve(false) {
-				if c != home {
-					m.noteSteal(spec, c)
-				}
-				return c.info.ID, nil
-			}
-		}
-		return idgen.Nil, skaderr.Mark(skaderr.FailedPrecondition,
-			fmt.Errorf("%w: backend %q", ErrNoNodes, spec.Backend))
-	}
-	if !best.tryReserve(false) {
-		// Lost an alive→dead race after the check; treat as no nodes only
-		// if nothing else can take it.
-		for _, c := range cands {
-			if c.tryReserve(false) {
-				if c != home {
-					m.noteSteal(spec, c)
-				}
-				return c.info.ID, nil
-			}
-		}
-		return idgen.Nil, skaderr.Mark(skaderr.FailedPrecondition,
-			fmt.Errorf("%w: backend %q", ErrNoNodes, spec.Backend))
-	}
-	if best != home {
-		m.noteSteal(spec, best)
-	}
-	return best.info.ID, nil
+	return m.steal(spec, cands, home)
 }
 
-// stealOrder fills the probe list for a saturated home. Locality-aware
-// mode front-loads candidates whose nodes hold the task's reference args,
-// ranked by resident arg bytes (ties to the lighter-loaded); the rest of
-// the probes stay random.
-func (m *Mesh) stealOrder(spec *task.Spec, cands []*local, home *local) [stealProbes]*local {
+func errNoNodes(backend string) error {
+	return skaderr.Mark(skaderr.FailedPrecondition, fmt.Errorf("%w: backend %q", ErrNoNodes, backend))
+}
+
+// steal places a task whose home refused it: saturated, or dead behind a
+// stale snapshot. A few peers are probed for a free slot and the first
+// taker steals the task. With a locator wired the probe order is
+// locality-aware: peers already holding the task's reference args go
+// first, so a stolen task moves fewer arg bytes; the remaining probes are
+// random, preserving the power-of-k load-balance property.
+func (m *Mesh) steal(spec *task.Spec, cands []*local, home *local) (idgen.NodeID, error) {
+	byNode, total := m.argBytes(spec)
+	// took accounts the placement on whoever reserved it: a steal unless
+	// that is the home itself, with the local/remote split of the task's
+	// arg bytes relative to the thief.
+	took := func(c *local) (idgen.NodeID, error) {
+		if c != home {
+			c.steals.Add(1)
+			m.stealLocalBytes.Add(byNode[c.info.ID])
+			m.stealRemoteBytes.Add(total - byNode[c.info.ID])
+		}
+		return c.info.ID, nil
+	}
+	probed := m.stealOrder(byNode, cands, home)
+	for _, c := range probed {
+		if c != home && c.tryReserve(true) {
+			return took(c)
+		}
+	}
+	// Everyone probed is full: oversubscribe the least-loaded of the nodes
+	// we looked at. Pick never fails on capacity, only on liveness.
+	var least *local
+	for _, c := range append(probed[:], home) {
+		if c.isAlive() && (least == nil || c.load() < least.load()) {
+			least = c
+		}
+	}
+	if least != nil && least.tryReserve(false) {
+		return took(least)
+	}
+	// Every node we looked at died behind the snapshot: rebuild it and take
+	// any live node.
+	m.mu.Lock()
+	m.rebuildLocked()
+	m.mu.Unlock()
+	for _, c := range m.loadSnap().byBackend[spec.Backend] {
+		if c.tryReserve(false) {
+			return took(c)
+		}
+	}
+	return idgen.Nil, errNoNodes(spec.Backend)
+}
+
+// stealOrder fills the probe list for a refused home. Locality-aware mode
+// front-loads candidates holding the task's reference args, ranked like a
+// DataLocality home; the rest of the probes are random.
+func (m *Mesh) stealOrder(byNode map[idgen.NodeID]int64, cands []*local, home *local) [stealProbes]*local {
 	var out [stealProbes]*local
 	i := 0
-	if m.localitySteal.Load() && m.locator != nil {
-		if refs := spec.RefArgs(); len(refs) > 0 {
-			localBytes := make(map[idgen.NodeID]int64)
-			for _, ref := range refs {
-				size := m.locator.Size(ref)
-				if size == 0 {
-					size = 1
-				}
-				for _, node := range m.locator.Locations(ref) {
-					localBytes[node] += size
-				}
-			}
-			type scored struct {
-				c     *local
-				bytes int64
-			}
-			var holders []scored
-			for _, c := range cands {
-				if c == home {
-					continue
-				}
-				if b := localBytes[c.info.ID]; b > 0 {
-					holders = append(holders, scored{c, b})
-				}
-			}
-			sort.Slice(holders, func(a, b int) bool {
-				if holders[a].bytes != holders[b].bytes {
-					return holders[a].bytes > holders[b].bytes
-				}
-				return holders[a].c.load() < holders[b].c.load()
-			})
-			for _, h := range holders {
-				if i >= stealProbes {
-					break
-				}
-				out[i] = h.c
-				i++
+	if m.localitySteal.Load() && len(byNode) > 0 {
+		var holders []*local
+		for _, c := range cands {
+			if c != home && byNode[c.info.ID] > 0 {
+				holders = append(holders, c)
 			}
 		}
+		sort.Slice(holders, func(a, b int) bool { return prefer(byNode, holders[a], holders[b]) })
+		i = copy(out[:], holders)
 	}
 	for ; i < stealProbes; i++ {
 		out[i] = cands[splitmix64(m.seq.Add(1))%uint64(len(cands))]
@@ -471,35 +460,9 @@ func (m *Mesh) stealOrder(spec *task.Spec, cands []*local, home *local) [stealPr
 	return out
 }
 
-// noteSteal accounts one stolen task on the thief: the per-node steal
-// counter plus the local/remote split of the task's arg bytes relative to
-// the thief.
-func (m *Mesh) noteSteal(spec *task.Spec, thief *local) {
-	thief.steals.Add(1)
-	if m.locator == nil {
-		return
-	}
-	for _, ref := range spec.RefArgs() {
-		size := m.locator.Size(ref)
-		if size == 0 {
-			size = 1
-		}
-		resident := false
-		for _, node := range m.locator.Locations(ref) {
-			if node == thief.info.ID {
-				resident = true
-				break
-			}
-		}
-		if resident {
-			m.stealLocalBytes.Add(size)
-		} else {
-			m.stealRemoteBytes.Add(size)
-		}
-	}
-}
-
-// PickCtx is Pick with trace annotation, mirroring Scheduler.PickCtx.
+// PickCtx is Pick with trace annotation: placement is recorded as a
+// sched-pick span on the task's trace, carrying the policy, backend, and
+// chosen node.
 func (m *Mesh) PickCtx(ctx context.Context, spec *task.Spec) (idgen.NodeID, error) {
 	_, sp := trace.Start(ctx, trace.KindSchedPick, idgen.Nil)
 	node, err := m.Pick(spec)
@@ -535,10 +498,11 @@ func (m *Mesh) PickGang(specs []*task.Spec) ([]idgen.NodeID, error) {
 			return nil, fmt.Errorf("scheduler: gang mixes backends %q and %q", specs[0].Backend, spec.Backend)
 		}
 	}
+	m.gangMu.Lock()
+	defer m.gangMu.Unlock()
 	cands := m.loadSnap().byBackend[specs[0].Backend]
 	if len(cands) == 0 {
-		return nil, skaderr.Mark(skaderr.FailedPrecondition,
-			fmt.Errorf("%w: backend %q", ErrNoNodes, specs[0].Backend))
+		return nil, errNoNodes(specs[0].Backend)
 	}
 	placements := make([]idgen.NodeID, 0, len(specs))
 	reserved := make([]*local, 0, len(specs))
@@ -567,8 +531,7 @@ func (m *Mesh) PickGang(specs []*task.Spec) ([]idgen.NodeID, error) {
 				}
 			}
 			if alive == 0 {
-				return nil, skaderr.Mark(skaderr.FailedPrecondition,
-					fmt.Errorf("%w: backend %q", ErrNoNodes, specs[0].Backend))
+				return nil, errNoNodes(specs[0].Backend)
 			}
 			return nil, skaderr.Mark(skaderr.ResourceExhausted,
 				fmt.Errorf("%w: need %d slots", ErrNoCapacity, len(specs)))

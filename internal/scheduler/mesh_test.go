@@ -4,67 +4,17 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"skadi/internal/idgen"
-	"skadi/internal/skaderr"
 	"skadi/internal/task"
 )
-
-func addMeshNodes(m *Mesh, n int, backend string, slots int) []idgen.NodeID {
-	ids := make([]idgen.NodeID, n)
-	for i := range ids {
-		ids[i] = idgen.Next()
-		m.AddNode(NodeInfo{ID: ids[i], Backend: backend, Slots: slots})
-	}
-	return ids
-}
-
-func TestMeshPickSpreads(t *testing.T) {
-	m := NewMesh(RoundRobin, nil)
-	ids := addMeshNodes(m, 4, "cpu", 8)
-	counts := make(map[idgen.NodeID]int)
-	for i := 0; i < 16; i++ {
-		node, err := m.Pick(cpuSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[node]++
-	}
-	for _, id := range ids {
-		if counts[id] != 4 {
-			t.Fatalf("round-robin spread = %v", counts)
-		}
-		if m.Inflight(id) != 4 {
-			t.Fatalf("inflight(%s) = %d", id.Short(), m.Inflight(id))
-		}
-	}
-}
-
-func TestMeshNoNodes(t *testing.T) {
-	m := NewMesh(RoundRobin, nil)
-	if _, err := m.Pick(cpuSpec()); !errors.Is(err, ErrNoNodes) {
-		t.Fatalf("Pick on empty mesh = %v", err)
-	} else if skaderr.CodeOf(err) != skaderr.FailedPrecondition {
-		t.Fatalf("code = %v", skaderr.CodeOf(err))
-	}
-	spec := task.NewSpec(idgen.Next(), "f", nil, 1)
-	spec.Backend = "gpu"
-	addMeshNodes(m, 2, "cpu", 4)
-	if _, err := m.Pick(spec); !errors.Is(err, ErrNoNodes) {
-		t.Fatalf("Pick wrong backend = %v", err)
-	}
-}
 
 func TestMeshStealFromSaturatedHome(t *testing.T) {
 	// DataLocality pins the home to the node holding the input bytes; with
 	// the home full, the task must be stolen by a peer with free slots.
-	loc := &mapLocator{
-		locs:  map[idgen.ObjectID][]idgen.NodeID{},
-		sizes: map[idgen.ObjectID]int64{},
-	}
+	loc := newMapLocator()
 	m := NewMesh(DataLocality, loc)
-	ids := addMeshNodes(m, 4, "cpu", 1)
+	ids := addNodes(m, 4, "cpu", 1)
 	home := ids[0]
 	ref := idgen.Next()
 	loc.locs[ref] = []idgen.NodeID{home}
@@ -97,131 +47,27 @@ func TestMeshStealFromSaturatedHome(t *testing.T) {
 	}
 }
 
-func TestMeshOversubscribesWhenAllFull(t *testing.T) {
-	m := NewMesh(RoundRobin, nil)
-	addMeshNodes(m, 2, "cpu", 1)
-	for i := 0; i < 6; i++ {
-		if _, err := m.Pick(cpuSpec()); err != nil {
-			t.Fatalf("pick %d: %v (Pick must not fail on capacity)", i, err)
-		}
-	}
-}
-
-func TestMeshDeadNodesAvoided(t *testing.T) {
-	m := NewMesh(RoundRobin, nil)
-	ids := addMeshNodes(m, 3, "cpu", 4)
-	m.SetAlive(ids[0], false)
-	m.SetAlive(ids[1], false)
-	for i := 0; i < 8; i++ {
-		node, err := m.Pick(cpuSpec())
+// TestNewOversubscribesHomeWithoutStealing is the other side of the steal
+// test: the same saturated home, built with New, keeps the task.
+func TestNewOversubscribesHomeWithoutStealing(t *testing.T) {
+	loc := newMapLocator()
+	m := New(DataLocality, loc)
+	ids := addNodes(m, 4, "cpu", 1)
+	ref := idgen.Next()
+	loc.locs[ref] = []idgen.NodeID{ids[0]}
+	loc.sizes[ref] = 1 << 20
+	spec := task.NewSpec(idgen.Next(), "f", []task.Arg{task.RefArg(ref)}, 1)
+	for i := 0; i < 3; i++ {
+		node, err := m.Pick(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if node != ids[2] {
-			t.Fatalf("picked dead node %s", node.Short())
+		if node != ids[0] {
+			t.Fatalf("pick %d left the home for %s", i, node.Short())
 		}
 	}
-	if m.NodeCount() != 1 {
-		t.Fatalf("NodeCount = %d", m.NodeCount())
-	}
-	m.SetAlive(ids[0], true)
-	seen := make(map[idgen.NodeID]bool)
-	for i := 0; i < 8; i++ {
-		node, _ := m.Pick(cpuSpec())
-		seen[node] = true
-	}
-	if !seen[ids[0]] {
-		t.Fatal("revived node never picked")
-	}
-}
-
-func TestMeshPickGangAtomic(t *testing.T) {
-	m := NewMesh(RoundRobin, nil)
-	ids := addMeshNodes(m, 2, "cpu", 2)
-	specs := make([]*task.Spec, 4)
-	for i := range specs {
-		specs[i] = cpuSpec()
-	}
-	placements, err := m.PickGang(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(placements) != 4 {
-		t.Fatalf("placements = %d", len(placements))
-	}
-	// Distinct-node spread: both nodes used.
-	used := make(map[idgen.NodeID]int)
-	for _, p := range placements {
-		used[p]++
-	}
-	if len(used) != 2 {
-		t.Fatalf("gang not spread: %v", used)
-	}
-	// A fifth task cannot fit; the failed gang must not leak reservations.
-	if _, err := m.PickGang([]*task.Spec{cpuSpec()}); !errors.Is(err, ErrNoCapacity) {
-		t.Fatalf("overfull gang = %v", err)
-	}
-	if got := m.Inflight(ids[0]) + m.Inflight(ids[1]); got != 4 {
-		t.Fatalf("inflight after failed gang = %d, want 4 (rollback leaked)", got)
-	}
-	for _, p := range placements {
-		m.Finished(p)
-	}
-	if got := m.Inflight(ids[0]) + m.Inflight(ids[1]); got != 0 {
-		t.Fatalf("inflight after finish = %d", got)
-	}
-}
-
-func TestMeshGangMixedBackends(t *testing.T) {
-	m := NewMesh(RoundRobin, nil)
-	addMeshNodes(m, 2, "cpu", 4)
-	a, b := cpuSpec(), cpuSpec()
-	b.Backend = "gpu"
-	if _, err := m.PickGang([]*task.Spec{a, b}); err == nil {
-		t.Fatal("mixed-backend gang accepted")
-	}
-}
-
-func TestMeshCapacityWatch(t *testing.T) {
-	m := NewMesh(RoundRobin, nil)
-	ids := addMeshNodes(m, 1, "cpu", 1)
-	if _, err := m.PickGang([]*task.Spec{cpuSpec()}); err != nil {
-		t.Fatal(err)
-	}
-	watch := m.CapacityWatch()
-	if _, err := m.PickGang([]*task.Spec{cpuSpec()}); !errors.Is(err, ErrNoCapacity) {
-		t.Fatalf("gang on full mesh = %v", err)
-	}
-	select {
-	case <-watch:
-		t.Fatal("watch fired with no capacity change")
-	default:
-	}
-	m.Finished(ids[0])
-	select {
-	case <-watch:
-	case <-time.After(time.Second):
-		t.Fatal("watch never fired after Finished")
-	}
-	if _, err := m.PickGang([]*task.Spec{cpuSpec()}); err != nil {
-		t.Fatalf("gang after capacity freed = %v", err)
-	}
-}
-
-func TestMeshGate(t *testing.T) {
-	m := NewMesh(RoundRobin, nil)
-	addMeshNodes(m, 2, "cpu", 4)
-	sentinel := errors.New("quota")
-	m.SetGate(func(*task.Spec) error { return sentinel })
-	if _, err := m.Pick(cpuSpec()); !errors.Is(err, sentinel) {
-		t.Fatalf("gated Pick = %v", err)
-	}
-	if _, err := m.PickGang([]*task.Spec{cpuSpec()}); !errors.Is(err, sentinel) {
-		t.Fatalf("gated PickGang = %v", err)
-	}
-	m.SetGate(nil)
-	if _, err := m.Pick(cpuSpec()); err != nil {
-		t.Fatal(err)
+	if m.StealCount() != 0 {
+		t.Fatalf("StealCount = %d, want 0", m.StealCount())
 	}
 }
 
@@ -324,20 +170,15 @@ func churnPlacer(t *testing.T, p Placer) {
 	churn.Wait()
 }
 
-func TestSchedulerChurn(t *testing.T) {
-	churnPlacer(t, New(RoundRobin, nil))
-}
-
-func TestMeshChurn(t *testing.T) {
-	m := NewMesh(RoundRobin, nil)
-	churnPlacer(t, m)
+func TestPlacerChurn(t *testing.T) {
+	eachConfig(t, func(t *testing.T, mk ctor) { churnPlacer(t, mk(RoundRobin, nil)) })
 }
 
 // TestMeshStealChurn keeps the pool near saturation while membership
 // churns, so the steal path itself races add/remove/liveness flaps.
 func TestMeshStealChurn(t *testing.T) {
 	m := NewMesh(RoundRobin, nil)
-	ids := addMeshNodes(m, 3, "cpu", 1)
+	ids := addNodes(m, 3, "cpu", 1)
 	stop := make(chan struct{})
 	var churn sync.WaitGroup
 	churn.Add(1)
@@ -381,12 +222,9 @@ func TestMeshStealChurn(t *testing.T) {
 // directly: candidates holding more of the task's arg bytes come first,
 // and disabling locality falls back to all-random (every slot filled).
 func TestMeshStealOrderRanksHolders(t *testing.T) {
-	loc := &mapLocator{
-		locs:  map[idgen.ObjectID][]idgen.NodeID{},
-		sizes: map[idgen.ObjectID]int64{},
-	}
+	loc := newMapLocator()
 	m := NewMesh(DataLocality, loc)
-	ids := addMeshNodes(m, 6, "cpu", 1)
+	ids := addNodes(m, 6, "cpu", 1)
 	big, small := idgen.Next(), idgen.Next()
 	loc.locs[big] = []idgen.NodeID{ids[2]}
 	loc.sizes[big] = 4 << 20
@@ -406,7 +244,8 @@ func TestMeshStealOrderRanksHolders(t *testing.T) {
 		t.Fatal("home not in snapshot")
 	}
 
-	order := m.stealOrder(spec, cands, home)
+	byNode, _ := m.argBytes(spec)
+	order := m.stealOrder(byNode, cands, home)
 	if order[0] == nil || order[0].info.ID != ids[2] {
 		t.Fatalf("probe[0] = %v, want big-holder %s", order[0], ids[2].Short())
 	}
@@ -420,7 +259,7 @@ func TestMeshStealOrderRanksHolders(t *testing.T) {
 	}
 
 	m.SetLocalitySteal(false)
-	order = m.stealOrder(spec, cands, home)
+	order = m.stealOrder(byNode, cands, home)
 	for i, c := range order {
 		if c == nil {
 			t.Fatalf("random probe[%d] unfilled", i)
@@ -433,12 +272,9 @@ func TestMeshStealOrderRanksHolders(t *testing.T) {
 // the task's arg bytes, and the split accounting charges the resident ref
 // as local and the rest as remote.
 func TestMeshLocalityStealLandsOnHolder(t *testing.T) {
-	loc := &mapLocator{
-		locs:  map[idgen.ObjectID][]idgen.NodeID{},
-		sizes: map[idgen.ObjectID]int64{},
-	}
+	loc := newMapLocator()
 	m := NewMesh(DataLocality, loc)
-	ids := addMeshNodes(m, 8, "cpu", 1)
+	ids := addNodes(m, 8, "cpu", 1)
 	home, holder := ids[0], ids[5]
 	// big pins pickHome to home; small gives holder the best steal rank.
 	big, small := idgen.Next(), idgen.Next()
@@ -472,12 +308,9 @@ func TestMeshLocalityStealLandsOnHolder(t *testing.T) {
 // no candidate holds the args, whatever peer takes the steal pays the full
 // arg bytes as remote.
 func TestMeshStealBytesRemote(t *testing.T) {
-	loc := &mapLocator{
-		locs:  map[idgen.ObjectID][]idgen.NodeID{},
-		sizes: map[idgen.ObjectID]int64{},
-	}
+	loc := newMapLocator()
 	m := NewMesh(DataLocality, loc)
-	ids := addMeshNodes(m, 3, "cpu", 1)
+	ids := addNodes(m, 3, "cpu", 1)
 	home := ids[0]
 	ref := idgen.Next()
 	loc.locs[ref] = []idgen.NodeID{home} // only the home holds it

@@ -7,11 +7,9 @@ import (
 	"skadi/internal/task"
 )
 
-// Placer is the placement contract shared by the centralized *Scheduler
-// and the decentralized work-stealing *Mesh. The runtime programs against
-// this interface so the control plane can swap between a single locked
-// scheduler and per-node local queues without touching submission,
-// tenancy gating, recovery, or autoscaling.
+// Placer is the placement contract the runtime programs against. *Mesh is
+// its one implementation; the interface stays because the benchmark module
+// type-asserts Runtime.Sched through it.
 type Placer interface {
 	// Pick chooses a node for the task and accounts one in-flight task on
 	// it; the caller must call Finished when the task completes.
@@ -41,8 +39,4 @@ type Placer interface {
 	Policy() Policy
 }
 
-// Compile-time checks: both control planes satisfy the contract.
-var (
-	_ Placer = (*Scheduler)(nil)
-	_ Placer = (*Mesh)(nil)
-)
+var _ Placer = (*Mesh)(nil)

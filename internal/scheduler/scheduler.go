@@ -6,15 +6,10 @@
 package scheduler
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"skadi/internal/idgen"
-	"skadi/internal/skaderr"
-	"skadi/internal/task"
-	"skadi/internal/trace"
 )
 
 // Policy selects the placement strategy.
@@ -27,8 +22,8 @@ const (
 	// Random places tasks uniformly at random.
 	Random
 	// CPUCentric models the conventional serverless model: place on the
-	// first available node, ignoring data locations entirely (data is
-	// always pulled to compute).
+	// least-loaded node, ignoring data locations entirely (data is always
+	// pulled to compute).
 	CPUCentric
 	// DataLocality places each task where the most input bytes already
 	// reside, migrating compute to data (§1 data-plane benefit 1).
@@ -66,12 +61,6 @@ type NodeInfo struct {
 	Slots   int
 }
 
-type nodeState struct {
-	info     NodeInfo
-	inflight int
-	alive    bool
-}
-
 // ObjectLocator supplies data-placement information for locality-aware
 // policies.
 type ObjectLocator interface {
@@ -79,364 +68,4 @@ type ObjectLocator interface {
 	Locations(id idgen.ObjectID) []idgen.NodeID
 	// Size returns the object's size in bytes (0 if unknown).
 	Size(id idgen.ObjectID) int64
-}
-
-// Scheduler places tasks on nodes. It is safe for concurrent use.
-type Scheduler struct {
-	mu      sync.Mutex
-	policy  Policy
-	nodes   []*nodeState
-	byID    map[idgen.NodeID]*nodeState
-	locator ObjectLocator
-	rr      int
-	rng     uint64
-	// cands caches the live-candidate slice per backend so Pick is O(1)
-	// amortized instead of an O(nodes) scan under the lock per submit.
-	// Invalidated by any membership or liveness change.
-	cands map[string][]*nodeState
-	// capCh is closed (and replaced) whenever capacity may have grown: a
-	// task finished, a node came up or was added. Blocked gang submitters
-	// wait on it instead of polling.
-	capCh chan struct{}
-
-	// gate vetoes placements before node selection (nil = allow all). The
-	// runtime installs the tenancy worker-quota check here so quota
-	// enforcement covers every placement path — including gangs and
-	// recovery re-executions that bypass the fair-share slot gate.
-	gateMu sync.RWMutex
-	gate   func(*task.Spec) error
-}
-
-// New returns a scheduler with the given policy. locator may be nil for
-// policies that ignore data placement.
-func New(policy Policy, locator ObjectLocator) *Scheduler {
-	return &Scheduler{
-		policy:  policy,
-		byID:    make(map[idgen.NodeID]*nodeState),
-		locator: locator,
-		rng:     0x9e3779b97f4a7c15, // fixed seed: placement is reproducible
-		capCh:   make(chan struct{}),
-	}
-}
-
-// CapacityWatch returns a channel that is closed the next time capacity may
-// have grown. To avoid lost wakeups, obtain the channel BEFORE attempting a
-// placement: watch, try, and only then wait on the watch.
-func (s *Scheduler) CapacityWatch() <-chan struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.capCh
-}
-
-// notifyCapacityLocked wakes every capacity watcher. Caller holds mu.
-func (s *Scheduler) notifyCapacityLocked() {
-	close(s.capCh)
-	s.capCh = make(chan struct{})
-}
-
-// SetGate installs a placement veto consulted by Pick and PickGang before
-// node selection; a non-nil error rejects the placement (typed errors pass
-// through to the caller). nil removes the gate.
-func (s *Scheduler) SetGate(gate func(*task.Spec) error) {
-	s.gateMu.Lock()
-	s.gate = gate
-	s.gateMu.Unlock()
-}
-
-// checkGate applies the placement veto, if any.
-func (s *Scheduler) checkGate(spec *task.Spec) error {
-	s.gateMu.RLock()
-	gate := s.gate
-	s.gateMu.RUnlock()
-	if gate == nil {
-		return nil
-	}
-	return gate(spec)
-}
-
-// SetPolicy switches the placement policy at runtime.
-func (s *Scheduler) SetPolicy(p Policy) {
-	s.mu.Lock()
-	s.policy = p
-	s.mu.Unlock()
-}
-
-// Policy returns the active policy.
-func (s *Scheduler) Policy() Policy {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.policy
-}
-
-// AddNode registers a schedulable node.
-func (s *Scheduler) AddNode(info NodeInfo) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.byID[info.ID]; ok {
-		return
-	}
-	ns := &nodeState{info: info, alive: true}
-	s.nodes = append(s.nodes, ns)
-	s.byID[info.ID] = ns
-	s.invalidateCandidatesLocked()
-	s.notifyCapacityLocked()
-}
-
-// RemoveNode unregisters a node.
-func (s *Scheduler) RemoveNode(id idgen.NodeID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.byID[id]; !ok {
-		return
-	}
-	delete(s.byID, id)
-	for i, ns := range s.nodes {
-		if ns.info.ID == id {
-			s.nodes = append(s.nodes[:i], s.nodes[i+1:]...)
-			break
-		}
-	}
-	s.invalidateCandidatesLocked()
-}
-
-// SetAlive marks a node up or down without unregistering it.
-func (s *Scheduler) SetAlive(id idgen.NodeID, alive bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ns, ok := s.byID[id]; ok {
-		ns.alive = alive
-		s.invalidateCandidatesLocked()
-		if alive {
-			s.notifyCapacityLocked()
-		}
-	}
-}
-
-// NodeCount returns the number of live registered nodes.
-func (s *Scheduler) NodeCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, ns := range s.nodes {
-		if ns.alive {
-			n++
-		}
-	}
-	return n
-}
-
-// nextRand is a xorshift64* step; deterministic given the fixed seed.
-func (s *Scheduler) nextRand() uint64 {
-	s.rng ^= s.rng >> 12
-	s.rng ^= s.rng << 25
-	s.rng ^= s.rng >> 27
-	return s.rng * 0x2545f4914f6cdd1d
-}
-
-// candidatesLocked returns live nodes matching the spec's backend, from
-// the per-backend cache when valid. The cached slice is only ever read
-// under mu and rebuilt (never mutated) on invalidation, so callers may not
-// retain it across an unlock.
-func (s *Scheduler) candidatesLocked(backend string) []*nodeState {
-	if cached, ok := s.cands[backend]; ok {
-		return cached
-	}
-	out := []*nodeState{}
-	for _, ns := range s.nodes {
-		if ns.alive && ns.info.Backend == backend {
-			out = append(out, ns)
-		}
-	}
-	if s.cands == nil {
-		s.cands = make(map[string][]*nodeState)
-	}
-	s.cands[backend] = out
-	return out
-}
-
-// invalidateCandidatesLocked drops the per-backend candidate cache after a
-// membership or liveness change. Caller holds mu.
-func (s *Scheduler) invalidateCandidatesLocked() {
-	s.cands = nil
-}
-
-// Pick chooses a node for the task and accounts one in-flight task on it.
-// The caller must call Finished when the task completes.
-func (s *Scheduler) Pick(spec *task.Spec) (idgen.NodeID, error) {
-	if err := s.checkGate(spec); err != nil {
-		return idgen.Nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cands := s.candidatesLocked(spec.Backend)
-	if len(cands) == 0 {
-		return idgen.Nil, skaderr.Mark(skaderr.FailedPrecondition,
-			fmt.Errorf("%w: backend %q", ErrNoNodes, spec.Backend))
-	}
-	var chosen *nodeState
-	switch s.policy {
-	case RoundRobin:
-		chosen = cands[s.rr%len(cands)]
-		s.rr++
-	case Random:
-		chosen = cands[int(s.nextRand()%uint64(len(cands)))]
-	case CPUCentric:
-		// Least-loaded first node: compute-centric, data-oblivious.
-		chosen = cands[0]
-		for _, ns := range cands {
-			if ns.inflight < chosen.inflight {
-				chosen = ns
-			}
-		}
-	case DataLocality:
-		chosen = s.pickByLocalityLocked(spec, cands)
-	default:
-		chosen = cands[0]
-	}
-	chosen.inflight++
-	return chosen.info.ID, nil
-}
-
-// PickCtx is Pick with trace annotation: placement is recorded as a
-// sched-pick span on the task's trace, carrying the policy, backend, and
-// chosen node.
-func (s *Scheduler) PickCtx(ctx context.Context, spec *task.Spec) (idgen.NodeID, error) {
-	_, sp := trace.Start(ctx, trace.KindSchedPick, idgen.Nil)
-	node, err := s.Pick(spec)
-	if sp != nil {
-		sp.SetAttr("policy", s.Policy().String())
-		if spec.Backend != "" {
-			sp.SetAttr("backend", spec.Backend)
-		}
-		if err == nil {
-			sp.SetAttr("node", node.Short())
-		} else {
-			sp.SetAttr("error", err.Error())
-		}
-		sp.End()
-	}
-	return node, err
-}
-
-// pickByLocalityLocked scores candidates by local input bytes and picks
-// the best, breaking ties toward the least-loaded node.
-func (s *Scheduler) pickByLocalityLocked(spec *task.Spec, cands []*nodeState) *nodeState {
-	if s.locator == nil {
-		return cands[0]
-	}
-	local := make(map[idgen.NodeID]int64)
-	for _, ref := range spec.RefArgs() {
-		size := s.locator.Size(ref)
-		if size == 0 {
-			size = 1 // unknown sizes still count as presence
-		}
-		for _, node := range s.locator.Locations(ref) {
-			local[node] += size
-		}
-	}
-	best := cands[0]
-	for _, ns := range cands[1:] {
-		bi, ni := local[best.info.ID], local[ns.info.ID]
-		if ni > bi || (ni == bi && ns.inflight < best.inflight) {
-			best = ns
-		}
-	}
-	return best
-}
-
-// Started accounts one in-flight task on a node placed outside Pick (e.g.
-// explicit SubmitTo placements), so gang and least-loaded decisions see
-// the true load.
-func (s *Scheduler) Started(id idgen.NodeID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ns, ok := s.byID[id]; ok {
-		ns.inflight++
-	}
-}
-
-// Finished releases one in-flight task from a node.
-func (s *Scheduler) Finished(id idgen.NodeID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ns, ok := s.byID[id]; ok && ns.inflight > 0 {
-		ns.inflight--
-		s.notifyCapacityLocked()
-	}
-}
-
-// Inflight returns a node's current in-flight count.
-func (s *Scheduler) Inflight(id idgen.NodeID) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ns, ok := s.byID[id]; ok {
-		return ns.inflight
-	}
-	return 0
-}
-
-// PickGang atomically places a gang of tasks (an SPMD subgraph, §2.3):
-// either every task gets a node with a free slot — on distinct nodes when
-// enough exist — or nothing is reserved and ErrNoCapacity is returned.
-func (s *Scheduler) PickGang(specs []*task.Spec) ([]idgen.NodeID, error) {
-	if len(specs) == 0 {
-		return nil, nil
-	}
-	for _, spec := range specs {
-		if err := s.checkGate(spec); err != nil {
-			return nil, err
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cands := s.candidatesLocked(specs[0].Backend)
-	for _, spec := range specs[1:] {
-		if spec.Backend != specs[0].Backend {
-			return nil, fmt.Errorf("scheduler: gang mixes backends %q and %q", specs[0].Backend, spec.Backend)
-		}
-	}
-	if len(cands) == 0 {
-		return nil, skaderr.Mark(skaderr.FailedPrecondition,
-			fmt.Errorf("%w: backend %q", ErrNoNodes, specs[0].Backend))
-	}
-	// Count free slots.
-	free := 0
-	for _, ns := range cands {
-		if f := ns.info.Slots - ns.inflight; f > 0 {
-			free += f
-		}
-	}
-	if free < len(specs) {
-		return nil, skaderr.Mark(skaderr.ResourceExhausted,
-			fmt.Errorf("%w: need %d slots, %d free", ErrNoCapacity, len(specs), free))
-	}
-	// Spread over distinct nodes first (one slot each), then wrap.
-	placements := make([]idgen.NodeID, 0, len(specs))
-	reserved := make(map[*nodeState]int)
-	idx := 0
-	for len(placements) < len(specs) {
-		progressed := false
-		for _, ns := range cands {
-			if len(placements) == len(specs) {
-				break
-			}
-			if ns.info.Slots-ns.inflight-reserved[ns] > 0 {
-				reserved[ns]++
-				placements = append(placements, ns.info.ID)
-				progressed = true
-			}
-		}
-		if !progressed {
-			return nil, skaderr.Mark(skaderr.ResourceExhausted,
-				fmt.Errorf("%w: need %d slots", ErrNoCapacity, len(specs)))
-		}
-		idx++
-		if idx > len(specs) {
-			break
-		}
-	}
-	for ns, n := range reserved {
-		ns.inflight += n
-	}
-	return placements, nil
 }

@@ -2,10 +2,12 @@ package scheduler
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
 	"skadi/internal/idgen"
+	"skadi/internal/skaderr"
 	"skadi/internal/task"
 )
 
@@ -18,239 +20,368 @@ type mapLocator struct {
 func (m *mapLocator) Locations(id idgen.ObjectID) []idgen.NodeID { return m.locs[id] }
 func (m *mapLocator) Size(id idgen.ObjectID) int64               { return m.sizes[id] }
 
-func addNodes(s *Scheduler, n int, backend string, slots int) []idgen.NodeID {
+// ctor is one of the package's two constructors: New (the home is
+// oversubscribed, never stolen from) or NewMesh (a full home is stolen from).
+type ctor func(Policy, ObjectLocator) *Mesh
+
+// eachConfig runs a placement test against both configurations of the one
+// placement engine.
+func eachConfig(t *testing.T, fn func(t *testing.T, mk ctor)) {
+	t.Helper()
+	t.Run("New", func(t *testing.T) { fn(t, New) })
+	t.Run("NewMesh", func(t *testing.T) { fn(t, NewMesh) })
+}
+
+func addNodes(m *Mesh, n int, backend string, slots int) []idgen.NodeID {
 	ids := make([]idgen.NodeID, n)
 	for i := range ids {
 		ids[i] = idgen.Next()
-		s.AddNode(NodeInfo{ID: ids[i], Backend: backend, Slots: slots})
+		m.AddNode(NodeInfo{ID: ids[i], Backend: backend, Slots: slots})
 	}
 	return ids
 }
 
 func cpuSpec() *task.Spec { return task.NewSpec(idgen.Next(), "f", nil, 1) }
 
-func TestPickNoNodes(t *testing.T) {
-	s := New(RoundRobin, nil)
-	if _, err := s.Pick(cpuSpec()); !errors.Is(err, ErrNoNodes) {
-		t.Errorf("Pick = %v, want ErrNoNodes", err)
+func backendSpecs(n int, backend string) []*task.Spec {
+	specs := make([]*task.Spec, n)
+	for i := range specs {
+		specs[i] = cpuSpec()
+		specs[i].Backend = backend
 	}
+	return specs
 }
 
-func TestPickBackendFiltering(t *testing.T) {
-	s := New(RoundRobin, nil)
-	addNodes(s, 2, "cpu", 4)
-	gpus := addNodes(s, 1, "gpu", 4)
-	spec := cpuSpec()
-	spec.Backend = "gpu"
-	node, err := s.Pick(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if node != gpus[0] {
-		t.Errorf("gpu task placed on %s", node.Short())
-	}
-}
-
-func TestRoundRobinSpreads(t *testing.T) {
-	s := New(RoundRobin, nil)
-	nodes := addNodes(s, 3, "cpu", 10)
-	counts := map[idgen.NodeID]int{}
-	for i := 0; i < 9; i++ {
-		node, err := s.Pick(cpuSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[node]++
-	}
-	for _, id := range nodes {
-		if counts[id] != 3 {
-			t.Errorf("node %s got %d tasks, want 3", id.Short(), counts[id])
-		}
-	}
-}
-
-func TestRandomCoversAllNodes(t *testing.T) {
-	s := New(Random, nil)
-	nodes := addNodes(s, 4, "cpu", 1000)
-	counts := map[idgen.NodeID]int{}
-	for i := 0; i < 400; i++ {
-		node, err := s.Pick(cpuSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[node]++
-	}
-	for _, id := range nodes {
-		if counts[id] == 0 {
-			t.Errorf("node %s never chosen by Random", id.Short())
-		}
-	}
-}
-
-func TestDataLocalityFollowsBytes(t *testing.T) {
-	loc := &mapLocator{
+func newMapLocator() *mapLocator {
+	return &mapLocator{
 		locs:  map[idgen.ObjectID][]idgen.NodeID{},
 		sizes: map[idgen.ObjectID]int64{},
 	}
-	s := New(DataLocality, loc)
-	nodes := addNodes(s, 3, "cpu", 10)
+}
 
-	big, small := idgen.Next(), idgen.Next()
-	loc.locs[big] = []idgen.NodeID{nodes[2]}
-	loc.sizes[big] = 1 << 20
-	loc.locs[small] = []idgen.NodeID{nodes[0]}
-	loc.sizes[small] = 64
+func TestPickNoNodes(t *testing.T) {
+	eachConfig(t, func(t *testing.T, mk ctor) {
+		m := mk(RoundRobin, nil)
+		if _, err := m.Pick(cpuSpec()); !errors.Is(err, ErrNoNodes) {
+			t.Fatalf("Pick on no nodes = %v, want ErrNoNodes", err)
+		} else if skaderr.CodeOf(err) != skaderr.FailedPrecondition {
+			t.Fatalf("code = %v", skaderr.CodeOf(err))
+		}
+		addNodes(m, 2, "cpu", 4)
+		if _, err := m.Pick(backendSpecs(1, "gpu")[0]); !errors.Is(err, ErrNoNodes) {
+			t.Fatalf("Pick wrong backend = %v", err)
+		}
+	})
+}
 
-	spec := task.NewSpec(idgen.Next(), "f", []task.Arg{task.RefArg(big), task.RefArg(small)}, 1)
-	node, err := s.Pick(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if node != nodes[2] {
-		t.Errorf("locality picked %s, want the node holding the big input", node.Short())
-	}
+func TestPickBackendFiltering(t *testing.T) {
+	eachConfig(t, func(t *testing.T, mk ctor) {
+		m := mk(RoundRobin, nil)
+		addNodes(m, 2, "cpu", 4)
+		gpus := addNodes(m, 1, "gpu", 4)
+		node, err := m.Pick(backendSpecs(1, "gpu")[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if node != gpus[0] {
+			t.Errorf("gpu task placed on %s", node.Short())
+		}
+	})
+}
+
+func TestRoundRobinSpreads(t *testing.T) {
+	eachConfig(t, func(t *testing.T, mk ctor) {
+		m := mk(RoundRobin, nil)
+		nodes := addNodes(m, 4, "cpu", 8)
+		counts := map[idgen.NodeID]int{}
+		for i := 0; i < 16; i++ {
+			node, err := m.Pick(cpuSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts[node]++
+		}
+		for _, id := range nodes {
+			if counts[id] != 4 {
+				t.Fatalf("round-robin spread = %v", counts)
+			}
+			if m.Inflight(id) != 4 {
+				t.Fatalf("inflight(%s) = %d", id.Short(), m.Inflight(id))
+			}
+		}
+	})
+}
+
+func TestRandomCoversAllNodes(t *testing.T) {
+	eachConfig(t, func(t *testing.T, mk ctor) {
+		m := mk(Random, nil)
+		nodes := addNodes(m, 4, "cpu", 1000)
+		counts := map[idgen.NodeID]int{}
+		for i := 0; i < 400; i++ {
+			node, err := m.Pick(cpuSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts[node]++
+		}
+		for _, id := range nodes {
+			if counts[id] == 0 {
+				t.Errorf("node %s never chosen by Random", id.Short())
+			}
+		}
+	})
+}
+
+func TestCPUCentricPicksLeastLoaded(t *testing.T) {
+	eachConfig(t, func(t *testing.T, mk ctor) {
+		m := mk(CPUCentric, nil)
+		nodes := addNodes(m, 3, "cpu", 10)
+		m.Started(nodes[0])
+		m.Started(nodes[0])
+		m.Started(nodes[1])
+		if node, _ := m.Pick(cpuSpec()); node != nodes[2] {
+			t.Fatalf("picked %s, want the idle node", node.Short())
+		}
+		// Loads are now 2/1/1: the first of the tied least-loaded wins.
+		if node, _ := m.Pick(cpuSpec()); node != nodes[1] {
+			t.Fatalf("tie picked %s, want the first least-loaded node", node.Short())
+		}
+	})
+}
+
+func TestDataLocalityFollowsBytes(t *testing.T) {
+	eachConfig(t, func(t *testing.T, mk ctor) {
+		loc := newMapLocator()
+		m := mk(DataLocality, loc)
+		nodes := addNodes(m, 3, "cpu", 10)
+
+		big, small := idgen.Next(), idgen.Next()
+		loc.locs[big] = []idgen.NodeID{nodes[2]}
+		loc.sizes[big] = 1 << 20
+		loc.locs[small] = []idgen.NodeID{nodes[0]}
+		loc.sizes[small] = 64
+
+		spec := task.NewSpec(idgen.Next(), "f", []task.Arg{task.RefArg(big), task.RefArg(small)}, 1)
+		node, err := m.Pick(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if node != nodes[2] {
+			t.Errorf("locality picked %s, want the node holding the big input", node.Short())
+		}
+	})
 }
 
 func TestDataLocalityTieBreaksOnLoad(t *testing.T) {
-	s := New(DataLocality, &mapLocator{})
-	nodes := addNodes(s, 2, "cpu", 10)
-	// Load node 0 with 3 tasks.
-	for i := 0; i < 3; i++ {
-		s.byID[nodes[0]].inflight++
-	}
-	node, err := s.Pick(cpuSpec()) // no inputs: all scores zero
-	if err != nil {
-		t.Fatal(err)
-	}
-	if node != nodes[1] {
-		t.Error("tie should break toward least-loaded node")
-	}
+	eachConfig(t, func(t *testing.T, mk ctor) {
+		m := mk(DataLocality, newMapLocator())
+		nodes := addNodes(m, 2, "cpu", 10)
+		for i := 0; i < 3; i++ {
+			m.Started(nodes[0])
+		}
+		node, err := m.Pick(cpuSpec()) // no inputs: all scores zero
+		if err != nil {
+			t.Fatal(err)
+		}
+		if node != nodes[1] {
+			t.Error("tie should break toward least-loaded node")
+		}
+	})
 }
 
 func TestDeadNodesSkipped(t *testing.T) {
-	s := New(RoundRobin, nil)
-	nodes := addNodes(s, 2, "cpu", 4)
-	s.SetAlive(nodes[0], false)
-	for i := 0; i < 4; i++ {
-		node, err := s.Pick(cpuSpec())
-		if err != nil {
-			t.Fatal(err)
+	eachConfig(t, func(t *testing.T, mk ctor) {
+		m := mk(RoundRobin, nil)
+		ids := addNodes(m, 3, "cpu", 4)
+		m.SetAlive(ids[0], false)
+		m.SetAlive(ids[1], false)
+		for i := 0; i < 8; i++ {
+			node, err := m.Pick(cpuSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if node != ids[2] {
+				t.Fatalf("picked dead node %s", node.Short())
+			}
 		}
-		if node == nodes[0] {
-			t.Fatal("dead node chosen")
+		if m.NodeCount() != 1 {
+			t.Fatalf("NodeCount = %d", m.NodeCount())
 		}
-	}
-	if s.NodeCount() != 1 {
-		t.Errorf("NodeCount = %d", s.NodeCount())
-	}
-	s.SetAlive(nodes[0], true)
-	if s.NodeCount() != 2 {
-		t.Error("revived node not counted")
-	}
+		m.SetAlive(ids[0], true)
+		if m.NodeCount() != 2 {
+			t.Error("revived node not counted")
+		}
+		seen := make(map[idgen.NodeID]bool)
+		for i := 0; i < 8; i++ {
+			node, _ := m.Pick(cpuSpec())
+			seen[node] = true
+		}
+		if !seen[ids[0]] {
+			t.Fatal("revived node never picked")
+		}
+	})
+}
+
+func TestPickNeverFailsOnCapacity(t *testing.T) {
+	eachConfig(t, func(t *testing.T, mk ctor) {
+		m := mk(RoundRobin, nil)
+		addNodes(m, 2, "cpu", 1)
+		for i := 0; i < 6; i++ {
+			if _, err := m.Pick(cpuSpec()); err != nil {
+				t.Fatalf("pick %d: %v (Pick must not fail on capacity)", i, err)
+			}
+		}
+	})
 }
 
 func TestInflightAccounting(t *testing.T) {
-	s := New(RoundRobin, nil)
-	nodes := addNodes(s, 1, "cpu", 4)
-	if _, err := s.Pick(cpuSpec()); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Inflight(nodes[0]); got != 1 {
-		t.Errorf("Inflight = %d", got)
-	}
-	s.Finished(nodes[0])
-	if got := s.Inflight(nodes[0]); got != 0 {
-		t.Errorf("Inflight after Finished = %d", got)
-	}
-	s.Finished(nodes[0]) // below zero is clamped
-	if got := s.Inflight(nodes[0]); got != 0 {
-		t.Errorf("Inflight = %d", got)
-	}
+	eachConfig(t, func(t *testing.T, mk ctor) {
+		m := mk(RoundRobin, nil)
+		nodes := addNodes(m, 1, "cpu", 4)
+		if _, err := m.Pick(cpuSpec()); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Inflight(nodes[0]); got != 1 {
+			t.Errorf("Inflight = %d", got)
+		}
+		m.Finished(nodes[0])
+		if got := m.Inflight(nodes[0]); got != 0 {
+			t.Errorf("Inflight after Finished = %d", got)
+		}
+		m.Finished(nodes[0]) // below zero is clamped
+		if got := m.Inflight(nodes[0]); got != 0 {
+			t.Errorf("Inflight = %d", got)
+		}
+	})
 }
 
 func TestRemoveNode(t *testing.T) {
-	s := New(RoundRobin, nil)
-	nodes := addNodes(s, 2, "cpu", 4)
-	s.RemoveNode(nodes[0])
-	for i := 0; i < 3; i++ {
-		node, err := s.Pick(cpuSpec())
-		if err != nil {
+	eachConfig(t, func(t *testing.T, mk ctor) {
+		m := mk(RoundRobin, nil)
+		nodes := addNodes(m, 2, "cpu", 4)
+		m.RemoveNode(nodes[0])
+		for i := 0; i < 3; i++ {
+			node, err := m.Pick(cpuSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if node == nodes[0] {
+				t.Fatal("removed node chosen")
+			}
+		}
+	})
+}
+
+func TestGate(t *testing.T) {
+	eachConfig(t, func(t *testing.T, mk ctor) {
+		m := mk(RoundRobin, nil)
+		addNodes(m, 2, "cpu", 4)
+		sentinel := errors.New("quota")
+		m.SetGate(func(*task.Spec) error { return sentinel })
+		if _, err := m.Pick(cpuSpec()); !errors.Is(err, sentinel) {
+			t.Fatalf("gated Pick = %v", err)
+		}
+		if _, err := m.PickGang([]*task.Spec{cpuSpec()}); !errors.Is(err, sentinel) {
+			t.Fatalf("gated PickGang = %v", err)
+		}
+		m.SetGate(nil)
+		if _, err := m.Pick(cpuSpec()); err != nil {
 			t.Fatal(err)
 		}
-		if node == nodes[0] {
-			t.Fatal("removed node chosen")
-		}
-	}
+	})
 }
 
 func TestPickGangDistinctNodes(t *testing.T) {
-	s := New(RoundRobin, nil)
-	addNodes(s, 4, "gpu", 2)
-	specs := make([]*task.Spec, 4)
-	for i := range specs {
-		specs[i] = task.NewSpec(idgen.Next(), "f", nil, 1)
-		specs[i].Backend = "gpu"
-		specs[i].Gang = "spmd-0"
-	}
-	placements, err := s.PickGang(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[idgen.NodeID]bool{}
-	for _, p := range placements {
-		if seen[p] {
-			t.Error("gang of 4 on 4 nodes should use distinct nodes")
+	eachConfig(t, func(t *testing.T, mk ctor) {
+		m := mk(RoundRobin, nil)
+		addNodes(m, 4, "gpu", 2)
+		placements, err := m.PickGang(backendSpecs(4, "gpu"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[p] = true
-	}
+		seen := map[idgen.NodeID]bool{}
+		for _, p := range placements {
+			if seen[p] {
+				t.Error("gang of 4 on 4 nodes should use distinct nodes")
+			}
+			seen[p] = true
+		}
+	})
 }
 
 func TestPickGangInsufficientCapacity(t *testing.T) {
-	s := New(RoundRobin, nil)
-	addNodes(s, 2, "gpu", 1)
-	specs := make([]*task.Spec, 3)
-	for i := range specs {
-		specs[i] = task.NewSpec(idgen.Next(), "f", nil, 1)
-		specs[i].Backend = "gpu"
-	}
-	if _, err := s.PickGang(specs); !errors.Is(err, ErrNoCapacity) {
-		t.Errorf("PickGang = %v, want ErrNoCapacity", err)
-	}
-	// Nothing reserved on failure.
-	for _, ns := range s.nodes {
-		if ns.inflight != 0 {
-			t.Error("failed gang left reservations")
+	eachConfig(t, func(t *testing.T, mk ctor) {
+		m := mk(RoundRobin, nil)
+		nodes := addNodes(m, 2, "gpu", 1)
+		if _, err := m.PickGang(backendSpecs(3, "gpu")); !errors.Is(err, ErrNoCapacity) {
+			t.Errorf("PickGang = %v, want ErrNoCapacity", err)
 		}
-	}
+		for _, id := range nodes {
+			if m.Inflight(id) != 0 {
+				t.Error("failed gang left reservations")
+			}
+		}
+	})
 }
 
 func TestPickGangWrapsWhenFewNodes(t *testing.T) {
-	s := New(RoundRobin, nil)
-	addNodes(s, 2, "gpu", 4)
-	specs := make([]*task.Spec, 6)
-	for i := range specs {
-		specs[i] = task.NewSpec(idgen.Next(), "f", nil, 1)
-		specs[i].Backend = "gpu"
-	}
-	placements, err := s.PickGang(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(placements) != 6 {
-		t.Fatalf("placements = %d", len(placements))
-	}
+	eachConfig(t, func(t *testing.T, mk ctor) {
+		m := mk(RoundRobin, nil)
+		addNodes(m, 2, "gpu", 4)
+		placements, err := m.PickGang(backendSpecs(6, "gpu"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(placements) != 6 {
+			t.Fatalf("placements = %d", len(placements))
+		}
+	})
 }
 
 func TestPickGangMixedBackendsRejected(t *testing.T) {
-	s := New(RoundRobin, nil)
-	addNodes(s, 2, "gpu", 4)
-	a := task.NewSpec(idgen.Next(), "f", nil, 1)
-	a.Backend = "gpu"
-	b := task.NewSpec(idgen.Next(), "f", nil, 1)
-	b.Backend = "fpga"
-	if _, err := s.PickGang([]*task.Spec{a, b}); err == nil {
-		t.Error("mixed-backend gang should be rejected")
-	}
+	eachConfig(t, func(t *testing.T, mk ctor) {
+		m := mk(RoundRobin, nil)
+		addNodes(m, 2, "gpu", 4)
+		mixed := append(backendSpecs(1, "gpu"), backendSpecs(1, "fpga")...)
+		if _, err := m.PickGang(mixed); err == nil {
+			t.Error("mixed-backend gang should be rejected")
+		}
+	})
+}
+
+// TestPickGangAtomic: a gang fills the cluster spread over both nodes, a
+// gang that cannot fit reserves nothing, and finishing releases every slot.
+func TestPickGangAtomic(t *testing.T) {
+	eachConfig(t, func(t *testing.T, mk ctor) {
+		m := mk(RoundRobin, nil)
+		ids := addNodes(m, 2, "cpu", 2)
+		placements, err := m.PickGang(backendSpecs(4, "cpu"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(placements) != 4 {
+			t.Fatalf("placements = %d", len(placements))
+		}
+		used := make(map[idgen.NodeID]int)
+		for _, p := range placements {
+			used[p]++
+		}
+		if len(used) != 2 {
+			t.Fatalf("gang not spread: %v", used)
+		}
+		if _, err := m.PickGang([]*task.Spec{cpuSpec()}); !errors.Is(err, ErrNoCapacity) {
+			t.Fatalf("overfull gang = %v", err)
+		}
+		if got := m.Inflight(ids[0]) + m.Inflight(ids[1]); got != 4 {
+			t.Fatalf("inflight after failed gang = %d, want 4 (rollback leaked)", got)
+		}
+		for _, p := range placements {
+			m.Finished(p)
+		}
+		if got := m.Inflight(ids[0]) + m.Inflight(ids[1]); got != 0 {
+			t.Fatalf("inflight after finish = %d", got)
+		}
+	})
 }
 
 func TestPolicyStrings(t *testing.T) {
@@ -329,7 +460,11 @@ func TestActionString(t *testing.T) {
 }
 
 func TestCapacityWatchWakesOnFinished(t *testing.T) {
-	s := New(RoundRobin, nil)
+	eachConfig(t, testCapacityWatchWakesOnFinished)
+}
+
+func testCapacityWatchWakesOnFinished(t *testing.T, mk ctor) {
+	s := mk(RoundRobin, nil)
 	nodes := addNodes(s, 1, "cpu", 1)
 	if _, err := s.Pick(cpuSpec()); err != nil {
 		t.Fatal(err)
@@ -356,7 +491,11 @@ func TestCapacityWatchWakesOnFinished(t *testing.T) {
 }
 
 func TestCapacityWatchWakesOnNodeUp(t *testing.T) {
-	s := New(RoundRobin, nil)
+	eachConfig(t, testCapacityWatchWakesOnNodeUp)
+}
+
+func testCapacityWatchWakesOnNodeUp(t *testing.T, mk ctor) {
+	s := mk(RoundRobin, nil)
 	nodes := addNodes(s, 1, "cpu", 2)
 	s.SetAlive(nodes[0], false)
 	watch := s.CapacityWatch()
@@ -379,7 +518,11 @@ func TestCapacityWatchWakesOnNodeUp(t *testing.T) {
 // protocol: a wakeup that lands between the failed attempt and the wait
 // must still be observed, because the channel was obtained BEFORE trying.
 func TestCapacityWatchNoLostWakeup(t *testing.T) {
-	s := New(RoundRobin, nil)
+	eachConfig(t, testCapacityWatchNoLostWakeup)
+}
+
+func testCapacityWatchNoLostWakeup(t *testing.T, mk ctor) {
+	s := mk(RoundRobin, nil)
 	nodes := addNodes(s, 1, "cpu", 1)
 	if _, err := s.Pick(cpuSpec()); err != nil {
 		t.Fatal(err)
@@ -396,4 +539,47 @@ func TestCapacityWatchNoLostWakeup(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("wakeup lost: channel obtained before the attempt was not closed")
 	}
+}
+
+// TestConcurrentGangsNoLostWakeup: two submitters racing gangs for slots
+// that fit only one of them, each following the watch-then-try-then-wait
+// protocol, both keep making progress. A gang that fails must have lost to
+// one that holds slots and will free them — never to another failing
+// gang's transient reservations, whose rollback wakes nobody (the
+// interleaving PickGang's mutex rules out; rare enough that this test is a
+// guard, not a reproducer).
+func TestConcurrentGangsNoLostWakeup(t *testing.T) {
+	eachConfig(t, func(t *testing.T, mk ctor) {
+		m := mk(RoundRobin, nil)
+		addNodes(m, 2, "cpu", 2)
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for placed := 0; placed < 2000; {
+					watch := m.CapacityWatch()
+					placements, err := m.PickGang(backendSpecs(3, "cpu"))
+					if err == nil {
+						placed++
+						for _, p := range placements {
+							m.Finished(p)
+						}
+						continue
+					}
+					if !errors.Is(err, ErrNoCapacity) {
+						t.Errorf("PickGang = %v", err)
+						return
+					}
+					select {
+					case <-watch:
+					case <-time.After(5 * time.Second):
+						t.Error("gang waited on capacity nobody was going to free")
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
 }

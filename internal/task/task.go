@@ -186,6 +186,16 @@ func (r *Registry) Register(name string, fn Func) {
 	r.mu.Unlock()
 }
 
+// Unregister removes functions; names not registered are ignored. The
+// caller must know no task naming them can still be dispatched or replayed.
+func (r *Registry) Unregister(names ...string) {
+	r.mu.Lock()
+	for _, name := range names {
+		delete(r.fns, name)
+	}
+	r.mu.Unlock()
+}
+
 // Lookup returns the function registered under name.
 func (r *Registry) Lookup(name string) (Func, error) {
 	r.mu.RLock()
