@@ -49,7 +49,7 @@ func runChaosSoak(episodes int) int {
 func chaosEpisode(seed int64) (reterr error) {
 	rt, err := runtime.New(runtime.ClusterSpec{
 		Servers: 4, ServerSlots: 2, ServerMemBytes: 64 << 20,
-	}, runtime.Options{TimeScale: 1.0, Policy: scheduler.RoundRobin, Recovery: runtime.RecoverLineage})
+	}, runtime.Options{TimeScale: 1.0, Policy: scheduler.RoundRobin, Recovery: runtime.Recover})
 	if err != nil {
 		return err
 	}

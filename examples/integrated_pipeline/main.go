@@ -26,7 +26,7 @@ func main() {
 		Servers: 5, ServerSlots: 4, ServerMemBytes: 256 << 20,
 		GPUs: 2, DeviceSlots: 2, DeviceMemBytes: 64 << 20,
 		MemBladeBytes: 512 << 20,
-	}, core.Options{Recovery: runtime.RecoverLineage})
+	}, core.Options{Recovery: runtime.Recover})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func main() {
 	// --- Failure injection: kill a worker mid-pipeline. ---
 	victim := s.Runtime().Raylets()[1].Node()
 	lost := s.Runtime().KillNode(victim)
-	fmt.Printf("\n!! killed a worker node mid-pipeline (%d objects needed lineage recovery)\n", len(lost))
+	fmt.Printf("\n!! killed a worker node mid-pipeline (%d objects stayed lost after recovery)\n", len(lost))
 
 	// --- Stage 3: ML on the SQL output. ---
 	// Learn mean latency per request: total_ms ≈ w * requests.

@@ -27,6 +27,7 @@ import (
 	"skadi/internal/fabric"
 	"skadi/internal/idgen"
 	"skadi/internal/objectstore"
+	"skadi/internal/skaderr"
 	"skadi/internal/trace"
 )
 
@@ -424,7 +425,8 @@ func (l *Layer) putCtx(ctx context.Context, from idgen.NodeID, id idgen.ObjectID
 	si := l.store(from)
 	pool := l.dsmPool()
 	if si == nil {
-		return "", fmt.Errorf("%w: %s", ErrNoStore, from.Short())
+		// The node crashed (DropNode) under a task still writing to it.
+		return "", skaderr.Mark(skaderr.Unavailable, fmt.Errorf("%w: %s", ErrNoStore, from.Short()))
 	}
 
 	// Tenant quota gate: the logical bytes are charged before any copy

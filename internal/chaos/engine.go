@@ -125,13 +125,6 @@ func (e *Engine) Uninstall() {
 	e.logLocked("uninstall")
 }
 
-// Installed reports whether a plan is armed.
-func (e *Engine) Installed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.plan != nil
-}
-
 // Nodes returns the installed node list (episode ordering).
 func (e *Engine) Nodes() []idgen.NodeID {
 	e.mu.Lock()

@@ -50,9 +50,6 @@ func New(f *fabric.Fabric, blade idgen.NodeID, capacity int64) *Pool {
 	}
 }
 
-// Blade returns the hosting node ID.
-func (p *Pool) Blade() idgen.NodeID { return p.blade }
-
 // Write stores a blob from the given node, paying the fabric cost of
 // moving the data to the blade. The pool copies data.
 func (p *Pool) Write(from idgen.NodeID, id idgen.ObjectID, data []byte) error {

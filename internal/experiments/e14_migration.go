@@ -89,9 +89,8 @@ type e14Result struct {
 }
 
 func e14Run(strategy string) (*e14Result, error) {
-	opts := runtime.Options{Policy: scheduler.RoundRobin, Recovery: runtime.RecoverLineage}
+	opts := runtime.Options{Policy: scheduler.RoundRobin, Recovery: runtime.Recover}
 	if strategy == "kill+cache" {
-		opts.Recovery = runtime.RecoverCache
 		opts.Caching = caching.Config{Mode: caching.ModeReplicate, Replicas: 2}
 	}
 	rt, err := runtime.New(runtime.ClusterSpec{

@@ -97,7 +97,7 @@ type e17Result struct {
 func e17Run(mix chaos.Mix) (*e17Result, error) {
 	rt, err := runtime.New(runtime.ClusterSpec{
 		Servers: e17Servers, ServerSlots: 2, ServerMemBytes: e17ServerMem,
-	}, runtime.Options{TimeScale: 1.0, Policy: scheduler.RoundRobin, Recovery: runtime.RecoverLineage})
+	}, runtime.Options{TimeScale: 1.0, Policy: scheduler.RoundRobin, Recovery: runtime.Recover})
 	if err != nil {
 		return nil, err
 	}

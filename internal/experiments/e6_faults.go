@@ -27,28 +27,23 @@ func E6FaultTolerance() (*Table, error) {
 		Title:  "Failure handling (§2.1): lineage vs replicated cache vs EC cache",
 		Header: []string{"mode", "storage overhead", "recovery bytes", "tasks re-run", "recovered"},
 	}
-	type config struct {
-		name string
-		opts runtime.Options
-	}
-	// Data-locality placement keeps each stage with its input, so the
-	// chain's intermediates live on one node — the single-copy setting in
-	// which the lineage-vs-reliable-cache trade-off actually bites.
-	configs := []config{
-		{"lineage", runtime.Options{
-			Recovery: runtime.RecoverLineage, Policy: scheduler.DataLocality,
-		}},
-		{"replicate-2x", runtime.Options{
-			Recovery: runtime.RecoverCache, Policy: scheduler.DataLocality,
-			Caching: caching.Config{Mode: caching.ModeReplicate, Replicas: 2},
-		}},
-		{"ec-4+2", runtime.Options{
-			Recovery: runtime.RecoverCache, Policy: scheduler.DataLocality,
-			Caching: caching.Config{Mode: caching.ModeEC, ECData: 4, ECParity: 2},
-		}},
+	// The three rows differ only in what the caching layer leaves behind;
+	// recovery itself is one procedure (surviving copy first, lineage for
+	// what has none). Data-locality placement keeps each stage with its
+	// input, so the chain's intermediates live on one node — the
+	// single-copy setting in which the trade-off actually bites.
+	configs := []struct {
+		name    string
+		caching caching.Config
+	}{
+		{"lineage", caching.Config{}},
+		{"replicate-2x", caching.Config{Mode: caching.ModeReplicate, Replicas: 2}},
+		{"ec-4+2", caching.Config{Mode: caching.ModeEC, ECData: 4, ECParity: 2}},
 	}
 	for _, cfg := range configs {
-		row, err := runFaultScenario(cfg.name, cfg.opts)
+		row, err := runFaultScenario(cfg.name, runtime.Options{
+			Recovery: runtime.Recover, Policy: scheduler.DataLocality, Caching: cfg.caching,
+		})
 		if err != nil {
 			return nil, err
 		}

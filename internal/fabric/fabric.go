@@ -423,21 +423,6 @@ func (f *Fabric) TransferClass(class LinkClass, size int) time.Duration {
 	return f.account(class, size)
 }
 
-// TransferClassCtx is TransferClass with trace annotation (see SendCtx).
-func (f *Fabric) TransferClassCtx(ctx context.Context, class LinkClass, size int) time.Duration {
-	if class < 0 || class >= numClasses {
-		class = Core
-	}
-	_, sp := trace.Start(ctx, spanKindFor(class), idgen.Nil)
-	d := f.account(class, size)
-	if sp != nil {
-		sp.SetSim(d)
-		sp.SetAttr("link", class.String())
-		sp.End()
-	}
-	return d
-}
-
 // ChunkBytes returns the chunk size TransferChunked splits transfers into.
 func (f *Fabric) ChunkBytes() int { return f.chunkBytes }
 

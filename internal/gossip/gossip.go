@@ -101,7 +101,6 @@ type Cluster struct {
 	order   []idgen.NodeID // deterministic iteration order (join order)
 	reach   func(from, to idgen.NodeID) bool
 	events  []Event
-	ticks   uint64
 }
 
 // New returns an empty cluster. reach is the network oracle: it reports
@@ -210,7 +209,6 @@ func (c *Cluster) refuteLocked(n idgen.NodeID) {
 func (c *Cluster) Tick() []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ticks++
 	mark := len(c.events)
 	if len(c.order) < 2 {
 		return nil
@@ -318,11 +316,4 @@ func (c *Cluster) Members() []idgen.NodeID {
 	copy(out, c.order)
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
-}
-
-// Ticks returns how many protocol rounds have run.
-func (c *Cluster) Ticks() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ticks
 }

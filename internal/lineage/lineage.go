@@ -2,8 +2,9 @@
 // remembers which task produced each object, and on failure computes the
 // minimal topologically-ordered set of tasks to re-execute so lost objects
 // can be regenerated — the recovery strategy most task-parallel systems use
-// because replication is costly. Experiment E6 compares it against the
-// reliable-cache alternative.
+// because replication is costly. The runtime turns to it only for objects
+// the caching layer kept no copy of (runtime's restore); experiment E6
+// measures that trade-off.
 package lineage
 
 import (

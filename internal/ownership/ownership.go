@@ -88,8 +88,11 @@ func errStaleCommit(id idgen.ObjectID, loc idgen.NodeID) error {
 // its store wiped and its locations purged — and only then does its
 // own.ready land at the head. Without the guard that late commit
 // resurrects a location with no bytes behind it; with it, the commit is
-// rejected typed and the task fails over to lineage recovery.
-type CommitGuard func(location idgen.NodeID, id idgen.ObjectID) bool
+// rejected typed and the task fails over to lineage recovery. extra marks a
+// claim of one more full copy (AddLocation) rather than the commit itself:
+// redundancy elsewhere cannot vouch for that — the claimed copy is the point,
+// and a record naming a byte-less node outlives the copy that vouched for it.
+type CommitGuard func(location idgen.NodeID, id idgen.ObjectID, extra bool) bool
 
 // Record is one ownership-table entry.
 type Record struct {
@@ -208,7 +211,7 @@ func (t *Table) MarkReady(id idgen.ObjectID, size int64, location idgen.NodeID, 
 	}
 	// Device placements keep their bytes in device memory, not the node's
 	// object store — the residency guard only applies to host commits.
-	if t.guard != nil && deviceID.IsNil() && !t.guard(location, id) {
+	if t.guard != nil && deviceID.IsNil() && !t.guard(location, id, false) {
 		return nil, errStaleCommit(id, location)
 	}
 	e.rec.State = Ready
@@ -256,7 +259,7 @@ func (t *Table) AddLocation(id idgen.ObjectID, node idgen.NodeID) error {
 	if !ok {
 		return errUnknown(id)
 	}
-	if t.guard != nil && !t.guard(node, id) {
+	if t.guard != nil && !t.guard(node, id, true) {
 		return errStaleCommit(id, node)
 	}
 	e.locations[node] = true

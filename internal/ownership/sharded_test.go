@@ -225,7 +225,7 @@ func TestShardedLastMemberOrphans(t *testing.T) {
 func TestShardedCommitGuardCoversNewShards(t *testing.T) {
 	s, _ := newShardedWith(2)
 	bad := idgen.Next()
-	s.SetCommitGuard(func(loc idgen.NodeID, _ idgen.ObjectID) bool { return loc != bad })
+	s.SetCommitGuard(func(loc idgen.NodeID, _ idgen.ObjectID, _ bool) bool { return loc != bad })
 	joiner := idgen.Next()
 	id := pickMigratingID(t, s, joiner, idgen.Next(), idgen.Next())
 	s.AddMember(joiner)
@@ -359,7 +359,7 @@ func TestOneMemberRingMatchesTable(t *testing.T) {
 			case 0:
 				var g CommitGuard
 				if armed {
-					g = func(loc idgen.NodeID, _ idgen.ObjectID) bool { return loc != ghost }
+					g = func(loc idgen.NodeID, _ idgen.ObjectID, _ bool) bool { return loc != ghost }
 				}
 				d.SetCommitGuard(g)
 			case 1:

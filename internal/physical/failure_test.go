@@ -17,7 +17,7 @@ func TestGraphExecutionSurvivesNodeKill(t *testing.T) {
 	rt, err := runtime.New(runtime.ClusterSpec{
 		Servers: 5, ServerSlots: 2, ServerMemBytes: 128 << 20,
 	}, runtime.Options{
-		Recovery: runtime.RecoverLineage,
+		Recovery: runtime.Recover,
 		Policy:   scheduler.RoundRobin,
 	})
 	if err != nil {

@@ -26,6 +26,7 @@ import (
 	"skadi/internal/metrics"
 	"skadi/internal/objectstore"
 	"skadi/internal/ownership"
+	"skadi/internal/skaderr"
 	"skadi/internal/task"
 	"skadi/internal/tenancy"
 	"skadi/internal/trace"
@@ -1070,7 +1071,8 @@ func (r *Raylet) fetch(ctx context.Context, id idgen.ObjectID, locations []idgen
 	// Last resort: the caching layer's redundancy paths.
 	data, format, err := r.cfg.Layer.GetCtx(ctx, r.cfg.Node, id)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoLocation, id.Short())
+		// Every copy the record and the layer knew of is gone or stale.
+		return nil, skaderr.Mark(skaderr.DataLoss, fmt.Errorf("%w: %s", ErrNoLocation, id.Short()))
 	}
 	r.cacheLocal(ctx, id, data, format)
 	return data, nil

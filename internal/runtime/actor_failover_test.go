@@ -39,7 +39,7 @@ func count(t *testing.T, rt *Runtime, actor [16]byte) int {
 func TestActorStateSurvivesNodeKill(t *testing.T) {
 	rt, err := New(ClusterSpec{
 		Servers: 3, ServerSlots: 2, ServerMemBytes: 64 << 20,
-	}, Options{Recovery: RecoverLineage})
+	}, Options{Recovery: Recover})
 	if err != nil {
 		t.Fatal(err)
 	}

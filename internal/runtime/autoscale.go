@@ -15,9 +15,6 @@ import (
 type cordonRecord struct {
 	// slots is the worker count to restore on un-cordon.
 	slots int
-	// drainEligible marks the node safe to fully decommission: it was idle
-	// when cordoned, so only resident data (no running work) holds it.
-	drainEligible bool
 }
 
 // autoscaleState tracks the elastic worker fleet.
@@ -98,10 +95,7 @@ func (rt *Runtime) ScaleDown() (idgen.NodeID, bool) {
 		if rt.autoscale.cordoned == nil {
 			rt.autoscale.cordoned = make(map[idgen.NodeID]*cordonRecord)
 		}
-		// The node was verified idle above, so it is immediately eligible
-		// for a full decommission (drain + stop) should policy want the
-		// capacity gone rather than parked.
-		rt.autoscale.cordoned[node] = &cordonRecord{slots: rt.rayletCfg[node].Slots, drainEligible: true}
+		rt.autoscale.cordoned[node] = &cordonRecord{slots: rt.rayletCfg[node].Slots}
 		rt.autoscale.cordonOrder = append(rt.autoscale.cordonOrder, node)
 		rt.mu.Unlock()
 		return node, true
@@ -114,20 +108,6 @@ func (rt *Runtime) isCordoned(node idgen.NodeID) bool {
 	defer rt.mu.Unlock()
 	_, ok := rt.autoscale.cordoned[node]
 	return ok
-}
-
-// DrainCandidates returns the cordoned nodes eligible for a full
-// decommission, in cordon order.
-func (rt *Runtime) DrainCandidates() []idgen.NodeID {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	var out []idgen.NodeID
-	for _, node := range rt.autoscale.cordonOrder {
-		if rec, ok := rt.autoscale.cordoned[node]; ok && rec.drainEligible {
-			out = append(out, node)
-		}
-	}
-	return out
 }
 
 // uncordon removes a node from the cordon set (used by Decommission once

@@ -190,7 +190,7 @@ func TestCancelFreesCommittedOutputs(t *testing.T) {
 // revoked work: after Cancel, Get must keep failing with Cancelled rather
 // than replaying the producing task.
 func TestCancelledTaskNotResurrected(t *testing.T) {
-	rt := newRuntime(t, Options{Recovery: RecoverLineage})
+	rt := newRuntime(t, Options{Recovery: Recover})
 	var runs atomic.Int64
 	rt.Registry.Register("countedEcho", func(_ *task.Context, args [][]byte) ([][]byte, error) {
 		runs.Add(1)

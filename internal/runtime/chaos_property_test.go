@@ -41,7 +41,7 @@ func failEpisode(t *testing.T, rt *Runtime, seed int64, format string, args ...a
 func runChaosEpisode(t *testing.T, seed int64) {
 	rt, err := New(ClusterSpec{
 		Servers: 4, ServerSlots: 2, ServerMemBytes: 64 << 20,
-	}, Options{Recovery: RecoverLineage, TimeScale: 1.0})
+	}, Options{Recovery: Recover, TimeScale: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func submitFanOutFanIn(rt *Runtime, leaves, aggs int) (aggRefs, leafRefs []idgen
 func TestChaosKillsDuringFanOutFanIn(t *testing.T) {
 	rt, err := New(ClusterSpec{
 		Servers: 6, ServerSlots: 2, ServerMemBytes: 128 << 20,
-	}, Options{Recovery: RecoverLineage, TimeScale: 1.0})
+	}, Options{Recovery: Recover, TimeScale: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestChaosKillsDuringFanOutFanIn(t *testing.T) {
 func TestChaosRepeatedKillsSequential(t *testing.T) {
 	rt, err := New(ClusterSpec{
 		Servers: 4, ServerSlots: 2, ServerMemBytes: 128 << 20,
-	}, Options{Recovery: RecoverLineage})
+	}, Options{Recovery: Recover})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestChaosRepeatedKillsSequential(t *testing.T) {
 func TestChaosDecommissionDuringFanOutFanIn(t *testing.T) {
 	rt, err := New(ClusterSpec{
 		Servers: 6, ServerSlots: 2, ServerMemBytes: 128 << 20,
-	}, Options{Recovery: RecoverLineage, TimeScale: 1.0})
+	}, Options{Recovery: Recover, TimeScale: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestChaosDecommissionDuringFanOutFanIn(t *testing.T) {
 func TestChaosMigrationDuringPartition(t *testing.T) {
 	rt, err := New(ClusterSpec{
 		Servers: 4, ServerSlots: 2, ServerMemBytes: 64 << 20,
-	}, Options{Recovery: RecoverLineage})
+	}, Options{Recovery: Recover})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestChaosMigrationDuringPartition(t *testing.T) {
 func TestChaosCancelDuringPartition(t *testing.T) {
 	rt, err := New(ClusterSpec{
 		Servers: 3, ServerSlots: 2, ServerMemBytes: 64 << 20,
-	}, Options{Recovery: RecoverLineage})
+	}, Options{Recovery: Recover})
 	if err != nil {
 		t.Fatal(err)
 	}

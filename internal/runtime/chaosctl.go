@@ -156,7 +156,7 @@ func (rt *Runtime) reviveReachable() {
 	}
 	rt.mu.Unlock()
 	for _, id := range ids {
-		if n := rt.Cluster.Node(id); n != nil && n.Alive() {
+		if rt.nodeAlive(id) {
 			// Undo dispatch's unreachable verdicts, which gossip never saw.
 			rt.Sched.SetAlive(id, true)
 			// A partition may have gossip-convicted a node that never
@@ -176,14 +176,8 @@ func (rt *Runtime) ChaosChecker() *chaos.Checker {
 		PendingFutures: rt.Head.Table.PendingIDs,
 		FutureError:    rt.TaskError,
 		Records:        rt.Head.Table.Records,
-		HasCopy: func(node idgen.NodeID, id idgen.ObjectID) bool {
-			if n := rt.Cluster.Node(node); n == nil || !n.Alive() {
-				return false
-			}
-			st := rt.Layer.Store(node)
-			return st != nil && st.Contains(id)
-		},
-		Redundant: rt.Layer.RecoverableWithout,
+		HasCopy:        rt.holds,
+		Redundant:      rt.Layer.RecoverableWithout,
 		Hygiene: func() []chaos.Hygiene {
 			var out []chaos.Hygiene
 			for _, rl := range rt.Raylets() {
@@ -242,9 +236,9 @@ func (rt *Runtime) ChaosChecker() *chaos.Checker {
 				// With the data plane replicating every object and the
 				// metadata replicating every shard, a crash should never
 				// force recomputation: promotion restores the directory and
-				// a surviving copy serves the bytes.
+				// restore repairs from a surviving copy before lineage.
 				LineageForbidden: rt.opts.Caching.Mode == caching.ModeReplicate &&
-					rt.opts.Recovery == RecoverLineage,
+					rt.opts.Recovery == Recover,
 			}
 		},
 	}

@@ -67,11 +67,7 @@ const defaultGossipInterval = 2 * time.Millisecond
 // faults data traffic does — partitions drop the frame, injected
 // chaos verdicts apply — instead of an oracle's opinion of them.
 func (rt *Runtime) gossipReachable(from, to idgen.NodeID) bool {
-	n := rt.Cluster.Node(to)
-	if n == nil || !n.Alive() {
-		return false
-	}
-	return rt.gossipProbe(from, to)
+	return rt.nodeAlive(to) && rt.gossipProbe(from, to)
 }
 
 // applyGossipEvents feeds membership transitions into the shard ring and
@@ -100,7 +96,7 @@ func (rt *Runtime) applyGossipEvents(events []gossip.Event) {
 		case gossip.Alive:
 			// Re-admit only nodes that are actually up: a stale Alive event
 			// must not resurrect a crashed node in the scheduler.
-			if n := rt.Cluster.Node(e.Node); n != nil && n.Alive() {
+			if rt.nodeAlive(e.Node) {
 				rt.mu.Lock()
 				hostsShard := rt.shardHosts[e.Node]
 				rt.mu.Unlock()

@@ -33,7 +33,7 @@ func ringHas(members []idgen.NodeID, n idgen.NodeID) bool {
 func TestDecentralizedEndToEnd(t *testing.T) {
 	rt, err := New(ClusterSpec{
 		Servers: 4, ServerSlots: 2, ServerMemBytes: 64 << 20,
-	}, Options{Decentralized: true, Recovery: RecoverLineage})
+	}, Options{Decentralized: true, Recovery: Recover})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestDecentralizedEndToEnd(t *testing.T) {
 func runControlPlaneLifecycle(t *testing.T, decentralized bool) {
 	rt, err := New(ClusterSpec{
 		Servers: 4, ServerSlots: 2, ServerMemBytes: 64 << 20,
-	}, Options{Decentralized: decentralized, Recovery: RecoverLineage,
+	}, Options{Decentralized: decentralized, Recovery: Recover,
 		GossipInterval: time.Hour}) // manual ticks only
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestDecentralizedHandoffRacesCrash(t *testing.T) {
 	// test races the background pump on the wall clock.
 	rt, err := New(ClusterSpec{
 		Servers: 5, ServerSlots: 2, ServerMemBytes: 64 << 20,
-	}, Options{Decentralized: true, Recovery: RecoverLineage, TimeScale: 1.0,
+	}, Options{Decentralized: true, Recovery: Recover, TimeScale: 1.0,
 		GossipInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +264,7 @@ func runDecentralChaosEpisode(t *testing.T, seed int64) {
 		Servers: 4, ServerSlots: 2, ServerMemBytes: 64 << 20,
 	}, Options{
 		Decentralized: true,
-		Recovery:      RecoverLineage, TimeScale: 1.0,
+		Recovery:      Recover, TimeScale: 1.0,
 		Tenancy: tenancy.Options{FairShare: true, Preemption: true},
 	})
 	if err != nil {
@@ -365,18 +365,21 @@ func TestChaosPropertyDecentralized(t *testing.T) {
 // runDurabilityChaosEpisode is the metadata-durability chaos schedule: a
 // replicated data plane (three copies per object) under a decentralized
 // control plane with replicated shard metadata, with a seeded shard
-// primary crashed mid-handoff — while the DAG is in flight — followed by
-// its ring successor, the very node whose replica was just promoted. With
-// at most two crashes and three data copies, a copy always survives, so
-// I7's strongest form holds: zero lost directory entries, zero replica
-// divergence, and zero lineage-replay recoveries.
-func runDurabilityChaosEpisode(t *testing.T, seed int64) {
+// primary crashed, followed by its ring successor, the very node whose
+// replica was just promoted. Quiesced, the kills land after every task is
+// done, every object is replicate-3 and the replication log is empty — the
+// arm whose premise (three copies, two crashes) is true by construction,
+// so I7's strongest form holds deterministically: zero lost directory
+// entries, zero replica divergence, zero lineage replays. In flight, the
+// kills race the DAG and the promotion (mid-handoff), so an object can
+// still be on its way to three copies when its producer's node dies.
+func runDurabilityChaosEpisode(t *testing.T, seed int64, quiesced bool) {
 	rt, err := New(ClusterSpec{
 		Servers: 5, ServerSlots: 2, ServerMemBytes: 64 << 20,
 	}, Options{
 		Decentralized:  true,
 		GossipInterval: time.Hour, // stepped manually: no pump race
-		Recovery:       RecoverLineage, TimeScale: 1.0,
+		Recovery:       Recover, TimeScale: 1.0,
 		Caching: caching.Config{Mode: caching.ModeReplicate, Replicas: 3},
 	})
 	if err != nil {
@@ -398,20 +401,17 @@ func runDurabilityChaosEpisode(t *testing.T, seed int64) {
 	}
 
 	aggRefs, _, want := submitFanOutFanIn(rt, 8+rng.Intn(5), 2)
+	if quiesced {
+		rt.Drain()
+		rt.sharded.FlushReplication()
+	}
 
-	// Crash the primary mid-handoff: the DAG is in flight, so directory
-	// ops race the promotion. Then crash the successor — if it was a
-	// worker — hitting the just-promoted shard before it fully re-settles.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rt.KillNode(primary)
-		if succ != rt.Driver() {
-			rt.KillNode(succ)
-		}
-	}()
-	wg.Wait()
+	// Crash the primary, then the successor — if it was a worker — hitting
+	// the just-promoted shard before it fully re-settles.
+	rt.KillNode(primary)
+	if succ != rt.Driver() {
+		rt.KillNode(succ)
+	}
 	rt.RestartNode(primary)
 	if succ != rt.Driver() {
 		rt.RestartNode(succ)
@@ -454,16 +454,21 @@ func runDurabilityChaosEpisode(t *testing.T, seed int64) {
 }
 
 // TestChaosPropertyDurability runs the metadata-durability schedule over
-// the seeded episode space: crash a shard primary mid-handoff (then its
+// the seeded episode space, once with the kills after a replication barrier
+// and once with them racing the DAG: crash a shard primary (then its
 // promoted successor), and require zero lost directory entries, zero
-// replica divergence, and zero lineage-replay fallbacks every time.
+// replica divergence, and zero lineage-replay fallbacks every time. Both
+// arms share the seed space and the -chaos.seed replay line.
 func TestChaosPropertyDurability(t *testing.T) {
-	base := chaos.FlagSeed()
-	for ep := 0; ep < chaosEpisodes(); ep++ {
-		seed := base + int64(ep)
-		runDurabilityChaosEpisode(t, seed)
-		if t.Failed() {
-			return
-		}
+	for _, arm := range []struct {
+		name     string
+		quiesced bool
+	}{{"quiesced", true}, {"in-flight", false}} {
+		t.Run(arm.name, func(t *testing.T) {
+			base := chaos.FlagSeed()
+			for ep := 0; ep < chaosEpisodes(); ep++ {
+				runDurabilityChaosEpisode(t, base+int64(ep), arm.quiesced)
+			}
+		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"skadi/internal/idgen"
+	"skadi/internal/skaderr"
 	"skadi/internal/task"
 )
 
@@ -149,5 +150,29 @@ func TestWaitReleasesWaiterGoroutines(t *testing.T) {
 				goruntime.NumGoroutine(), base, len(ids))
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestAddLocationNeedsBytesAtTheNode: a claimed extra copy must be in the
+// named node's store. A copy elsewhere vouching for it (the guard's
+// redundancy clause, which commits keep) let a raylet that cached a read
+// into a store already replaced by a restart register its node; when the
+// real holder then crashed the record named a byte-less node and nothing
+// marked the object lost (chaos seed 62's I2, ~1 in 400 runs).
+func TestAddLocationNeedsBytesAtTheNode(t *testing.T) {
+	rt := newRuntime(t, Options{})
+	workers := rt.workerServers()
+	id, err := rt.PutAt(workers[0], []byte("payload"), "raw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Head.Table.AddLocation(id, workers[1]); skaderr.CodeOf(err) != skaderr.Unavailable {
+		t.Fatalf("AddLocation at a node without the bytes = %v, want a stale-commit Unavailable", err)
+	}
+	if err := rt.Layer.Store(workers[1]).Put(id, []byte("payload"), "raw"); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Head.Table.AddLocation(id, workers[1]); err != nil {
+		t.Fatalf("AddLocation at a node with the bytes: %v", err)
 	}
 }

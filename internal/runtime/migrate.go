@@ -238,10 +238,9 @@ func (rt *Runtime) drainTargets(src idgen.NodeID) []idgen.NodeID {
 		if _, parked := rt.autoscale.cordoned[id]; parked {
 			continue
 		}
-		if n := rt.Cluster.Node(id); n == nil || !n.Alive() {
-			continue
+		if rt.nodeAlive(id) {
+			out = append(out, id)
 		}
-		out = append(out, id)
 	}
 	rt.mu.Unlock()
 	if len(out) == 0 {
@@ -294,8 +293,7 @@ func (rt *Runtime) SampleNodeGauges() []scheduler.NodeLoad {
 		resident.With(label).Set(used)
 		queue.With(label).Set(int64(depth))
 		actorsVec.With(label).Set(int64(actorCount[id]))
-		n := rt.Cluster.Node(id)
-		unreachable := n == nil || !n.Alive() || rt.chaosEng.Partitioned(rt.driver, id)
+		unreachable := !rt.nodeAlive(id) || rt.chaosEng.Partitioned(rt.driver, id)
 		loads = append(loads, scheduler.NodeLoad{
 			ID:            id,
 			Backend:       cfgs[id].backend,

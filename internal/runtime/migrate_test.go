@@ -18,7 +18,7 @@ func newMigrateRuntime(t *testing.T, servers int) *Runtime {
 	t.Helper()
 	rt, err := New(ClusterSpec{
 		Servers: servers, ServerSlots: 4, ServerMemBytes: 64 << 20,
-	}, Options{Policy: scheduler.RoundRobin, Recovery: RecoverLineage})
+	}, Options{Policy: scheduler.RoundRobin, Recovery: Recover})
 	if err != nil {
 		t.Fatal(err)
 	}

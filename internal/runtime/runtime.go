@@ -5,7 +5,8 @@
 // directory, placement mesh, gossip liveness — whose centralized form is
 // the configuration with a single shard host. It exposes the
 // distributed task API — Put/Submit/Get/Wait, actors, gang submission — and
-// failure handling by lineage re-execution or reliable caching.
+// failure handling: a lost object is repaired from a surviving cached copy
+// if one exists and re-derived by lineage re-execution if none does.
 package runtime
 
 import (
@@ -58,17 +59,17 @@ func (m DeviceMode) String() string {
 	return "gen1"
 }
 
-// RecoveryMode selects the failure-handling strategy (§2.1).
+// RecoveryMode turns failure handling (§2.1) on or off.
 type RecoveryMode int
 
-// Recovery strategies.
+// Recovery settings. Which mechanism saves an object is not a setting: it
+// follows from what Options.Caching left behind (see restore).
 const (
 	// RecoverNone surfaces lost objects as errors.
 	RecoverNone RecoveryMode = iota
-	// RecoverLineage re-executes producing tasks.
-	RecoverLineage
-	// RecoverCache relies on the caching layer's replicas or EC shards.
-	RecoverCache
+	// Recover repairs a lost object from a surviving cached copy (replica,
+	// EC shards, DSM) and re-executes producing tasks for what has none.
+	Recover
 )
 
 // ClusterSpec sizes the simulated data center.
@@ -113,7 +114,7 @@ type Options struct {
 	Caching caching.Config
 	// DeviceMode selects Gen-1 or Gen-2 device wiring.
 	DeviceMode DeviceMode
-	// Recovery selects the failure-handling strategy.
+	// Recovery turns failure handling on (Recover) or off (the default).
 	Recovery RecoveryMode
 	// Tenancy configures the multi-tenant control plane (fair share,
 	// preemption). The controller stays inert — zero cost on every submit
@@ -317,15 +318,16 @@ func New(spec ClusterSpec, opts Options) (*Runtime, error) {
 	rt.gossip.Join(headNode.ID)
 	rt.gossip.Drain()
 	// Residency guard: a commit naming a location must be backed by bytes —
-	// either in that node's store or redundantly elsewhere (DSM, EC,
-	// another verified replica). Rejects own.ready/own.addloc messages from
-	// producers whose node was wiped between their local write and the
-	// commit landing at the head (the commit-vs-crash race chaos kills hit).
-	rt.Head.Table.SetCommitGuard(func(loc idgen.NodeID, id idgen.ObjectID) bool {
+	// either in that node's store or, for the commit itself, redundantly
+	// elsewhere (DSM, EC, another verified replica); a claimed extra copy
+	// (own.addloc) must be in that store. Rejects messages from nodes wiped
+	// between their local write and the message landing at the head (the
+	// commit-vs-crash race chaos kills hit).
+	rt.Head.Table.SetCommitGuard(func(loc idgen.NodeID, id idgen.ObjectID, extra bool) bool {
 		if st := layer.Store(loc); st != nil && st.Contains(id) {
 			return true
 		}
-		return layer.RecoverableWithout(loc, id)
+		return !extra && layer.RecoverableWithout(loc, id)
 	})
 
 	loc := &locator{layer: layer, table: rt.sharded}
@@ -838,19 +840,41 @@ func (rt *Runtime) dispatch(ctx context.Context, spec *task.Spec, pinned idgen.N
 				continue
 			}
 		}
-		if errors.Is(err, transport.ErrUnreachable) && pinned.IsNil() {
-			// The node died; mark it and re-place. Actor tasks retry too:
-			// replaceActors re-pins the actor onto a healthy node (it may
-			// already have run via KillNode — then it is a no-op) and the
-			// next attempt re-resolves the actor's location.
-			rt.Sched.SetAlive(node, false)
-			if !spec.Actor.IsNil() {
-				rt.replaceActors(node)
+		code := skaderr.CodeOf(err)
+		if spec.Actor.IsNil() && code == skaderr.DataLoss {
+			// An argument's record was Lost, or named only dead holders,
+			// when the raylet resolved it — a crash scrubs locations before
+			// restore has repaired them. Restore those (a pending argument
+			// is its own first run's to deliver) and run again.
+			var broken []idgen.ObjectID
+			for _, arg := range spec.RefArgs() {
+				if rec, err := rt.Head.Table.Get(arg); err != nil || rec.State != ownership.Pending {
+					broken = append(broken, arg)
+				}
 			}
-			requeue()
-			continue
+			if lost, _ := rt.restore(ctx, broken); len(broken) > 0 && len(lost) == 0 {
+				requeue()
+				continue
+			}
 		}
-		break
+		// The node died under the attempt: the exec RPC never arrived, or it
+		// did and the node's store, fabric endpoint or commit went away
+		// mid-task (typed Unavailable). Re-place. An actor task, which may
+		// have mutated state, retries only when undelivered: replaceActors
+		// re-pins the actor onto a healthy node (a no-op if KillNode already
+		// did) and the next attempt re-resolves the actor's location.
+		undelivered, dead := errors.Is(err, transport.ErrUnreachable), !rt.nodeAlive(node)
+		midTask := spec.Actor.IsNil() && (dead || code == skaderr.Unavailable)
+		if !pinned.IsNil() || !undelivered && !midTask {
+			break
+		}
+		if undelivered || dead {
+			rt.Sched.SetAlive(node, false)
+		}
+		if !spec.Actor.IsNil() {
+			rt.replaceActors(node)
+		}
+		requeue()
 	}
 	rt.failTask(spec, lastErr)
 	return dequeued, false
@@ -916,22 +940,22 @@ func (rt *Runtime) taskErr(id idgen.ObjectID) error {
 }
 
 // Get blocks until the referenced object is ready and returns its bytes at
-// the driver. Under lineage recovery, an object lost after its waiters
-// were already in flight (e.g. a chaos kill mid-DAG) is re-derived once by
-// replaying its producing tasks before Get reports failure.
+// the driver. With recovery on, an object lost after its waiters were
+// already in flight (e.g. a chaos kill mid-DAG) is restored once — from a
+// surviving copy, else by replaying its producing tasks — before Get
+// reports failure.
 func (rt *Runtime) Get(ctx context.Context, id idgen.ObjectID) ([]byte, error) {
 	if err := rt.Head.Table.WaitReady(ctx, id); err != nil {
-		if rt.opts.Recovery == RecoverLineage && errors.Is(err, ownership.ErrObjectLost) && !rt.terminalFailure(id) {
-			rerr := rt.recoverByLineage(ctx, []idgen.ObjectID{id})
-			if rerr == nil {
+		if errors.Is(err, ownership.ErrObjectLost) && !rt.terminalFailure(id) {
+			stillLost, rerr := rt.restore(ctx, []idgen.ObjectID{id})
+			if len(stillLost) == 0 {
 				rt.mu.Lock()
 				delete(rt.errs, id)
 				rt.mu.Unlock()
-				if werr := rt.Head.Table.WaitReady(ctx, id); werr == nil {
-					return rt.drv.FetchLocal(ctx, id)
-				}
-			} else {
-				err = fmt.Errorf("%w (lineage recovery also failed: %v)", err, rerr)
+				return rt.drv.FetchLocal(ctx, id)
+			}
+			if rerr != nil {
+				err = fmt.Errorf("%w (recovery also failed: %v)", err, rerr)
 			}
 		}
 		if terr := rt.taskErr(id); terr != nil {
@@ -1052,15 +1076,16 @@ func (rt *Runtime) ActorNode(actor idgen.ActorID) (idgen.NodeID, bool) {
 }
 
 // KillNode simulates a node failure: the node drops off the transport, its
-// store contents are lost, and recovery runs per the configured mode.
-// It returns the object IDs that lost their last copy.
+// store contents are lost, and what lost its last recorded copy is restored
+// (see restore). It returns the object IDs that stayed lost.
 func (rt *Runtime) KillNode(node idgen.NodeID) []idgen.ObjectID {
-	// Route through the chaos engine: the crash lands in the episode
-	// journal and the fabric endpoint is unregistered, so in-flight
-	// chunked transfers touching this node fail with a typed Unavailable
-	// instead of silently completing against a dead peer.
-	rt.chaosEng.CrashNode(node)
+	// Dead first, so a task failing on the teardown below finds a dead node
+	// and is re-placed. Then route through the chaos engine: the crash lands
+	// in the episode journal and the fabric endpoint is unregistered, so
+	// in-flight chunked transfers touching this node fail with a typed
+	// Unavailable instead of silently completing against a dead peer.
 	rt.Cluster.Kill(node)
+	rt.chaosEng.CrashNode(node)
 	// Confirm the death in gossip (the crash is known, not suspected): the
 	// event handler withdraws the node from scheduling and hands any
 	// directory shard it hosted to the surviving ring members before
@@ -1072,31 +1097,41 @@ func (rt *Runtime) KillNode(node idgen.NodeID) []idgen.ObjectID {
 	rt.Layer.DropNode(node)
 	rt.replaceActors(node)
 	lost := rt.Head.Table.RemoveNodeLocations(node)
-
-	var stillLost []idgen.ObjectID
-	for _, id := range lost {
-		if rt.opts.Recovery == RecoverCache && rt.Layer.Contains(id) {
-			// The caching layer can still serve it (replica/EC/DSM);
-			// repair the ownership record by re-reading through the layer.
-			if rt.recoverFromCache(id) {
-				continue
-			}
-		}
-		stillLost = append(stillLost, id)
-	}
-	if rt.opts.Recovery == RecoverLineage && len(stillLost) > 0 {
-		// KillNode has no caller context; the per-exec timeout inside
-		// recoverByLineage still bounds the replay.
-		if err := rt.recoverByLineage(context.Background(), stillLost); err == nil {
-			return nil
-		}
-	}
+	// KillNode has no caller context; the per-exec timeout inside restore
+	// still bounds any replay.
+	stillLost, _ := rt.restore(context.Background(), lost)
 	return stillLost
 }
 
-// recoverFromCache re-materializes a lost object onto the driver using the
-// caching layer's redundancy and repairs its ownership record.
-func (rt *Runtime) recoverFromCache(id idgen.ObjectID) bool {
+// nodeAlive reports whether the cluster knows the node and it is up.
+func (rt *Runtime) nodeAlive(node idgen.NodeID) bool {
+	n := rt.Cluster.Node(node)
+	return n != nil && n.Alive()
+}
+
+// holds reports whether node is up and its store has the bytes of id.
+func (rt *Runtime) holds(node idgen.NodeID, id idgen.ObjectID) bool {
+	st := rt.Layer.Store(node)
+	return rt.nodeAlive(node) && st != nil && st.Contains(id)
+}
+
+// readable reports whether id can be read now: its record is Ready with a
+// live holder whose store has the bytes (under concurrent failures a record
+// can name a location that died after the last RemoveNodeLocations pass),
+// or the caching layer still serves a copy (replica, EC shards, DSM) and
+// the record is repaired from it onto the driver — never for a revoked
+// object, which would resurrect work the user cancelled.
+func (rt *Runtime) readable(id idgen.ObjectID) bool {
+	if rec, err := rt.Head.Table.Get(id); err == nil && rec.State == ownership.Ready {
+		for _, loc := range rec.Locations {
+			if rt.holds(loc, id) {
+				return true
+			}
+		}
+	}
+	if rt.terminalFailure(id) {
+		return false
+	}
 	data, format, err := rt.Layer.Get(rt.driver, id)
 	if err != nil {
 		return false
@@ -1107,10 +1142,8 @@ func (rt *Runtime) recoverFromCache(id idgen.ObjectID) bool {
 	if err := rt.Head.Table.Reset(id); err != nil {
 		return false
 	}
-	if _, err := rt.Head.Table.MarkReady(id, int64(len(data)), rt.driver, idgen.Nil, ""); err != nil {
-		return false
-	}
-	return true
+	_, err = rt.Head.Table.MarkReady(id, int64(len(data)), rt.driver, idgen.Nil, "")
+	return err == nil
 }
 
 // recoveryExecTimeout caps a single recovery re-execution. Recovery must
@@ -1120,37 +1153,23 @@ func (rt *Runtime) recoverFromCache(id idgen.ObjectID) bool {
 // otherwise wedge recovery — and the Get behind it — forever.
 const recoveryExecTimeout = 10 * time.Second
 
-// recoverByLineage re-executes the producing tasks of the lost objects in
-// dependency order. Recoveries are serialized: concurrent losses share one
-// replay rather than racing to re-execute the same producers. The context
-// bounds the whole replay; each exec is additionally capped by
-// recoveryExecTimeout so one wedged task cannot hold the recovery lock
-// indefinitely.
-func (rt *Runtime) recoverByLineage(ctx context.Context, lost []idgen.ObjectID) error {
+// restore is the one recovery procedure (§2.1's two mechanisms as an order,
+// not a choice): an id that is readable — repaired from a surviving copy if
+// need be — is done; the rest go to lineage, which re-executes producing
+// tasks in dependency order and asks the same question of each argument, so
+// one whose copy survived under a Lost record is repaired while planning
+// instead of failing the replay. It returns the ids whose record is not
+// Ready afterwards and the error that stopped the replay. Recoveries are
+// serialized: concurrent losses share one replay. ctx bounds the whole of
+// it, recoveryExecTimeout each exec, so one wedged task cannot hold the
+// recovery lock indefinitely.
+func (rt *Runtime) restore(ctx context.Context, ids []idgen.ObjectID) (stillLost []idgen.ObjectID, err error) {
+	if rt.opts.Recovery == RecoverNone || len(ids) == 0 {
+		return ids, nil
+	}
 	rt.recoveryMu.Lock()
 	defer rt.recoveryMu.Unlock()
-	// available must verify a copy is actually fetchable, not just that the
-	// record claims Ready: under concurrent failures a record can carry a
-	// location whose store died after the last RemoveNodeLocations pass.
-	available := func(id idgen.ObjectID) bool {
-		rec, err := rt.Head.Table.Get(id)
-		if err == nil && rec.State == ownership.Ready {
-			for _, loc := range rec.Locations {
-				n := rt.Cluster.Node(loc)
-				if n == nil || !n.Alive() {
-					continue
-				}
-				if st := rt.Layer.Store(loc); st != nil && st.Contains(id) {
-					return true
-				}
-			}
-		}
-		return rt.Layer.Contains(id)
-	}
-	plan, err := rt.Head.Lineage.RecoveryPlan(lost, available)
-	if err != nil {
-		return err
-	}
+	plan, err := rt.Head.Lineage.RecoveryPlan(ids, rt.readable)
 	for _, spec := range plan {
 		// Never resurrect revoked work. Cancellation cascades to every
 		// downstream consumer, so any dependent of a skipped producer is
@@ -1158,28 +1177,38 @@ func (rt *Runtime) recoverByLineage(ctx context.Context, lost []idgen.ObjectID) 
 		if rt.revokedTask(spec) {
 			continue
 		}
-		rt.Metrics.Counter(MetricLineageRecoveries).Inc()
-		for _, ret := range spec.Returns {
-			_ = rt.Head.Table.Reset(ret)
+		if err = rt.replay(ctx, spec); err != nil {
+			break
 		}
-		node, err := rt.Sched.Pick(spec)
-		if err != nil {
-			// The returns were just Reset to pending; record the typed
-			// failure so they fail Lost-with-cause instead of leaking as
-			// futures nobody will ever resolve.
-			rt.failTask(spec, err)
-			return err
+	}
+	for _, id := range ids {
+		if rec, gerr := rt.Head.Table.Get(id); gerr != nil || rec.State != ownership.Ready {
+			stillLost = append(stillLost, id)
 		}
+	}
+	return stillLost, err
+}
+
+// replay re-executes one recorded task for restore.
+func (rt *Runtime) replay(ctx context.Context, spec *task.Spec) error {
+	rt.Metrics.Counter(MetricLineageRecoveries).Inc()
+	for _, ret := range spec.Returns {
+		_ = rt.Head.Table.Reset(ret)
+	}
+	node, err := rt.Sched.Pick(spec)
+	if err == nil {
 		ectx, cancel := context.WithTimeout(ctx, recoveryExecTimeout)
 		err = rt.execOn(ectx, node, spec)
 		cancel()
 		rt.Sched.Finished(node)
-		if err != nil {
-			rt.failTask(spec, err)
-			return err
-		}
 	}
-	return nil
+	if err != nil {
+		// The returns were just Reset to pending; record the typed failure
+		// so they fail Lost-with-cause instead of leaking as futures nobody
+		// will ever resolve.
+		rt.failTask(spec, err)
+	}
+	return err
 }
 
 // revokedTask reports whether any of a task's returns carries a cancel or

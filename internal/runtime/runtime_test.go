@@ -226,75 +226,113 @@ func TestSubmitGang(t *testing.T) {
 	}
 }
 
-func TestKillNodeLineageRecovery(t *testing.T) {
-	rt := newRuntime(t, Options{Recovery: RecoverLineage})
+// workerHolder returns a non-driver node the ownership record lists for id.
+func workerHolder(t *testing.T, rt *Runtime, id idgen.ObjectID) idgen.NodeID {
+	t.Helper()
+	rec, err := rt.Head.Table.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range rec.Locations {
+		if l != rt.Driver() {
+			return l
+		}
+	}
+	t.Fatalf("no worker location for %s: %v", id.Short(), rec.Locations)
+	return idgen.Nil
+}
+
+// TestKillNodeRecovery keys recovery by what survives the crash, not by a
+// mode: whatever the caching layer left behind, KillNode loses nothing and
+// Get returns the bytes; lineage replays only when no copy survived.
+func TestKillNodeRecovery(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		caching caching.Config
+		replays bool
+	}{
+		{"none", caching.Config{}, true},
+		{"replicate-2", caching.Config{Mode: caching.ModeReplicate, Replicas: 2}, false},
+		{"ec-4+2", caching.Config{Mode: caching.ModeEC, ECData: 4, ECParity: 2}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newRuntime(t, Options{Recovery: Recover, Caching: tc.caching})
+			ctx := context.Background()
+			in, err := rt.Put([]byte("7"), "raw")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Wait, not Get: a Get would cache a second copy at the driver.
+			refs := rt.Submit(task.NewSpec(rt.Job(), "add", []task.Arg{task.RefArg(in), task.ValueArg([]byte("1"))}, 1))
+			if _, err := rt.Wait(ctx, refs, 1); err != nil {
+				t.Fatal(err)
+			}
+			rt.Drain()
+			if lost := rt.KillNode(workerHolder(t, rt, refs[0])); len(lost) != 0 {
+				t.Errorf("KillNode left %d objects lost", len(lost))
+			}
+			if data, err := rt.Get(ctx, refs[0]); err != nil || string(data) != "8" {
+				t.Errorf("Get after recovery = %q, %v", data, err)
+			}
+			if n := rt.Metrics.Counter(MetricLineageRecoveries).Value(); (n > 0) != tc.replays {
+				t.Errorf("lineage replays = %d, want >0: %v", n, tc.replays)
+			}
+		})
+	}
+}
+
+// TestKillNodeRecoveryMixed loses two objects of which one has a surviving
+// copy the ownership record does not know about: that one is repaired, only
+// the other is replayed — and a replay whose argument is in that "copy
+// exists, record Lost" state repairs the argument instead of failing on it.
+func TestKillNodeRecoveryMixed(t *testing.T) {
+	rt := newRuntime(t, Options{Recovery: Recover})
+	ctx := context.Background()
 	in, err := rt.Put([]byte("7"), "raw")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := task.NewSpec(rt.Job(), "add", []task.Arg{task.RefArg(in), task.ValueArg([]byte("1"))}, 1)
-	refs1 := rt.Submit(s1)
-	if _, err := rt.Get(context.Background(), refs1[0]); err != nil {
+	one := task.ValueArg([]byte("1"))
+	workers := rt.workerServers()
+	victim, other := workers[0], workers[1]
+	a := rt.SubmitTo(victim, task.NewSpec(rt.Job(), "add", []task.Arg{task.RefArg(in), one}, 1))[0]
+	b := rt.SubmitTo(victim, task.NewSpec(rt.Job(), "add", []task.Arg{task.RefArg(a), one}, 1))[0]
+	if _, err := rt.Wait(ctx, []idgen.ObjectID{a, b}, 2); err != nil {
 		t.Fatal(err)
 	}
 	rt.Drain()
-
-	// Find and kill the node holding the result.
-	rec, err := rt.Head.Table.Get(refs1[0])
-	if err != nil || len(rec.Locations) == 0 {
-		t.Fatal("no location for result")
-	}
-	victim := rec.Locations[0]
-	if victim == rt.Driver() {
-		// Result cached at driver too; pick the worker copy if any.
-		for _, l := range rec.Locations {
-			if l != rt.Driver() {
-				victim = l
-			}
-		}
-	}
-	stillLost := rt.KillNode(victim)
-	if len(stillLost) != 0 {
-		t.Errorf("lineage recovery left %d objects lost", len(stillLost))
-	}
-	data, err := rt.Get(context.Background(), refs1[0])
-	if err != nil || string(data) != "8" {
-		t.Errorf("Get after recovery = %q, %v", data, err)
-	}
-}
-
-func TestKillNodeCacheRecovery(t *testing.T) {
-	rt := newRuntime(t, Options{
-		Recovery: RecoverCache,
-		Caching:  caching.Config{Mode: caching.ModeReplicate, Replicas: 2},
-	})
-	spec := task.NewSpec(rt.Job(), "echo", []task.Arg{task.ValueArg([]byte("replicated"))}, 1)
-	refs := rt.Submit(spec)
-	if _, err := rt.Get(context.Background(), refs[0]); err != nil {
+	// A second copy of a, in the caching layer only.
+	if err := rt.Layer.Store(other).Put(a, []byte("8"), "raw"); err != nil {
 		t.Fatal(err)
 	}
-	rt.Drain()
-	rec, err := rt.Head.Table.Get(refs[0])
-	if err != nil {
-		t.Fatal(err)
+	rt.Layer.NoteLocation(other, a)
+
+	replays := rt.Metrics.Counter(MetricLineageRecoveries)
+	if lost := rt.KillNode(victim); len(lost) != 0 {
+		t.Fatalf("KillNode left %d objects lost", len(lost))
 	}
-	var victim idgen.NodeID
-	for _, l := range rec.Locations {
-		if l != rt.Driver() {
-			victim = l
-			break
+	if n := replays.Value(); n != 1 {
+		t.Errorf("lineage replays = %d, want 1 (b only; a had a copy)", n)
+	}
+	for id, want := range map[idgen.ObjectID]string{a: "8", b: "9"} {
+		if data, err := rt.Get(ctx, id); err != nil || string(data) != want {
+			t.Errorf("Get(%s) = %q, %v; want %q", id.Short(), data, err, want)
 		}
 	}
-	if victim.IsNil() {
-		t.Skip("result only at driver; nothing to kill")
+
+	// Lose b for good and a's record only; reading b must replay its
+	// producer against an argument that has bytes but a Lost record.
+	rt.Layer.Delete(b)
+	for _, id := range []idgen.ObjectID{a, b} {
+		if err := rt.Head.Table.MarkLost(id); err != nil {
+			t.Fatal(err)
+		}
 	}
-	stillLost := rt.KillNode(victim)
-	if len(stillLost) != 0 {
-		t.Errorf("cache recovery left %d objects lost", len(stillLost))
+	if data, err := rt.Get(ctx, b); err != nil || string(data) != "9" {
+		t.Errorf("Get(b) with a copy-but-Lost argument = %q, %v", data, err)
 	}
-	data, err := rt.Get(context.Background(), refs[0])
-	if err != nil || string(data) != "replicated" {
-		t.Errorf("Get after recovery = %q, %v", data, err)
+	if n := replays.Value(); n != 2 {
+		t.Errorf("lineage replays = %d, want 2", n)
 	}
 }
 

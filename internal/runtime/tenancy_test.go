@@ -419,7 +419,7 @@ func runTenantChaosEpisode(t *testing.T, seed int64) {
 	rt, err := New(ClusterSpec{
 		Servers: 4, ServerSlots: 2, ServerMemBytes: 64 << 20,
 	}, Options{
-		Recovery: RecoverLineage, TimeScale: 1.0,
+		Recovery: Recover, TimeScale: 1.0,
 		Tenancy: tenancy.Options{FairShare: true, Preemption: true},
 	})
 	if err != nil {

@@ -261,13 +261,6 @@ func (c *Controller) SetEvictor(f func(idgen.ObjectID)) {
 	c.mu.Unlock()
 }
 
-// Configure replaces the controller's global fair-share/preemption options.
-func (c *Controller) Configure(opts Options) {
-	c.mu.Lock()
-	c.opts = opts
-	c.mu.Unlock()
-}
-
 // AddCapacity grows the cluster capacity the fair-share scheduler divides:
 // worker slots and cache bytes. The runtime calls it as raylets register.
 func (c *Controller) AddCapacity(slots int, cacheBytes int64) {

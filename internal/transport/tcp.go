@@ -115,7 +115,6 @@ type TCP struct {
 	listeners  map[idgen.NodeID]*tcpServer
 	dir        map[idgen.NodeID]string
 	conns      map[idgen.NodeID]*tcpClient
-	tracer     *trace.Tracer
 	interposer Interposer
 	closed     bool
 }
@@ -127,15 +126,6 @@ func NewTCP() *TCP {
 		dir:       make(map[idgen.NodeID]string),
 		conns:     make(map[idgen.NodeID]*tcpClient),
 	}
-}
-
-// SetTracer attaches a tracer: inbound calls carrying a trace context on
-// the wire have their handler context re-anchored under the caller's span,
-// so spans recorded on this side join the caller's trace.
-func (t *TCP) SetTracer(tr *trace.Tracer) {
-	t.mu.Lock()
-	t.tracer = tr
-	t.mu.Unlock()
 }
 
 // SetInterposer installs (or, with nil, removes) the fault interposer
@@ -178,7 +168,7 @@ func (t *TCP) Listen(node idgen.NodeID, h Handler) error {
 	if err != nil {
 		return fmt.Errorf("transport: listen: %w", err)
 	}
-	srv := &tcpServer{ln: ln, handler: h, node: node, tracer: t.tracer}
+	srv := &tcpServer{ln: ln, handler: h, node: node}
 	t.listeners[node] = srv
 	t.dir[node] = ln.Addr().String()
 	go srv.acceptLoop()
@@ -286,7 +276,6 @@ type tcpServer struct {
 	ln      net.Listener
 	handler Handler
 	node    idgen.NodeID
-	tracer  *trace.Tracer
 
 	mu     sync.Mutex
 	conns  []net.Conn
@@ -378,15 +367,11 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 		}
 		// Rebuild the caller's context on this side of the wire: trace
 		// position, absolute deadline, and a cancel hook for cancel frames.
-		// The span context re-anchors whenever the frame carried one — with
-		// or without a local tracer — so a handler observes the caller's
-		// TraceID/SpanID exactly as it would in process; the tracer only
-		// governs whether this side records spans of its own.
+		// The span context re-anchors whenever the frame carried one, so a
+		// handler observes the caller's TraceID/SpanID exactly as it would
+		// in process.
 		hctx := context.Background()
 		if sc.IsValid() {
-			if s.tracer != nil {
-				hctx = trace.WithTracer(hctx, s.tracer)
-			}
 			hctx = trace.ContextWith(hctx, sc)
 		}
 		if tenant != "" {
