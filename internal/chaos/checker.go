@@ -98,11 +98,11 @@ type Durability struct {
 	Restored, LostEntries uint64
 	// Mismatches lists primary/replica divergences found at quiesce.
 	Mismatches []string
-	// LineageRecoveries counts task re-executions forced by lineage
-	// replay. LineageForbidden marks configurations (replicated data plane
-	// + replicated metadata) where replay means the directory lost track
-	// of a surviving copy — a durability failure even though the answer
-	// comes out right.
+	// LineageRecoveries counts lineage re-submissions: tasks re-run
+	// because an object had no surviving copy. LineageForbidden marks
+	// configurations (replicated data plane + replicated metadata) where a
+	// re-submission means the directory lost track of a surviving copy — a
+	// durability failure even though the answer comes out right.
 	LineageRecoveries uint64
 	LineageForbidden  bool
 }

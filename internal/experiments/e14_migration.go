@@ -35,7 +35,8 @@ const (
 //     resume), resident objects are copied off behind tombstone-forwards,
 //     then the raylet actually stops. No state is lost, no task fails.
 //   - kill+lineage: the node dies and every object whose only copy it held
-//     is re-derived by replaying its producing tasks (Ray's answer).
+//     is re-derived by replaying its producing tasks (Ray's answer; as in
+//     Ray, an actor task's result is not re-derived).
 //   - kill+cache: the caching layer keeps replicas, so the kill loses
 //     nothing — but every commit paid the replication bytes up front.
 //
@@ -74,7 +75,8 @@ func E14Migration() (*Table, error) {
 		"(strictly more event bytes); kill+cache recovers cheaply at the event but paid replication " +
 		"bytes during the workload. No strategy loses counter increments, but the kill strategies " +
 		"restore from the checkpoint and may double-apply an in-flight increment on retry " +
-		"(at-least-once, counter can exceed the target); live-drain ships the exact state, exactly once."
+		"(at-least-once, counter can exceed the target); kill+lineage re-derives no actor result " +
+		"(re-running an increment would apply it twice); live-drain ships the exact state, exactly once."
 	return t, nil
 }
 

@@ -20,18 +20,18 @@ func init() { register("e19", E19Tenancy) }
 // loads are open-loop (the antagonist does not politely slow down when
 // the system congests) with heavy-tailed payload sizes.
 const (
-	e19Servers     = 4
-	e19Slots       = 2 // 8 worker slots total
-	e19VictimKern  = 10 * time.Millisecond
-	e19AntKern     = 40 * time.Millisecond
-	e19VictimRate  = 50.0
-	e19VictimJobs  = 100
-	e19AntRate     = 200.0
-	e19AntJobs     = 400
-	e19AntPending  = 8
-	e19PayloadMax  = 64 << 10
-	e19VictimSeed  = 0xe19_01
-	e19AntSeed     = 0xe19_02
+	e19Servers    = 4
+	e19Slots      = 2 // 8 worker slots total
+	e19VictimKern = 10 * time.Millisecond
+	e19AntKern    = 40 * time.Millisecond
+	e19VictimRate = 50.0
+	e19VictimJobs = 100
+	e19AntRate    = 200.0
+	e19AntJobs    = 400
+	e19AntPending = 8
+	e19PayloadMax = 64 << 10
+	e19VictimSeed = 0xe19_01
+	e19AntSeed    = 0xe19_02
 )
 
 // E19Tenancy measures multi-tenant latency isolation (§2.2: a shared

@@ -150,7 +150,7 @@ func E20Decentralized() (*Table, error) {
 		"of placements a peer accepted from a saturated home. Wall ops/s (sequential driver) is the raw " +
 		"structure cost: the sharded path pays ring routing per op — and the tcp arm a loopback RTT — which " +
 		"the parallelism buys back. sharded-tcp charges the server-side serve cost of the fixed-tag own.* " +
-		"frames and must stay within 2x of in-process sharded. sharded-loc vs sharded-rand: chained tasks " +
+		"frames; its ratio to in-process sharded is reported, not gated. sharded-loc vs sharded-rand: chained tasks " +
 		"carry 1 KiB ref args; locality-aware steal ordering shifts the local/remote split toward local, " +
 		"cutting steal-induced arg fetches."
 	return t, nil

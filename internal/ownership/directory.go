@@ -29,7 +29,7 @@ type Directory interface {
 	AbortPending() []idgen.ObjectID
 	RemoveNodeLocations(node idgen.NodeID) []idgen.ObjectID
 	MarkLost(id idgen.ObjectID) error
-	Reset(id idgen.ObjectID) error
+	Settle(id idgen.ObjectID, to State) bool
 	Delete(id idgen.ObjectID)
 	Len() int
 }

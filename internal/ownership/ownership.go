@@ -34,10 +34,17 @@ const (
 	Pending State = iota
 	// Ready means at least one location holds the value.
 	Ready
-	// Lost means every location failed before the value was consumed;
-	// recovery requires lineage re-execution or a reliable cache.
+	// Lost means the object will not be produced: its task failed or was
+	// revoked, or recovery judged that nothing can bring it back.
 	Lost
+	// Orphaned means the last live holder of a Ready value died and nothing
+	// has judged the object yet: waiters park as on Pending until recovery
+	// settles it Ready (a surviving copy), Pending (re-submitted) or Lost.
+	Orphaned
 )
+
+// unresolved reports whether waiters park on the state.
+func (s State) unresolved() bool { return s == Pending || s == Orphaned }
 
 // String returns the state name.
 func (s State) String() string {
@@ -48,6 +55,8 @@ func (s State) String() string {
 		return "ready"
 	case Lost:
 		return "lost"
+	case Orphaned:
+		return "orphaned"
 	default:
 		return fmt.Sprintf("state(%d)", int(s))
 	}
@@ -57,7 +66,8 @@ func (s State) String() string {
 var (
 	// ErrUnknownObject reports an ID with no table entry.
 	ErrUnknownObject = errors.New("ownership: unknown object")
-	// ErrObjectLost reports a wait on an object whose copies all failed.
+	// ErrObjectLost reports a wait on an object that is Lost: it will not
+	// be produced.
 	ErrObjectLost = errors.New("ownership: object lost")
 	// ErrExists reports a duplicate CreatePending.
 	ErrExists = errors.New("ownership: object already registered")
@@ -365,7 +375,7 @@ func (t *Table) Records() []Record {
 }
 
 // WaitReady blocks until the object is Ready (nil), Lost (ErrObjectLost),
-// or the context is done.
+// or the context is done. Pending and orphaned objects park the caller.
 func (t *Table) WaitReady(ctx context.Context, id idgen.ObjectID) error {
 	ch, err := t.waitChan(id)
 	if err != nil || ch == nil {
@@ -414,18 +424,22 @@ func awaitState(ctx context.Context, id idgen.ObjectID, ch chan State) error {
 	}
 }
 
-// AbortPending marks every still-Pending object Lost, releasing its waiters,
-// and returns the aborted IDs. Shutdown uses this so no Get/Wait caller stays
-// blocked on an object that will never be produced.
-// PendingIDs returns the IDs of all still-Pending objects, sorted. Shutdown
-// uses it to record failure causes BEFORE AbortPending wakes the waiters, so
-// a released Get never observes a bare loss.
+// PendingIDs returns the IDs of every unresolved (Pending or orphaned)
+// object, sorted. Shutdown uses it to record failure causes BEFORE
+// AbortPending wakes the waiters, so a released Get never observes a bare
+// loss.
 func (t *Table) PendingIDs() []idgen.ObjectID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.unresolvedLocked()
+}
+
+// unresolvedLocked returns the sorted IDs of unresolved objects. Caller
+// holds mu.
+func (t *Table) unresolvedLocked() []idgen.ObjectID {
 	out := make([]idgen.ObjectID, 0, len(t.entries))
 	for id, e := range t.entries {
-		if e.rec.State == Pending {
+		if e.rec.State.unresolved() {
 			out = append(out, id)
 		}
 	}
@@ -433,22 +447,16 @@ func (t *Table) PendingIDs() []idgen.ObjectID {
 	return out
 }
 
+// AbortPending marks every unresolved object Lost, releasing its waiters,
+// and returns the aborted IDs. Shutdown uses this so no Get/Wait caller stays
+// blocked on an object that will never be produced.
 func (t *Table) AbortPending() []idgen.ObjectID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	aborted := make([]idgen.ObjectID, 0, len(t.entries))
-	for id, e := range t.entries {
-		if e.rec.State != Pending {
-			continue
-		}
-		e.rec.State = Lost
-		aborted = append(aborted, id)
-		for _, w := range e.waiters {
-			w <- Lost
-		}
-		e.waiters = nil
+	aborted := t.unresolvedLocked()
+	for _, id := range aborted {
+		t.entries[id].lose()
 	}
-	sort.Slice(aborted, func(i, j int) bool { return aborted[i].Less(aborted[j]) })
 	if len(aborted) > 0 {
 		t.logOp(repOp{kind: opAbort})
 	}
@@ -456,30 +464,35 @@ func (t *Table) AbortPending() []idgen.ObjectID {
 }
 
 // RemoveNodeLocations drops every location on a failed node and returns the
-// IDs of objects that thereby lost their last copy (now state Lost). The
-// runtime feeds these to lineage recovery.
+// IDs of Ready objects that thereby lost their last copy, now orphaned. It
+// judges nothing: their waiters keep waiting.
 func (t *Table) RemoveNodeLocations(node idgen.NodeID) []idgen.ObjectID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var lost []idgen.ObjectID
+	var orphaned []idgen.ObjectID
 	for id, e := range t.entries {
-		if !e.locations[node] {
-			continue
-		}
-		delete(e.locations, node)
-		e.syncLocations()
-		if len(e.locations) == 0 && e.rec.State == Ready {
-			e.rec.State = Lost
-			lost = append(lost, id)
-			for _, w := range e.waiters {
-				w <- Lost
-			}
-			e.waiters = nil
+		if e.dropLocation(node) {
+			orphaned = append(orphaned, id)
 		}
 	}
-	sort.Slice(lost, func(i, j int) bool { return lost[i].Less(lost[j]) })
+	sort.Slice(orphaned, func(i, j int) bool { return orphaned[i].Less(orphaned[j]) })
 	t.logOp(repOp{kind: opRemoveNode, node: node})
-	return lost
+	return orphaned
+}
+
+// dropLocation removes node from the entry's location set and reports
+// whether that orphaned a Ready object. Caller holds the table lock.
+func (e *entry) dropLocation(node idgen.NodeID) bool {
+	if !e.locations[node] {
+		return false
+	}
+	delete(e.locations, node)
+	e.syncLocations()
+	if len(e.locations) > 0 || e.rec.State != Ready {
+		return false
+	}
+	e.rec.State = Orphaned
+	return true
 }
 
 // MarkLost forces an object into the Lost state, releasing waiters with an
@@ -491,6 +504,14 @@ func (t *Table) MarkLost(id idgen.ObjectID) error {
 	if !ok {
 		return errUnknown(id)
 	}
+	e.lose()
+	t.logOp(repOp{kind: opMarkLost, id: id})
+	return nil
+}
+
+// lose moves the entry to Lost and releases its waiters. Caller holds the
+// table lock.
+func (e *entry) lose() {
 	e.rec.State = Lost
 	e.locations = make(map[idgen.NodeID]bool)
 	e.syncLocations()
@@ -498,25 +519,36 @@ func (t *Table) MarkLost(id idgen.ObjectID) error {
 		w <- Lost
 	}
 	e.waiters = nil
-	t.logOp(repOp{kind: opMarkLost, id: id})
-	return nil
 }
 
-// Reset returns an object to Pending so a lineage re-execution can commit
-// it again. Existing waiters stay blocked until the new MarkReady.
-func (t *Table) Reset(id idgen.ObjectID) error {
+// Settle judges a failed (orphaned or Lost) object: to Pending, its producer
+// being re-submitted and its waiters kept, or to Lost, its waiters released.
+// It reports false and changes nothing for an unknown, Pending or Ready
+// object — a compare-and-set, so concurrent recoveries judge it once.
+func (t *Table) Settle(id idgen.ObjectID, to State) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e, ok := t.entries[id]
-	if !ok {
-		return errUnknown(id)
+	if !ok || e.rec.State == Pending || e.rec.State == Ready {
+		return false
 	}
+	if to == Lost {
+		e.lose()
+		t.logOp(repOp{kind: opMarkLost, id: id})
+	} else {
+		e.reset()
+		t.logOp(repOp{kind: opReset, id: id})
+	}
+	return true
+}
+
+// reset returns the entry to Pending with no locations. Caller holds the
+// table lock.
+func (e *entry) reset() {
 	e.rec.State = Pending
 	e.locations = make(map[idgen.NodeID]bool)
 	e.forwards = nil // re-execution commits fresh copies; old forwards are moot
 	e.syncLocations()
-	t.logOp(repOp{kind: opReset, id: id})
-	return nil
 }
 
 // Delete removes an object's entry entirely.

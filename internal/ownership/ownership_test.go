@@ -207,12 +207,12 @@ func TestRemoveNodeLocations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lost := tbl.RemoveNodeLocations(nodeA)
-	if len(lost) != 1 || lost[0] != obj1 {
-		t.Errorf("lost = %v, want [obj1]", lost)
+	orphaned := tbl.RemoveNodeLocations(nodeA)
+	if len(orphaned) != 1 || orphaned[0] != obj1 {
+		t.Errorf("orphaned = %v, want [obj1]", orphaned)
 	}
 	rec1, _ := tbl.Get(obj1)
-	if rec1.State != Lost {
+	if rec1.State != Orphaned {
 		t.Errorf("obj1 state = %v", rec1.State)
 	}
 	rec2, _ := tbl.Get(obj2)
@@ -225,6 +225,151 @@ func TestRemoveNodeLocations(t *testing.T) {
 	}
 }
 
+// orphan commits id at node and removes the node: the record is orphaned.
+func orphan(t *testing.T, d Directory, id idgen.ObjectID, node idgen.NodeID) {
+	t.Helper()
+	if err := d.CreatePending(id, idgen.Next(), idgen.Next()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.MarkReady(id, 1, node, idgen.Nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.RemoveNodeLocations(node); len(got) != 1 || got[0] != id {
+		t.Fatalf("RemoveNodeLocations = %v, want [%s]", got, id.Short())
+	}
+}
+
+// parked starts a WaitReady on id and returns its result channel after
+// checking the caller is still parked a moment later.
+func parked(t *testing.T, d Directory, id idgen.ObjectID) chan error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- d.WaitReady(context.Background(), id) }()
+	select {
+	case err := <-done:
+		t.Fatalf("WaitReady on an orphaned object returned %v, want it parked", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	return done
+}
+
+// released waits for a parked WaitReady to return.
+func released(t *testing.T, done chan error) error {
+	t.Helper()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(time.Second):
+		t.Fatal("parked waiter never released")
+		return nil
+	}
+}
+
+// TestOrphanedParksWaiters: losing the last holder judges nothing — a
+// caller waiting on the object stays parked, as on Pending, until the
+// record is settled.
+func TestOrphanedParksWaiters(t *testing.T) {
+	tbl := NewTable()
+	id, node := idgen.Next(), idgen.Next()
+	orphan(t, tbl, id, node)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := tbl.WaitReady(ctx, id); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("WaitReady on an orphaned object = %v, want it parked until the deadline", err)
+	}
+	if ids := tbl.PendingIDs(); len(ids) != 1 || ids[0] != id {
+		t.Fatalf("PendingIDs = %v, want the orphaned object", ids)
+	}
+}
+
+// TestOrphanedTransitions walks each way out of the orphaned state and what
+// it does to a parked caller.
+func TestOrphanedTransitions(t *testing.T) {
+	node := idgen.Next()
+	for _, tc := range []struct {
+		name   string
+		settle func(tbl *Table, id idgen.ObjectID)
+		want   State
+		parked bool // the caller is still waiting afterwards
+		lost   bool // the caller is released with ErrObjectLost
+	}{
+		{"MarkReady", func(tbl *Table, id idgen.ObjectID) {
+			if _, err := tbl.MarkReady(id, 1, idgen.Next(), idgen.Nil, ""); err != nil {
+				t.Fatal(err)
+			}
+		}, Ready, false, false},
+		{"MarkLost", func(tbl *Table, id idgen.ObjectID) {
+			if err := tbl.MarkLost(id); err != nil {
+				t.Fatal(err)
+			}
+		}, Lost, false, true},
+		{"Settle/Pending", func(tbl *Table, id idgen.ObjectID) {
+			if !tbl.Settle(id, Pending) {
+				t.Fatal("Settle(Pending) refused an orphaned object")
+			}
+		}, Pending, true, false},
+		{"Settle/Lost", func(tbl *Table, id idgen.ObjectID) {
+			if !tbl.Settle(id, Lost) {
+				t.Fatal("Settle(Lost) refused an orphaned object")
+			}
+		}, Lost, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tbl := NewTable()
+			id := idgen.Next()
+			orphan(t, tbl, id, node)
+			done := parked(t, tbl, id)
+			tc.settle(tbl, id)
+			if rec, _ := tbl.Get(id); rec.State != tc.want {
+				t.Fatalf("state = %v, want %v", rec.State, tc.want)
+			}
+			if tc.parked {
+				select {
+				case err := <-done:
+					t.Fatalf("waiter released with %v, want it still parked", err)
+				case <-time.After(20 * time.Millisecond):
+				}
+				if _, err := tbl.MarkReady(id, 1, idgen.Next(), idgen.Nil, ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err := released(t, done)
+			if tc.lost != errors.Is(err, ErrObjectLost) || !tc.lost && err != nil {
+				t.Fatalf("released waiter got %v, want lost=%v", err, tc.lost)
+			}
+		})
+	}
+}
+
+// TestSettleOnlyJudgesFailedObjects: Settle is a compare-and-set — a
+// Pending or Ready object is someone else's, and an unknown one is nobody's.
+func TestSettleOnlyJudgesFailedObjects(t *testing.T) {
+	tbl := NewTable()
+	pending, ready, lost := idgen.Next(), idgen.Next(), idgen.Next()
+	for _, id := range []idgen.ObjectID{pending, ready, lost} {
+		if err := tbl.CreatePending(id, idgen.Next(), idgen.Next()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tbl.MarkReady(ready, 1, idgen.Next(), idgen.Nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.MarkLost(lost); err != nil {
+		t.Fatal(err)
+	}
+	for _, to := range []State{Pending, Lost} {
+		if tbl.Settle(pending, to) || tbl.Settle(ready, to) || tbl.Settle(idgen.Next(), to) {
+			t.Fatalf("Settle(%v) judged a Pending, Ready or unknown object", to)
+		}
+	}
+	if !tbl.Settle(lost, Pending) {
+		t.Fatal("Settle(Pending) refused a Lost object")
+	}
+	if tbl.Settle(lost, Pending) {
+		t.Fatal("second Settle(Pending) succeeded: a producer would be re-submitted twice")
+	}
+}
+
 func TestNodeFailureWakesWaitersWithLost(t *testing.T) {
 	tbl := NewTable()
 	id, node := idgen.Next(), idgen.Next()
@@ -234,11 +379,9 @@ func TestNodeFailureWakesWaitersWithLost(t *testing.T) {
 	if _, err := tbl.MarkReady(id, 1, node, idgen.Nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	// A waiter arrives after ready... it returns immediately. Reset to
-	// pending to create a blocked waiter, then lose the node.
-	if err := tbl.Reset(id); err != nil {
-		t.Fatal(err)
-	}
+	// A waiter arriving after ready returns immediately; losing the holder
+	// orphans the object, which parks the waiter until it is judged Lost.
+	tbl.RemoveNodeLocations(node)
 	done := make(chan error, 1)
 	go func() { done <- tbl.WaitReady(context.Background(), id) }()
 	time.Sleep(10 * time.Millisecond)
@@ -265,12 +408,15 @@ func TestResetAllowsRecommit(t *testing.T) {
 	if _, err := tbl.MarkReady(id, 1, nodeA, idgen.Nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Reset(id); err != nil {
+	if err := tbl.MarkLost(id); err != nil {
 		t.Fatal(err)
+	}
+	if !tbl.Settle(id, Pending) {
+		t.Fatal("Settle(Pending) refused a Lost object")
 	}
 	rec, _ := tbl.Get(id)
 	if rec.State != Pending || len(rec.Locations) != 0 {
-		t.Errorf("after Reset: %+v", rec)
+		t.Errorf("after reset to Pending: %+v", rec)
 	}
 	if _, err := tbl.MarkReady(id, 2, nodeB, idgen.Nil, ""); err != nil {
 		t.Fatal(err)

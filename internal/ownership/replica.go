@@ -100,44 +100,31 @@ func (t *Table) applyRep(op repOp) {
 			e.subscribers[op.node] = true
 		}
 	case opWaiter:
-		if e, ok := t.entries[op.id]; ok && e.rec.State == Pending {
+		if e, ok := t.entries[op.id]; ok && e.rec.State.unresolved() {
 			e.waiters = append(e.waiters, op.waiter)
 		}
 	case opMarkLost:
 		if e, ok := t.entries[op.id]; ok {
-			e.rec.State = Lost
-			e.locations = make(map[idgen.NodeID]bool)
-			e.syncLocations()
-			e.waiters = nil
+			e.waiters = nil // primary released them
+			e.lose()
 		}
 	case opReset:
 		if e, ok := t.entries[op.id]; ok {
-			e.rec.State = Pending
-			e.locations = make(map[idgen.NodeID]bool)
-			e.forwards = nil
-			e.syncLocations()
+			e.reset()
 		}
 	case opDelete:
 		delete(t.entries, op.id)
 	case opRemoveNode:
+		// Orphaned entries keep their waiters, as on the primary.
 		for _, e := range t.entries {
-			if !e.locations[op.node] {
-				continue
-			}
-			delete(e.locations, op.node)
-			e.syncLocations()
-			if len(e.locations) == 0 && e.rec.State == Ready {
-				e.rec.State = Lost
-				e.waiters = nil
-			}
+			e.dropLocation(op.node)
 		}
 	case opAbort:
 		for _, e := range t.entries {
-			if e.rec.State != Pending {
-				continue
+			if e.rec.State.unresolved() {
+				e.waiters = nil
+				e.lose()
 			}
-			e.rec.State = Lost
-			e.waiters = nil
 		}
 	}
 }

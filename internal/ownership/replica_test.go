@@ -2,6 +2,7 @@ package ownership
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -368,5 +369,36 @@ func TestShardReplicationChurnRace(t *testing.T) {
 	}
 	if d := s.ReplicaDivergence(); len(d) != 0 {
 		t.Fatalf("replicas diverged after churn:\n%v", d)
+	}
+}
+
+// TestOrphanedSurvivesPromotion: an object orphaned on a primary is
+// orphaned on its replica too, with the same parked waiter, so after the
+// primary dies the promoted shard agrees with it and settling the record
+// there still releases the caller (I7).
+func TestOrphanedSurvivesPromotion(t *testing.T) {
+	s, nodes := newShardedWith(4)
+	victim, holder := nodes[1], idgen.Next()
+	id := idOwnedBy(t, s, victim)
+	orphan(t, s, id, holder)
+	done := parked(t, s, id)
+	s.FlushReplication()
+	if d := s.ReplicaDivergence(); len(d) != 0 {
+		t.Fatalf("replica diverged after opRemoveNode:\n%v", d)
+	}
+	if _, lost := s.RemoveMemberDead(victim); lost != 0 {
+		t.Fatalf("promotion lost %d entries", lost)
+	}
+	if rec, err := s.Get(id); err != nil || rec.State != Orphaned {
+		t.Fatalf("after promotion: %+v, %v; want orphaned", rec, err)
+	}
+	if d := s.ReplicaDivergence(); len(d) != 0 {
+		t.Fatalf("survivor replicas diverged:\n%v", d)
+	}
+	if !s.Settle(id, Lost) {
+		t.Fatal("Settle refused the promoted orphaned record")
+	}
+	if err := released(t, done); !errors.Is(err, ErrObjectLost) {
+		t.Fatalf("waiter released with %v, want ErrObjectLost", err)
 	}
 }

@@ -40,10 +40,11 @@ type ShardedTable struct {
 	shards   map[idgen.NodeID]*Table
 	guard    CommitGuard
 	handoffs uint64
-	// orphans holds entries stranded by removal of the last member; the
+	// stranded holds entries left by removal of the last member; the
 	// next AddMember adopts them. The runtime keeps the head node a
-	// permanent member, so this is a safety net, not a steady state.
-	orphans map[idgen.ObjectID]*entry
+	// permanent member, so this is a safety net, not a steady state. It is
+	// unreplicated and only adopts or gives up entries under mu (write).
+	stranded *Table
 
 	// repl maps each primary to the replica of its shard, hosted at its
 	// ring successor (sharded_repl.go). Map mutations happen under mu
@@ -60,9 +61,10 @@ type ShardedTable struct {
 // count per member (DefaultVNodes if vnodes <= 0).
 func NewSharded(vnodes int) *ShardedTable {
 	return &ShardedTable{
-		ring:   NewRing(vnodes),
-		shards: make(map[idgen.NodeID]*Table),
-		repl:   make(map[idgen.NodeID]*replState),
+		ring:     NewRing(vnodes),
+		shards:   make(map[idgen.NodeID]*Table),
+		stranded: NewTable(),
+		repl:     make(map[idgen.NodeID]*replState),
 	}
 }
 
@@ -100,26 +102,10 @@ func (s *ShardedTable) AddMember(n idgen.NodeID) int {
 		moved += len(taken)
 		t.adopt(taken)
 	}
-	if len(s.orphans) > 0 {
-		orphans := s.orphans
-		s.orphans = nil
-		moved += len(orphans)
-		// Orphans may now belong to any member, not just the new one.
-		byOwner := make(map[idgen.NodeID]map[idgen.ObjectID]*entry)
-		for id, e := range orphans {
-			owner, _ := s.ring.OwnerOf(id)
-			m := byOwner[owner]
-			if m == nil {
-				m = make(map[idgen.ObjectID]*entry)
-				byOwner[owner] = m
-			}
-			m[id] = e
-		}
-		for owner, m := range byOwner {
-			s.shards[owner].adopt(m)
-			touched[owner] = true
-		}
-	}
+	// Stranded entries may now belong to any member, not just the new one.
+	stranded := s.stranded.takeAll()
+	moved += len(stranded)
+	s.rehomeLocked(stranded, touched)
 	s.handoffs += uint64(moved)
 	s.syncReplicasLocked(touched)
 	return moved
@@ -143,38 +129,32 @@ func (s *ShardedTable) RemoveMember(n idgen.NodeID) int {
 		return 0
 	}
 	taken := shard.takeAll()
-	moved := len(taken)
-	if s.ring.Len() == 0 {
-		if moved > 0 {
-			if s.orphans == nil {
-				s.orphans = make(map[idgen.ObjectID]*entry)
-			}
-			for id, e := range taken {
-				s.orphans[id] = e
-			}
-		}
-		s.handoffs += uint64(moved)
-		s.syncReplicasLocked(nil)
-		return moved
-	}
 	touched := make(map[idgen.NodeID]bool)
-	byOwner := make(map[idgen.NodeID]map[idgen.ObjectID]*entry)
-	for id, e := range taken {
-		owner, _ := s.ring.OwnerOf(id)
-		m := byOwner[owner]
-		if m == nil {
-			m = make(map[idgen.ObjectID]*entry)
-			byOwner[owner] = m
-		}
-		m[id] = e
+	s.rehomeLocked(taken, touched)
+	s.handoffs += uint64(len(taken))
+	s.syncReplicasLocked(touched)
+	return len(taken)
+}
+
+// rehomeLocked hands entries to their ring owners, marking each owner
+// touched, or strands them while the ring is empty. Caller holds mu (write).
+func (s *ShardedTable) rehomeLocked(m map[idgen.ObjectID]*entry, touched map[idgen.NodeID]bool) {
+	if s.ring.Len() == 0 {
+		s.stranded.adopt(m)
+		return
 	}
-	for owner, m := range byOwner {
-		s.shards[owner].adopt(m)
+	byOwner := make(map[idgen.NodeID]map[idgen.ObjectID]*entry)
+	for id, e := range m {
+		owner, _ := s.ring.OwnerOf(id)
+		if byOwner[owner] == nil {
+			byOwner[owner] = make(map[idgen.ObjectID]*entry)
+		}
+		byOwner[owner][id] = e
+	}
+	for owner, part := range byOwner {
+		s.shards[owner].adopt(part)
 		touched[owner] = true
 	}
-	s.handoffs += uint64(moved)
-	s.syncReplicasLocked(touched)
-	return moved
 }
 
 // OwnerOf returns the ring member owning id's key — the node a raylet
@@ -334,12 +314,7 @@ func (s *ShardedTable) Records() []Record {
 	for _, shard := range s.shards {
 		out = append(out, shard.Records()...)
 	}
-	for id, e := range s.orphans {
-		rec := e.rec
-		rec.Locations = append([]idgen.NodeID(nil), rec.Locations...)
-		rec.ID = id
-		out = append(out, rec)
-	}
+	out = append(out, s.stranded.Records()...)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
 	return out
 }
@@ -363,7 +338,7 @@ func (s *ShardedTable) WaitReady(ctx context.Context, id idgen.ObjectID) error {
 	return awaitState(ctx, id, ch)
 }
 
-// PendingIDs merges the still-Pending IDs across shards, sorted.
+// PendingIDs merges the unresolved IDs across shards, sorted.
 func (s *ShardedTable) PendingIDs() []idgen.ObjectID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -371,41 +346,26 @@ func (s *ShardedTable) PendingIDs() []idgen.ObjectID {
 	for _, shard := range s.shards {
 		out = append(out, shard.PendingIDs()...)
 	}
-	for id, e := range s.orphans {
-		if e.rec.State == Pending {
-			out = append(out, id)
-		}
-	}
+	out = append(out, s.stranded.PendingIDs()...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
 
-// AbortPending aborts still-Pending objects on every shard, sorted. Takes
-// the write lock: it may mutate orphaned entries directly.
+// AbortPending aborts unresolved objects on every shard, sorted.
 func (s *ShardedTable) AbortPending() []idgen.ObjectID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	var out []idgen.ObjectID
 	for _, shard := range s.shards {
 		out = append(out, shard.AbortPending()...)
 	}
-	for id, e := range s.orphans {
-		if e.rec.State != Pending {
-			continue
-		}
-		e.rec.State = Lost
-		out = append(out, id)
-		for _, w := range e.waiters {
-			w <- Lost
-		}
-		e.waiters = nil
-	}
+	out = append(out, s.stranded.AbortPending()...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
 
 // RemoveNodeLocations purges a failed node's copies across every shard and
-// returns the objects that lost their last copy, sorted.
+// returns the objects it orphaned, sorted.
 func (s *ShardedTable) RemoveNodeLocations(node idgen.NodeID) []idgen.ObjectID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -428,15 +388,15 @@ func (s *ShardedTable) MarkLost(id idgen.ObjectID) error {
 	return t.MarkLost(id)
 }
 
-// Reset returns an object to Pending on its owning shard.
-func (s *ShardedTable) Reset(id idgen.ObjectID) error {
+// Settle judges a failed object on its owning shard.
+func (s *ShardedTable) Settle(id idgen.ObjectID, to State) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	t, err := s.shardFor(id)
 	if err != nil {
-		return err
+		return false
 	}
-	return t.Reset(id)
+	return t.Settle(id, to)
 }
 
 // Delete removes an object's entry from its owning shard.
@@ -454,7 +414,7 @@ func (s *ShardedTable) Delete(id idgen.ObjectID) {
 func (s *ShardedTable) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := len(s.orphans)
+	n := s.stranded.Len()
 	for _, shard := range s.shards {
 		n += shard.Len()
 	}

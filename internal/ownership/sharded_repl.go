@@ -110,7 +110,7 @@ func (s *ShardedTable) RemoveMemberDead(n idgen.NodeID) (restored, lost int) {
 	case dead != nil:
 		// No successor existed (ring of one): nothing replicated this
 		// shard, so the in-process table is the only copy left. This is
-		// the orphan safety net, not the durability path.
+		// the stranded-entry safety net, not the durability path.
 		taken = dead.takeAll()
 	}
 	restored = len(taken)
@@ -120,36 +120,8 @@ func (s *ShardedTable) RemoveMemberDead(n idgen.NodeID) (restored, lost int) {
 	s.promotions++
 	s.restoredEntries += uint64(restored)
 	s.lostEntries += uint64(lost)
-	if restored == 0 {
-		s.syncReplicasLocked(nil)
-		return restored, lost
-	}
-	if s.ring.Len() == 0 {
-		if s.orphans == nil {
-			s.orphans = make(map[idgen.ObjectID]*entry)
-		}
-		for id, e := range taken {
-			s.orphans[id] = e
-		}
-		s.handoffs += uint64(restored)
-		s.syncReplicasLocked(nil)
-		return restored, lost
-	}
 	touched := make(map[idgen.NodeID]bool)
-	byOwner := make(map[idgen.NodeID]map[idgen.ObjectID]*entry)
-	for id, e := range taken {
-		owner, _ := s.ring.OwnerOf(id)
-		m := byOwner[owner]
-		if m == nil {
-			m = make(map[idgen.ObjectID]*entry)
-			byOwner[owner] = m
-		}
-		m[id] = e
-	}
-	for owner, m := range byOwner {
-		s.shards[owner].adopt(m)
-		touched[owner] = true
-	}
+	s.rehomeLocked(taken, touched)
 	s.handoffs += uint64(restored)
 	s.syncReplicasLocked(touched)
 	return restored, lost

@@ -348,7 +348,7 @@ func TestOneMemberRingMatchesTable(t *testing.T) {
 		return skaderr.CodeOf(err).String() + ": " + err.Error()
 	}
 	for step := 0; step < 6000; step++ {
-		op := rng.Intn(17)
+		op := rng.Intn(18)
 		obj := objs[rng.Intn(len(objs))]
 		n1, n2 := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
 		size := int64(rng.Intn(1 << 20))
@@ -384,7 +384,8 @@ func TestOneMemberRingMatchesTable(t *testing.T) {
 				got[i] = d.Records()
 			case 9:
 				// A pre-cancelled wait resolves at once whatever the state:
-				// nil if Ready, lost if Lost, the context error if Pending.
+				// nil if Ready, lost if Lost, the context error if Pending
+				// or orphaned.
 				got[i] = errText(d.WaitReady(cancelled, obj))
 			case 10:
 				got[i] = d.PendingIDs()
@@ -395,11 +396,14 @@ func TestOneMemberRingMatchesTable(t *testing.T) {
 			case 13:
 				got[i] = errText(d.MarkLost(obj))
 			case 14:
-				got[i] = errText(d.Reset(obj))
+				// Out of orphaned (or Lost) only; a no-op on anything else.
+				got[i] = d.Settle(obj, Pending)
 			case 15:
 				d.Delete(obj)
 			case 16:
 				got[i] = d.Len()
+			case 17:
+				got[i] = d.Settle(obj, Lost)
 			}
 		}
 		// Rendered, so a nil and an empty slice compare equal.

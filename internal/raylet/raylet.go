@@ -1071,8 +1071,11 @@ func (r *Raylet) fetch(ctx context.Context, id idgen.ObjectID, locations []idgen
 	// Last resort: the caching layer's redundancy paths.
 	data, format, err := r.cfg.Layer.GetCtx(ctx, r.cfg.Node, id)
 	if err != nil {
-		// Every copy the record and the layer knew of is gone or stale.
-		return nil, skaderr.Mark(skaderr.DataLoss, fmt.Errorf("%w: %s", ErrNoLocation, id.Short()))
+		// Every copy the record and the layer knew of is gone or stale: a
+		// holder died and the runtime has not settled the record yet. That
+		// calls for placing the task again, not for declaring the data lost
+		// — only recovery judges that.
+		return nil, skaderr.Mark(skaderr.Unavailable, fmt.Errorf("%w: %s", ErrNoLocation, id.Short()))
 	}
 	r.cacheLocal(ctx, id, data, format)
 	return data, nil

@@ -2,11 +2,14 @@ package runtime
 
 import (
 	"context"
+	"errors"
 	"strconv"
 	"testing"
-)
 
-import "skadi/internal/task"
+	"skadi/internal/idgen"
+	"skadi/internal/ownership"
+	"skadi/internal/task"
+)
 
 // registerCounter installs an actor function incrementing a counter in
 // actor state.
@@ -72,6 +75,43 @@ func TestActorStateSurvivesNodeKill(t *testing.T) {
 	}
 	if got := count(t, rt, actor); got != 7 {
 		t.Errorf("count = %d, want 7", got)
+	}
+}
+
+// TestKillNodeDoesNotReapplyActorTasks: results of actor tasks that died
+// with the actor's node are judged Lost, not re-derived — running the
+// method again would apply its increment to the actor a second time.
+func TestKillNodeDoesNotReapplyActorTasks(t *testing.T) {
+	rt, err := New(ClusterSpec{
+		Servers: 3, ServerSlots: 2, ServerMemBytes: 64 << 20,
+	}, Options{Recovery: Recover})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown()
+	registerCounter(rt)
+
+	home := rt.Raylets()[0].Node()
+	actor, err := rt.CreateActorOn(home, "cpu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []idgen.ObjectID
+	for i := 0; i < 5; i++ {
+		spec := task.NewSpec(rt.Job(), "counter", nil, 1)
+		spec.Actor = actor
+		first = append(first, rt.Submit(spec)[0])
+	}
+	rt.Drain()
+	lost := rt.KillNode(home)
+	if len(lost) != len(first) {
+		t.Fatalf("KillNode judged %d objects Lost, want the %d actor results", len(lost), len(first))
+	}
+	if _, err := rt.Get(context.Background(), first[0]); !errors.Is(err, ownership.ErrObjectLost) {
+		t.Fatalf("Get of a lost actor result = %v, want ErrObjectLost", err)
+	}
+	if got := count(t, rt, actor); got != 6 {
+		t.Fatalf("count after the kill = %d, want 6: the lost increments ran again", got)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"skadi/internal/idgen"
 	"skadi/internal/raylet"
 	"skadi/internal/skaderr"
+	"skadi/internal/task"
 	"skadi/internal/transport"
 )
 
@@ -79,6 +80,17 @@ func runChaosEpisode(t *testing.T, seed int64) {
 
 	if vs := checker.Check(); len(vs) != 0 {
 		failEpisode(t, rt, seed, "episode seed=%d: %d invariant violation(s): %v", seed, len(vs), vs)
+	}
+	checkResubmissions(t, rt, seed)
+}
+
+// checkResubmissions asserts that no first run executed twice: every
+// lineage re-submission in the episode started with its outputs missing.
+func checkResubmissions(t *testing.T, rt *Runtime, seed int64) {
+	t.Helper()
+	if n := rt.Metrics.Counter(MetricRedundantRuns).Value(); n != 0 {
+		failEpisode(t, rt, seed, "episode seed=%d: %d of %d lineage re-submissions started while an output was live",
+			seed, n, rt.Metrics.Counter(MetricLineageRecoveries).Value())
 	}
 }
 
@@ -260,5 +272,30 @@ func TestCheckerCatchesAccountingHole(t *testing.T) {
 	rt.Chaos().Undeliverable(hole, nodes[0], nodes[1], "test.hole", 4096)
 	if vs := checker.Check(); len(vs) != 0 {
 		t.Fatalf("balanced accounting still flagged: %v", vs)
+	}
+}
+
+// TestRedundantRunsCatchesLiveResubmission: a re-submission of a task
+// whose output is still live — a first run executed twice — is counted,
+// and one whose output is gone is not.
+func TestRedundantRunsCatchesLiveResubmission(t *testing.T) {
+	rt := newRuntime(t, Options{Recovery: Recover})
+	spec := task.NewSpec(rt.Job(), "add", []task.Arg{task.ValueArg([]byte("1"))}, 1)
+	ref := rt.Submit(spec)[0]
+	if _, err := rt.Get(context.Background(), ref); err != nil {
+		t.Fatal(err)
+	}
+	rt.Drain()
+	redundant := rt.Metrics.Counter(MetricRedundantRuns)
+	rt.start(context.Background(), idgen.Nil, spec, true)
+	rt.Drain()
+	if n := redundant.Value(); n != 1 {
+		t.Fatalf("redundant runs after re-submitting a live task = %d, want 1", n)
+	}
+	rt.Free(ref)
+	rt.start(context.Background(), idgen.Nil, spec, true)
+	rt.Drain()
+	if n := redundant.Value(); n != 1 {
+		t.Fatalf("redundant runs after re-submitting a freed task = %d, want still 1", n)
 	}
 }

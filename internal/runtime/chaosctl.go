@@ -27,11 +27,6 @@ func (rt *Runtime) initChaos() {
 // Chaos returns the runtime's chaos engine (always non-nil).
 func (rt *Runtime) Chaos() *chaos.Engine { return rt.chaosEng }
 
-// TaskError returns the recorded typed failure for a reference, nil if
-// none. Invariant checkers use it to prove every unresolved future has a
-// cause.
-func (rt *Runtime) TaskError(id idgen.ObjectID) error { return rt.taskErr(id) }
-
 // ChaosNodes returns every cluster node in insertion order — the index
 // space chaos plan events use — plus the indices of the faultable nodes
 // (worker servers; never the head, memory blade, or devices).
@@ -174,7 +169,7 @@ func (rt *Runtime) reviveReachable() {
 func (rt *Runtime) ChaosChecker() *chaos.Checker {
 	view := chaos.View{
 		PendingFutures: rt.Head.Table.PendingIDs,
-		FutureError:    rt.TaskError,
+		FutureError:    rt.taskErr,
 		Records:        rt.Head.Table.Records,
 		HasCopy:        rt.holds,
 		Redundant:      rt.Layer.RecoverableWithout,

@@ -49,11 +49,14 @@ const (
 	GaugeReplLost       = "repl_lost_entries"
 )
 
-// MetricLineageRecoveries counts task re-executions driven by lineage
-// replay. With a replicated data plane and replicated shard metadata the
-// chaos durability invariant (I7) requires this to stay zero: promotion
-// must restore the directory, not recompute it.
-const MetricLineageRecoveries = "lineage_recoveries"
+// MetricLineageRecoveries counts lineage re-submissions; with replicated
+// data and shard metadata, I7 requires zero. MetricRedundantRuns counts
+// re-submissions that started while one of the task's outputs was live: a
+// first run executed again for nothing. The chaos suites require zero.
+const (
+	MetricLineageRecoveries = "lineage_recoveries"
+	MetricRedundantRuns     = "redundant_runs"
+)
 
 // defaultGossipInterval paces the background failure-detector loop. With
 // SuspectTicks=3 this puts silent-partition detection at ~10ms — far inside

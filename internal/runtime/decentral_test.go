@@ -333,6 +333,7 @@ func runDecentralChaosEpisode(t *testing.T, seed int64) {
 	if vs := checker.Check(); len(vs) != 0 {
 		failEpisode(t, rt, seed, "episode seed=%d: %d invariant violation(s): %v", seed, len(vs), vs)
 	}
+	checkResubmissions(t, rt, seed)
 	// Quiesce sanity specific to this plane: shard sizes must cover the
 	// whole directory (no entry stranded by a handoff).
 	s := rt.SampleControlPlane()
@@ -438,6 +439,7 @@ func runDurabilityChaosEpisode(t *testing.T, seed int64, quiesced bool) {
 	if vs := checker.Check(); len(vs) != 0 {
 		failEpisode(t, rt, seed, "episode seed=%d: %d invariant violation(s): %v", seed, len(vs), vs)
 	}
+	checkResubmissions(t, rt, seed)
 	// I7's evidence, asserted directly as well so a weakening of the
 	// checker cannot silently pass: promotions happened, nothing was lost,
 	// and lineage replay never fired.

@@ -201,7 +201,8 @@ func (rt *Runtime) Decommission(ctx context.Context, node idgen.NodeID) (Decommi
 	// 5. The node is empty: stop the raylet for real and remove the node.
 	// Ownership entries still claiming the node (evicted copies, EC shards)
 	// are scrubbed; anything that thereby loses its last copy was already
-	// dead weight and is reported, not recovered.
+	// dead weight: it is reported and settled without re-running anything
+	// (see restore), so a later Get re-derives it only if someone asks.
 	rl.Stop()
 	rt.Cluster.Kill(node)
 	rt.Sched.RemoveNode(node)
@@ -209,7 +210,8 @@ func (rt *Runtime) Decommission(ctx context.Context, node idgen.NodeID) (Decommi
 	// unlike a death verdict, cannot be refuted by a rejoin.
 	rt.noteNodeLeft(node)
 	rt.Layer.DropNode(node)
-	rep.StaleDropped = len(rt.Head.Table.RemoveNodeLocations(node))
+	lost, _ := rt.restore(rt.Head.Table.RemoveNodeLocations(node), false)
+	rep.StaleDropped = len(lost)
 	rt.mu.Lock()
 	delete(rt.raylets, node)
 	delete(rt.rayletCfg, node)

@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -160,9 +161,8 @@ type Runtime struct {
 	job       idgen.JobID
 	migrator  *migrate.Migrator
 
-	mu         sync.Mutex
-	recoveryMu sync.Mutex
-	errs       map[idgen.ObjectID]error
+	mu   sync.Mutex
+	errs map[idgen.ObjectID]error
 	// tasks tracks every submitted-but-unfinished task's cancellation
 	// control, keyed by task ID; Cancel walks lineage and fires these.
 	tasks    map[idgen.TaskID]*taskCtl
@@ -218,27 +218,37 @@ type taskCtl struct {
 	spec      *task.Spec
 	cancel    context.CancelCauseFunc
 	executing atomic.Bool
+	// recovery marks a lineage re-submission, kept out of tenancy
+	// accounting; resubmitted (guarded by Runtime.mu) notes one dropped
+	// while this run was registered — see finish.
+	recovery, resubmitted bool
 }
 
-// registerTask tracks a task's cancellation control until dropTask.
-func (rt *Runtime) registerTask(ctl *taskCtl) {
-	rt.mu.Lock()
-	rt.tasks[ctl.spec.ID] = ctl
-	rt.mu.Unlock()
-}
-
-// dropTask forgets a finished task's control.
-func (rt *Runtime) dropTask(id idgen.TaskID) {
-	rt.mu.Lock()
-	delete(rt.tasks, id)
-	rt.mu.Unlock()
-}
-
-// taskCtl returns the control for a task, or nil once it finished.
-func (rt *Runtime) taskCtl(id idgen.TaskID) *taskCtl {
+// registerTask tracks a task's cancellation control until finish. A task is
+// never registered twice: a duplicate — a lineage re-submission racing the
+// end of the task's previous run — is dropped and noted on that run.
+func (rt *Runtime) registerTask(ctl *taskCtl) bool {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.tasks[id]
+	if prev := rt.tasks[ctl.spec.ID]; prev != nil {
+		prev.resubmitted = true
+		return false
+	}
+	rt.tasks[ctl.spec.ID] = ctl
+	return true
+}
+
+// finish forgets a task whose run ended. A re-submission dropped meanwhile
+// is issued now if a return is still Pending: restore claimed it after this
+// run committed or failed it, so nobody else will produce it.
+func (rt *Runtime) finish(ctl *taskCtl) {
+	rt.mu.Lock()
+	delete(rt.tasks, ctl.spec.ID)
+	redo := ctl.resubmitted
+	rt.mu.Unlock()
+	if redo && slices.ContainsFunc(ctl.spec.Returns, rt.pending) {
+		rt.start(context.Background(), idgen.Nil, ctl.spec, true)
+	}
 }
 
 // actorPlacement records where an actor lives and what backend it needs,
@@ -587,7 +597,7 @@ func (rt *Runtime) SubmitToCtx(ctx context.Context, node idgen.NodeID, spec *tas
 	return rt.submitAsync(ctx, node, spec)
 }
 
-// submitAsync registers, traces, and dispatches one task in the background.
+// submitAsync records, admits and starts one task.
 func (rt *Runtime) submitAsync(ctx context.Context, pinned idgen.NodeID, spec *task.Spec) []idgen.ObjectID {
 	rt.prepare(spec)
 	// Tenant attribution: an explicit Spec.Tenant wins; otherwise the
@@ -605,9 +615,24 @@ func (rt *Runtime) submitAsync(ctx context.Context, pinned idgen.NodeID, spec *t
 		rt.failTask(spec, err)
 		return spec.Returns
 	}
+	rt.start(ctx, pinned, spec, false)
+	return spec.Returns
+}
+
+// start registers, traces, and dispatches one task in the background. A
+// recovery run is a lineage re-submission of a recorded task: it was
+// neither admitted nor concludes tenancy accounting, and it is dropped if
+// the task is still registered (see registerTask).
+func (rt *Runtime) start(ctx context.Context, pinned idgen.NodeID, spec *task.Spec, recovery bool) {
 	tctx, cancel := context.WithCancelCause(ctx)
-	ctl := &taskCtl{spec: spec, cancel: cancel}
-	rt.registerTask(ctl)
+	ctl := &taskCtl{spec: spec, cancel: cancel, recovery: recovery}
+	if !rt.registerTask(ctl) {
+		cancel(nil)
+		return
+	}
+	if recovery {
+		rt.Metrics.Counter(MetricLineageRecoveries).Inc()
+	}
 	rt.inflight.Add(1)
 	rt.autoscale.pending.Add(1)
 	tctx, root := rt.traceCtx(tctx, spec)
@@ -616,11 +641,12 @@ func (rt *Runtime) submitAsync(ctx context.Context, pinned idgen.NodeID, spec *t
 		defer rt.autoscale.pending.Add(-1)
 		defer root.End()
 		defer cancel(nil)
-		defer rt.dropTask(spec.ID)
-		dequeued, ok := rt.dispatch(tctx, spec, pinned)
-		rt.Tenancy.TaskDone(spec.Tenant, dequeued, ok)
+		defer rt.finish(ctl)
+		dequeued, ok := rt.dispatch(tctx, ctl, pinned)
+		if !recovery {
+			rt.Tenancy.TaskDone(spec.Tenant, dequeued, ok)
+		}
 	}()
-	return spec.Returns
 }
 
 // SubmitGang atomically places a gang of tasks (SPMD subgraph) and runs
@@ -678,7 +704,7 @@ func (rt *Runtime) SubmitGang(ctx context.Context, specs []*task.Spec) ([][]idge
 			defer rt.autoscale.pending.Add(-1)
 			defer root.End()
 			defer ctl.cancel(nil)
-			defer rt.dropTask(s.ID)
+			defer rt.finish(ctl)
 			rt.Tenancy.GangStarted(s.Tenant)
 			ctl.executing.Store(true)
 			err := rt.execOn(tctx, placements[i], s)
@@ -704,37 +730,27 @@ func (rt *Runtime) prepare(spec *task.Spec) {
 	}
 	spec.Owner = rt.driver
 	for _, ret := range spec.Returns {
-		// Ignore ErrExists: recovery re-dispatches recorded specs.
+		// Ignore ErrExists: a spec submitted again keeps its records.
 		_ = rt.Head.Table.CreatePending(ret, rt.driver, spec.ID)
 	}
 	rt.Head.Lineage.Record(spec)
 }
 
-// dispatch picks a node (unless pinned) and executes the task, retrying on
-// dead nodes. It reports whether the task left the tenancy pending queue
-// (took a slot grant it did not give back) and whether it succeeded; the
-// caller concludes per-tenant accounting with both.
-func (rt *Runtime) dispatch(ctx context.Context, spec *task.Spec, pinned idgen.NodeID) (dequeued, ok bool) {
-	const maxAttempts = 3
-	// Migration redirects are bounded separately from failure attempts: a
-	// bounced task is not a failure, but a pathological migration storm
-	// must not loop forever.
-	const maxRedirects = 16
-	// Preemption replays are bounded generously: each replay means the
-	// fair-share controller revoked this task for an under-share tenant —
-	// progress for the cluster, but a pathological seesaw must not loop
-	// forever either.
-	const maxPreemptions = 64
-	redirects, preemptions := 0, 0
-	ctl := rt.taskCtl(spec.ID)
-	// requeue re-enters the tenancy pending queue between attempts: the
-	// task gave its slot grant back and will contend again.
-	requeue := func() {
-		rt.Tenancy.Requeue(spec.Tenant)
-		dequeued = false
-	}
+// dispatch picks a node (unless pinned) and executes the task until it
+// succeeds, fails terminally or a budget runs out. maxAttempts counts
+// transient exec errors: the task ran on a live node and failed with a
+// retryable code. maxReplaces bounds the runs that never had
+// a fair chance — the node or an argument's last holder died under it, its
+// actor migrated away, or the fair-share controller preempted it. A
+// recovery run skips the tenancy slot gate. dispatch reports whether the
+// task left the tenancy pending queue (took a slot grant it did not give
+// back) and whether it succeeded; the caller concludes per-tenant
+// accounting with both.
+func (rt *Runtime) dispatch(ctx context.Context, ctl *taskCtl, pinned idgen.NodeID) (dequeued, ok bool) {
+	const maxAttempts, maxReplaces = 3, 64
+	spec := ctl.spec
 	var lastErr error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
+	for attempts, replaces := 0, 0; attempts < maxAttempts && replaces <= maxReplaces; {
 		// Cancellation checkpoint between attempts: a revoked task stops
 		// before taking a node, and the recorded error carries the cause
 		// (skaderr.Cancelled or DeadlineExceeded), not a transport artifact.
@@ -744,12 +760,15 @@ func (rt *Runtime) dispatch(ctx context.Context, spec *task.Spec, pinned idgen.N
 		}
 		// Fair-share slot gate: blocks until this tenant may occupy one
 		// more worker (weighted dominant share, priority bands, MaxWorkers
-		// quota). A nil grant means tenancy is inert. The grant's cancel
-		// hook is what makes the running attempt preemptible.
-		grant, gerr := rt.Tenancy.Acquire(ctx, spec.Tenant, spec.ID)
-		if gerr != nil {
-			rt.failTask(spec, gerr)
-			return dequeued, false
+		// quota). A nil grant means tenancy is inert or this is a recovery
+		// run. The grant's cancel hook is what makes the attempt preemptible.
+		var grant *tenancy.Grant
+		var err error
+		if !ctl.recovery {
+			if grant, err = rt.Tenancy.Acquire(ctx, spec.Tenant, spec.ID); err != nil {
+				rt.failTask(spec, err)
+				return dequeued, false
+			}
 		}
 		attemptCtx, attemptCancel := ctx, context.CancelCauseFunc(nil)
 		if grant != nil {
@@ -772,34 +791,27 @@ func (rt *Runtime) dispatch(ctx context.Context, spec *task.Spec, pinned idgen.N
 			}
 		}
 		node := pinned
-		if node.IsNil() {
-			if !spec.Actor.IsNil() {
-				rt.waitActorGate(attemptCtx, spec.Actor)
-				rt.mu.Lock()
-				node = rt.actorLoc[spec.Actor].node
-				rt.mu.Unlock()
-			}
-			if node.IsNil() {
-				var err error
-				node, err = rt.Sched.PickCtx(attemptCtx, spec)
-				if err != nil {
-					endAttempt(idgen.Nil)
-					rt.failTask(spec, err)
-					return dequeued, false
-				}
-			} else {
-				rt.Sched.Started(node)
-			}
-		} else {
+		if node.IsNil() && !spec.Actor.IsNil() {
+			rt.waitActorGate(attemptCtx, spec.Actor)
+			rt.mu.Lock()
+			node = rt.actorLoc[spec.Actor].node
+			rt.mu.Unlock()
+		}
+		if !node.IsNil() {
 			rt.Sched.Started(node)
+		} else if node, err = rt.Sched.PickCtx(attemptCtx, spec); err != nil {
+			endAttempt(idgen.Nil)
+			rt.failTask(spec, err)
+			return dequeued, false
 		}
-		if ctl != nil {
-			ctl.executing.Store(true)
+		// A re-submission is redundant if an output it would produce is
+		// already live: the run it replaces was not lost after all.
+		if ctl.recovery && attempts+replaces == 0 && slices.ContainsFunc(spec.Returns, rt.live) {
+			rt.Metrics.Counter(MetricRedundantRuns).Inc()
 		}
-		err := rt.execOn(attemptCtx, node, spec)
-		if ctl != nil {
-			ctl.executing.Store(false)
-		}
+		ctl.executing.Store(true)
+		err = rt.execOn(attemptCtx, node, spec)
+		ctl.executing.Store(false)
 		preempted := grant != nil &&
 			skaderr.CodeOf(context.Cause(attemptCtx)) == skaderr.Preempted
 		endAttempt(node)
@@ -810,71 +822,62 @@ func (rt *Runtime) dispatch(ctx context.Context, spec *task.Spec, pinned idgen.N
 			rt.failTask(spec, cause)
 			return dequeued, false
 		}
-		lastErr = err
-		if preempted {
-			// The fair-share controller revoked this attempt for an
-			// under-share tenant. Not a failure: replay through the fair
-			// queue without consuming an attempt (lineage-style replay —
-			// the kernel's partial work is discarded, its inputs are
-			// intact, and the next grant re-executes from the spec).
-			preemptions++
-			if preemptions <= maxPreemptions {
-				requeue()
-				attempt--
-				continue
-			}
+		// The error came after the commit: every output is live, so done.
+		if len(spec.Returns) > 0 && !slices.ContainsFunc(spec.Returns, func(id idgen.ObjectID) bool { return !rt.live(id) }) {
+			return dequeued, true
 		}
+		lastErr = err
 		var moved *raylet.ActorMigratedError
-		if errors.As(err, &moved) && pinned.IsNil() {
+		undelivered, dead := errors.Is(err, transport.ErrUnreachable), !rt.nodeAlive(node)
+		switch {
+		case preempted:
+			// The fair-share controller revoked this attempt for an
+			// under-share tenant: replay it through the fair queue. The
+			// kernel's partial work is discarded, its inputs are intact, and
+			// the next grant re-executes from the spec.
+			replaces++
+		case errors.As(err, &moved) && pinned.IsNil():
 			// The actor live-migrated while this task was queued; follow
-			// the forward and re-dispatch. Does not consume an attempt.
+			// the forward and re-dispatch.
 			rt.mu.Lock()
 			p := rt.actorLoc[spec.Actor]
 			p.node = moved.To
 			rt.actorLoc[spec.Actor] = p
 			rt.mu.Unlock()
-			redirects++
-			if redirects <= maxRedirects {
-				requeue()
-				attempt--
-				continue
+			replaces++
+		case pinned.IsNil() && (undelivered ||
+			spec.Actor.IsNil() && (dead || skaderr.CodeOf(err) == skaderr.Unavailable)):
+			// The node died under the attempt — the exec RPC never arrived,
+			// or it did and the node's store, fabric endpoint or commit went
+			// away mid-task — or every holder of an argument did (typed
+			// Unavailable): re-place. An actor task, which may have mutated
+			// state, is re-placed only when undelivered: replaceActors
+			// re-pins the actor onto a healthy node (a no-op if KillNode
+			// already did) and the next attempt re-resolves its location.
+			if undelivered || dead {
+				rt.Sched.SetAlive(node, false)
 			}
-		}
-		code := skaderr.CodeOf(err)
-		if spec.Actor.IsNil() && code == skaderr.DataLoss {
-			// An argument's record was Lost, or named only dead holders,
-			// when the raylet resolved it — a crash scrubs locations before
-			// restore has repaired them. Restore those (a pending argument
-			// is its own first run's to deliver) and run again.
-			var broken []idgen.ObjectID
-			for _, arg := range spec.RefArgs() {
-				if rec, err := rt.Head.Table.Get(arg); err != nil || rec.State != ownership.Pending {
-					broken = append(broken, arg)
-				}
+			if !spec.Actor.IsNil() {
+				rt.replaceActors(node)
 			}
-			if lost, _ := rt.restore(ctx, broken); len(broken) > 0 && len(lost) == 0 {
-				requeue()
-				continue
-			}
+			replaces++
+		case spec.Actor.IsNil() && !dead && skaderr.Retryable(err):
+			// A transient failure on a live node: an argument or the commit
+			// may succeed on the next try.
+			attempts++
+		default:
+			// A terminal error (the kernel, or an argument restore judged
+			// Lost), a pinned node that died, or an actor task's kernel —
+			// running that again could apply its state change twice.
+			rt.failTask(spec, err)
+			return dequeued, false
 		}
-		// The node died under the attempt: the exec RPC never arrived, or it
-		// did and the node's store, fabric endpoint or commit went away
-		// mid-task (typed Unavailable). Re-place. An actor task, which may
-		// have mutated state, retries only when undelivered: replaceActors
-		// re-pins the actor onto a healthy node (a no-op if KillNode already
-		// did) and the next attempt re-resolves the actor's location.
-		undelivered, dead := errors.Is(err, transport.ErrUnreachable), !rt.nodeAlive(node)
-		midTask := spec.Actor.IsNil() && (dead || code == skaderr.Unavailable)
-		if !pinned.IsNil() || !undelivered && !midTask {
-			break
+		// Between attempts the task gave its slot grant back and contends
+		// in the tenancy pending queue again.
+		if !ctl.recovery {
+			rt.Tenancy.Requeue(spec.Tenant)
 		}
-		if undelivered || dead {
-			rt.Sched.SetAlive(node, false)
-		}
-		if !spec.Actor.IsNil() {
-			rt.replaceActors(node)
-		}
-		requeue()
+		dequeued = false
 	}
 	rt.failTask(spec, lastErr)
 	return dequeued, false
@@ -940,24 +943,20 @@ func (rt *Runtime) taskErr(id idgen.ObjectID) error {
 }
 
 // Get blocks until the referenced object is ready and returns its bytes at
-// the driver. With recovery on, an object lost after its waiters were
-// already in flight (e.g. a chaos kill mid-DAG) is restored once — from a
-// surviving copy, else by replaying its producing tasks — before Get
-// reports failure.
+// the driver. An object whose last holder died is waited for like a pending
+// one. An object found Lost — its task failed, or it was given up — is put
+// to restore once, and waited for again if that repaired it or re-submitted
+// its producer, before Get reports failure.
 func (rt *Runtime) Get(ctx context.Context, id idgen.ObjectID) ([]byte, error) {
-	if err := rt.Head.Table.WaitReady(ctx, id); err != nil {
-		if errors.Is(err, ownership.ErrObjectLost) && !rt.terminalFailure(id) {
-			stillLost, rerr := rt.restore(ctx, []idgen.ObjectID{id})
-			if len(stillLost) == 0 {
-				rt.mu.Lock()
-				delete(rt.errs, id)
-				rt.mu.Unlock()
-				return rt.drv.FetchLocal(ctx, id)
-			}
-			if rerr != nil {
-				err = fmt.Errorf("%w (recovery also failed: %v)", err, rerr)
-			}
+	err := rt.Head.Table.WaitReady(ctx, id)
+	if errors.Is(err, ownership.ErrObjectLost) && !rt.terminalFailure(id) {
+		if lost, rerr := rt.restore([]idgen.ObjectID{id}, true); len(lost) == 0 {
+			err = rt.Head.Table.WaitReady(ctx, id)
+		} else if rerr != nil {
+			err = fmt.Errorf("%w (recovery also failed: %v)", err, rerr)
 		}
+	}
+	if err != nil {
 		if terr := rt.taskErr(id); terr != nil {
 			// The recorded task error is the primary failure: keep it on the
 			// %w chain so errors.Is sees its code; the wait error is context.
@@ -1043,17 +1042,14 @@ func (rt *Runtime) CreateActor(backend string) (idgen.ActorID, error) {
 // up to the failure window of one task.
 func (rt *Runtime) replaceActors(dead idgen.NodeID) {
 	rt.mu.Lock()
-	var orphans []idgen.ActorID
+	orphans := make(map[idgen.ActorID]string)
 	for actor, p := range rt.actorLoc {
 		if p.node == dead {
-			orphans = append(orphans, actor)
+			orphans[actor] = p.backend
 		}
 	}
 	rt.mu.Unlock()
-	for _, actor := range orphans {
-		rt.mu.Lock()
-		backend := rt.actorLoc[actor].backend
-		rt.mu.Unlock()
+	for actor, backend := range orphans {
 		probe := task.NewSpec(rt.job, "", nil, 0)
 		probe.Backend = backend
 		node, err := rt.Sched.Pick(probe)
@@ -1076,8 +1072,9 @@ func (rt *Runtime) ActorNode(actor idgen.ActorID) (idgen.NodeID, bool) {
 }
 
 // KillNode simulates a node failure: the node drops off the transport, its
-// store contents are lost, and what lost its last recorded copy is restored
-// (see restore). It returns the object IDs that stayed lost.
+// store contents are lost, and every object that thereby lost its last
+// recorded copy is settled by restore before KillNode returns. It returns
+// the object IDs restore judged Lost.
 func (rt *Runtime) KillNode(node idgen.NodeID) []idgen.ObjectID {
 	// Dead first, so a task failing on the teardown below finds a dead node
 	// and is re-placed. Then route through the chaos engine: the crash lands
@@ -1096,11 +1093,8 @@ func (rt *Runtime) KillNode(node idgen.NodeID) []idgen.ObjectID {
 	}
 	rt.Layer.DropNode(node)
 	rt.replaceActors(node)
-	lost := rt.Head.Table.RemoveNodeLocations(node)
-	// KillNode has no caller context; the per-exec timeout inside restore
-	// still bounds any replay.
-	stillLost, _ := rt.restore(context.Background(), lost)
-	return stillLost
+	lost, _ := rt.restore(rt.Head.Table.RemoveNodeLocations(node), true)
+	return lost
 }
 
 // nodeAlive reports whether the cluster knows the node and it is up.
@@ -1115,19 +1109,21 @@ func (rt *Runtime) holds(node idgen.NodeID, id idgen.ObjectID) bool {
 	return rt.nodeAlive(node) && st != nil && st.Contains(id)
 }
 
-// readable reports whether id can be read now: its record is Ready with a
-// live holder whose store has the bytes (under concurrent failures a record
-// can name a location that died after the last RemoveNodeLocations pass),
-// or the caching layer still serves a copy (replica, EC shards, DSM) and
-// the record is repaired from it onto the driver — never for a revoked
-// object, which would resurrect work the user cancelled.
+// live reports whether id's record is Ready with a live holder that has the
+// bytes; a Ready record can name a holder that died since its last scrub.
+func (rt *Runtime) live(id idgen.ObjectID) bool {
+	rec, err := rt.Head.Table.Get(id)
+	return err == nil && rec.State == ownership.Ready &&
+		slices.ContainsFunc(rec.Locations, func(loc idgen.NodeID) bool { return rt.holds(loc, id) })
+}
+
+// readable reports whether id can be read now: it is live, or the caching
+// layer still serves a copy (replica, EC shards, DSM) and the record is
+// repaired from it onto the driver — never for a revoked object, which
+// would resurrect work the user cancelled.
 func (rt *Runtime) readable(id idgen.ObjectID) bool {
-	if rec, err := rt.Head.Table.Get(id); err == nil && rec.State == ownership.Ready {
-		for _, loc := range rec.Locations {
-			if rt.holds(loc, id) {
-				return true
-			}
-		}
+	if rt.live(id) {
+		return true
 	}
 	if rt.terminalFailure(id) {
 		return false
@@ -1139,76 +1135,75 @@ func (rt *Runtime) readable(id idgen.ObjectID) bool {
 	if store := rt.Layer.Store(rt.driver); store != nil {
 		_ = store.Put(id, data, format)
 	}
-	if err := rt.Head.Table.Reset(id); err != nil {
-		return false
-	}
 	_, err = rt.Head.Table.MarkReady(id, int64(len(data)), rt.driver, idgen.Nil, "")
 	return err == nil
 }
 
-// recoveryExecTimeout caps a single recovery re-execution. Recovery must
-// terminate even when the cluster is misbehaving: a replayed task whose
-// argument resolution blocks on an ownership wait that will never fire
-// (e.g. the argument's producer died mid-commit under chaos) would
-// otherwise wedge recovery — and the Get behind it — forever.
-const recoveryExecTimeout = 10 * time.Second
+// pending reports whether id's record is Pending: the value will arrive.
+func (rt *Runtime) pending(id idgen.ObjectID) bool {
+	rec, err := rt.Head.Table.Get(id)
+	return err == nil && rec.State == ownership.Pending
+}
 
-// restore is the one recovery procedure (§2.1's two mechanisms as an order,
-// not a choice): an id that is readable — repaired from a surviving copy if
-// need be — is done; the rest go to lineage, which re-executes producing
-// tasks in dependency order and asks the same question of each argument, so
-// one whose copy survived under a Lost record is repaired while planning
-// instead of failing the replay. It returns the ids whose record is not
-// Ready afterwards and the error that stopped the replay. Recoveries are
-// serialized: concurrent losses share one replay. ctx bounds the whole of
-// it, recoveryExecTimeout each exec, so one wedged task cannot hold the
-// recovery lock indefinitely.
-func (rt *Runtime) restore(ctx context.Context, ids []idgen.ObjectID) (stillLost []idgen.ObjectID, err error) {
-	if rt.opts.Recovery == RecoverNone || len(ids) == 0 {
-		return ids, nil
-	}
-	rt.recoveryMu.Lock()
-	defer rt.recoveryMu.Unlock()
-	plan, err := rt.Head.Lineage.RecoveryPlan(ids, rt.readable)
-	for _, spec := range plan {
-		// Never resurrect revoked work. Cancellation cascades to every
-		// downstream consumer, so any dependent of a skipped producer is
-		// itself cancelled (and skipped) — the plan stays consistent.
-		if rt.revokedTask(spec) {
-			continue
+// restore is the one judge of objects that lost their last copy (orphaned,
+// or found Lost): §2.1's two mechanisms as an order. Each id is settled —
+// Ready if a copy is readable, Pending if its producer is re-submitted,
+// else Lost; with rederive false (a drained node's dead weight), Lost
+// unlooked. Lineage asks the same of every argument: one readable or
+// Pending will arrive, the rest are re-derived too. Every planned return
+// is claimed Pending (Settle, a compare-and-set: concurrent restores
+// re-submit a producer once) before its producer starts through dispatch;
+// restore waits for none. It returns the ids judged Lost and the first
+// lineage error.
+func (rt *Runtime) restore(ids []idgen.ObjectID, rederive bool) (lost []idgen.ObjectID, err error) {
+	if rt.opts.Recovery == Recover && rederive {
+		available := func(id idgen.ObjectID) bool { return rt.pending(id) || rt.readable(id) }
+		var plan []*task.Spec
+		planned := make(map[idgen.TaskID]bool)
+		for _, id := range ids {
+			// One plan per id: an object with no lineage dooms only itself.
+			steps, perr := rt.Head.Lineage.RecoveryPlan([]idgen.ObjectID{id}, available)
+			if slices.ContainsFunc(steps, func(s *task.Spec) bool { return !s.Actor.IsNil() }) {
+				// Ray's rule: re-running an actor method would apply its
+				// state change twice.
+				steps, perr = nil, errors.New("runtime: an actor task's output is not re-derived")
+			}
+			if err == nil {
+				err = perr
+			}
+			for _, spec := range steps {
+				// Never resurrect revoked work. Cancellation cascades to
+				// every downstream consumer, so a dependent of a skipped
+				// producer is itself revoked and skipped.
+				if !planned[spec.ID] && !rt.revokedTask(spec) {
+					planned[spec.ID] = true
+					plan = append(plan, spec)
+				}
+			}
 		}
-		if err = rt.replay(ctx, spec); err != nil {
-			break
+		// The plan is in dependency order, so a producer's returns are
+		// claimed before any consumer of them starts.
+		for _, spec := range plan {
+			mine := false
+			rt.mu.Lock()
+			for _, ret := range spec.Returns {
+				if rt.Head.Table.Settle(ret, ownership.Pending) {
+					mine = true
+					delete(rt.errs, ret)
+				}
+			}
+			rt.mu.Unlock()
+			if mine {
+				rt.start(context.Background(), idgen.Nil, spec, true)
+			}
 		}
 	}
 	for _, id := range ids {
-		if rec, gerr := rt.Head.Table.Get(id); gerr != nil || rec.State != ownership.Ready {
-			stillLost = append(stillLost, id)
+		if rt.Head.Table.Settle(id, ownership.Lost) {
+			lost = append(lost, id)
 		}
 	}
-	return stillLost, err
-}
-
-// replay re-executes one recorded task for restore.
-func (rt *Runtime) replay(ctx context.Context, spec *task.Spec) error {
-	rt.Metrics.Counter(MetricLineageRecoveries).Inc()
-	for _, ret := range spec.Returns {
-		_ = rt.Head.Table.Reset(ret)
-	}
-	node, err := rt.Sched.Pick(spec)
-	if err == nil {
-		ectx, cancel := context.WithTimeout(ctx, recoveryExecTimeout)
-		err = rt.execOn(ectx, node, spec)
-		cancel()
-		rt.Sched.Finished(node)
-	}
-	if err != nil {
-		// The returns were just Reset to pending; record the typed failure
-		// so they fail Lost-with-cause instead of leaking as futures nobody
-		// will ever resolve.
-		rt.failTask(spec, err)
-	}
-	return err
+	return lost, err
 }
 
 // revokedTask reports whether any of a task's returns carries a cancel or
@@ -1269,7 +1264,10 @@ func (rt *Runtime) Cancel(ids ...idgen.ObjectID) CancelReport {
 	cancelErr := skaderr.New(skaderr.Cancelled, "runtime: cancelled")
 	for _, spec := range doomed {
 		rep.TasksCancelled++
-		if ctl := rt.taskCtl(spec.ID); ctl != nil {
+		rt.mu.Lock()
+		ctl := rt.tasks[spec.ID]
+		rt.mu.Unlock()
+		if ctl != nil {
 			if ctl.executing.Load() {
 				rep.WorkersReclaimed++
 			}

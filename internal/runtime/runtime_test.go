@@ -3,8 +3,10 @@ package runtime
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"skadi/internal/idgen"
 	"skadi/internal/raylet"
 	"skadi/internal/scheduler"
+	"skadi/internal/skaderr"
 	"skadi/internal/task"
 )
 
@@ -377,6 +380,125 @@ func TestDispatchRetriesOnDeadNode(t *testing.T) {
 		if err != nil || string(data) != "ok" {
 			t.Fatalf("task %d: %q, %v", i, data, err)
 		}
+	}
+}
+
+// TestDispatchOutlivesRepeatedNodeDeaths kills the node under a running
+// task three times in a row. Each death is a re-place, not a failed
+// attempt, so the fourth run completes: a node death does not spend the
+// exec-error budget.
+func TestDispatchOutlivesRepeatedNodeDeaths(t *testing.T) {
+	const kills = 3
+	rt, err := New(ClusterSpec{Servers: kills + 1, ServerSlots: 1, ServerMemBytes: 16 << 20}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown()
+	running := make(chan idgen.NodeID)
+	proceed := make(chan struct{})
+	rt.Registry.Register("hold", func(tctx *task.Context, _ [][]byte) ([][]byte, error) {
+		running <- tctx.Node
+		<-proceed
+		return [][]byte{[]byte("done")}, nil
+	})
+	refs := rt.Submit(task.NewSpec(rt.Job(), "hold", nil, 1))
+	type result struct {
+		data []byte
+		err  error
+	}
+	got := make(chan result, 1)
+	go func() {
+		data, err := rt.Get(context.Background(), refs[0])
+		got <- result{data, err}
+	}()
+	for run := 0; run <= kills; run++ {
+		select {
+		case node := <-running:
+			if run < kills {
+				rt.KillNode(node)
+			}
+			proceed <- struct{}{}
+		case r := <-got:
+			t.Fatalf("task ended after %d kills, before run %d: %q, %v", run, run+1, r.data, r.err)
+		}
+	}
+	if r := <-got; r.err != nil || string(r.data) != "done" {
+		t.Fatalf("Get after %d kills = %q, %v", kills, r.data, r.err)
+	}
+}
+
+// TestDispatchRetriesOnlyTransientErrors: a kernel failing with a terminal
+// code runs once; one failing with a retryable code on a live node spends
+// the exec-error budget. Recovery is off, so Get does not re-derive.
+func TestDispatchRetriesOnlyTransientErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		err  error
+		runs int64
+	}{
+		{"user error", errors.New("boom"), 1},
+		{"data loss", skaderr.Mark(skaderr.DataLoss, errors.New("argument judged lost")), 1},
+		{"resource exhausted", skaderr.Mark(skaderr.ResourceExhausted, errors.New("busy")), 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newRuntime(t, Options{})
+			var runs atomic.Int64
+			rt.Registry.Register("fail", func(*task.Context, [][]byte) ([][]byte, error) {
+				runs.Add(1)
+				return nil, tc.err
+			})
+			ref := rt.Submit(task.NewSpec(rt.Job(), "fail", nil, 1))[0]
+			if _, err := rt.Get(context.Background(), ref); err == nil {
+				t.Fatal("Get of a failing task succeeded")
+			}
+			rt.Drain()
+			if n := runs.Load(); n != tc.runs {
+				t.Fatalf("kernel ran %d times, want %d", n, tc.runs)
+			}
+		})
+	}
+}
+
+// TestResubmissionWhileRegistered: a re-submission that finds its task
+// still registered — a run finishing after it committed or failed the
+// object — is dropped rather than run twice, and the registered run issues
+// it on finishing, because the claimed return is still Pending.
+func TestResubmissionWhileRegistered(t *testing.T) {
+	rt := newRuntime(t, Options{Recovery: Recover})
+	ctx := context.Background()
+	spec := task.NewSpec(rt.Job(), "add", []task.Arg{task.ValueArg([]byte("1")), task.ValueArg([]byte("2"))}, 1)
+	ref := rt.Submit(spec)[0]
+	if _, err := rt.Get(ctx, ref); err != nil {
+		t.Fatal(err)
+	}
+	rt.Drain()
+	// A run of the task that has not finished yet.
+	_, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	run := &taskCtl{spec: spec, cancel: cancel}
+	if !rt.registerTask(run) {
+		t.Fatal("task still registered after Drain")
+	}
+	rt.Layer.Delete(ref)
+	if err := rt.Head.Table.MarkLost(ref); err != nil {
+		t.Fatal(err)
+	}
+	resubmissions := rt.Metrics.Counter(MetricLineageRecoveries)
+	if lost, err := rt.restore([]idgen.ObjectID{ref}, true); len(lost) != 0 {
+		t.Fatalf("restore judged %v Lost: %v", lost, err)
+	}
+	if !rt.pending(ref) || resubmissions.Value() != 0 {
+		t.Fatalf("pending=%v re-submissions=%d, want the claim held and the run dropped",
+			rt.pending(ref), resubmissions.Value())
+	}
+	rt.finish(run)
+	wctx, wcancel := context.WithTimeout(ctx, 5*time.Second)
+	defer wcancel()
+	if data, err := rt.Get(wctx, ref); err != nil || string(data) != "3" {
+		t.Fatalf("Get after the run finished = %q, %v", data, err)
+	}
+	if n := resubmissions.Value(); n != 1 {
+		t.Fatalf("re-submissions = %d, want 1", n)
 	}
 }
 

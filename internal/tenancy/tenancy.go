@@ -147,16 +147,16 @@ type Options struct {
 // at quiesce (Failed includes cancelled and deadline-exceeded tasks;
 // Rejected tasks were never admitted: Submitted == Admitted + Rejected).
 type Account struct {
-	Tenant    string
-	Submitted int64
-	Admitted  int64
-	Rejected  int64
-	Completed int64
-	Failed    int64
-	Preempted int64
-	InFlight  int64
-	Queued    int64
-	Running   int64
+	Tenant     string
+	Submitted  int64
+	Admitted   int64
+	Rejected   int64
+	Completed  int64
+	Failed     int64
+	Preempted  int64
+	InFlight   int64
+	Queued     int64
+	Running    int64
 	CacheBytes int64
 }
 
@@ -202,8 +202,8 @@ type tenant struct {
 	evictOrder []idgen.ObjectID
 
 	// Accounting.
-	submitted, admitted, rejected   int64
-	completed, failed, preempted    int64
+	submitted, admitted, rejected int64
+	completed, failed, preempted  int64
 }
 
 // Controller is the multi-tenant control plane. It is safe for concurrent
