@@ -165,8 +165,11 @@ type Runtime struct {
 	errs map[idgen.ObjectID]error
 	// tasks tracks every submitted-but-unfinished task's cancellation
 	// control, keyed by task ID; Cancel walks lineage and fires these.
-	tasks    map[idgen.TaskID]*taskCtl
-	actorLoc map[idgen.ActorID]actorPlacement
+	tasks map[idgen.TaskID]*taskCtl
+	// producers indexes the registered tasks a Get/Wait may run itself
+	// (taskCtl.helpable) by return ID; see help.
+	producers map[idgen.ObjectID]*taskCtl
+	actorLoc  map[idgen.ActorID]actorPlacement
 	// actorGate pauses task dispatch for an actor mid-migration: submissions
 	// park on the channel until the cutover lands, so none are lost.
 	actorGate map[idgen.ActorID]chan struct{}
@@ -207,26 +210,47 @@ const (
 	MetricWorkersReclaimed      = "workers_reclaimed"
 	MetricBytesReclaimed        = "bytes_reclaimed"
 	MetricTasksDeadlineExceeded = "tasks_deadline_exceeded"
+	// MetricTasksHelped counts tasks run by a Get or Wait caller instead of
+	// their own goroutine (see help).
+	MetricTasksHelped = "tasks_helped"
 )
 
-// taskCtl is the cancellation control for one in-flight task: the cancel
-// function revokes its dispatch context (interrupting the exec RPC and, over
-// the wire, the remote handler), and executing reports whether the task
+// taskCtl is the control for one in-flight task: the cancel function
+// revokes its dispatch context (interrupting the exec RPC and, over the
+// wire, the remote handler), and executing reports whether the task
 // currently occupies a worker — the distinction behind the WorkersReclaimed
 // counter.
 type taskCtl struct {
 	spec      *task.Spec
 	cancel    context.CancelCauseFunc
 	executing atomic.Bool
+	// claim is the task's start-once flag. start arms it once ctx, root
+	// and pinned are set; whichever of the task's goroutine and a Get/Wait
+	// caller moves it from armed to claimed first runs the task (see run).
+	claim  atomic.Int32
+	ctx    context.Context
+	root   *trace.Span
+	pinned idgen.NodeID
+	// helpable marks a task a Get/Wait caller may run: it has no
+	// reference arguments, so running it never parks on a pull, and it is
+	// not a gang member, whose members must start together.
+	helpable bool
 	// recovery marks a lineage re-submission, kept out of tenancy
 	// accounting; resubmitted (guarded by Runtime.mu) notes one dropped
 	// while this run was registered — see finish.
 	recovery, resubmitted bool
 }
 
-// registerTask tracks a task's cancellation control until finish. A task is
-// never registered twice: a duplicate — a lineage re-submission racing the
-// end of the task's previous run — is dropped and noted on that run.
+// taskCtl.claim states after the zero value, unarmed. A gang member stays
+// unarmed: SubmitGang runs it.
+const (
+	armed int32 = iota + 1
+	claimed
+)
+
+// registerTask tracks a task's control until finish. A task is never
+// registered twice: a duplicate — a lineage re-submission racing the end
+// of the task's previous run — is dropped and noted on that run.
 func (rt *Runtime) registerTask(ctl *taskCtl) bool {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -235,6 +259,11 @@ func (rt *Runtime) registerTask(ctl *taskCtl) bool {
 		return false
 	}
 	rt.tasks[ctl.spec.ID] = ctl
+	if ctl.helpable {
+		for _, ret := range ctl.spec.Returns {
+			rt.producers[ret] = ctl
+		}
+	}
 	return true
 }
 
@@ -244,6 +273,11 @@ func (rt *Runtime) registerTask(ctl *taskCtl) bool {
 func (rt *Runtime) finish(ctl *taskCtl) {
 	rt.mu.Lock()
 	delete(rt.tasks, ctl.spec.ID)
+	if ctl.helpable {
+		for _, ret := range ctl.spec.Returns {
+			delete(rt.producers, ret)
+		}
+	}
 	redo := ctl.resubmitted
 	rt.mu.Unlock()
 	if redo && slices.ContainsFunc(ctl.spec.Returns, rt.pending) {
@@ -291,6 +325,7 @@ func New(spec ClusterSpec, opts Options) (*Runtime, error) {
 		rayletCfg: make(map[idgen.NodeID]raylet.Config),
 		errs:      make(map[idgen.ObjectID]error),
 		tasks:     make(map[idgen.TaskID]*taskCtl),
+		producers: make(map[idgen.ObjectID]*taskCtl),
 		actorLoc:  make(map[idgen.ActorID]actorPlacement),
 		actorGate: make(map[idgen.ActorID]chan struct{}),
 		job:       idgen.Next(),
@@ -619,13 +654,18 @@ func (rt *Runtime) submitAsync(ctx context.Context, pinned idgen.NodeID, spec *t
 	return spec.Returns
 }
 
-// start registers, traces, and dispatches one task in the background. A
-// recovery run is a lineage re-submission of a recorded task: it was
-// neither admitted nor concludes tenancy accounting, and it is dropped if
-// the task is still registered (see registerTask).
+// start registers, traces, and dispatches one task. Submit stays
+// asynchronous: the task gets its own goroutine, which runs it unless a
+// Get or Wait caller claimed it first (see help). A recovery run is a
+// lineage re-submission of a recorded task: it was neither admitted nor
+// concludes tenancy accounting, and it is dropped if the task is still
+// registered (see registerTask).
 func (rt *Runtime) start(ctx context.Context, pinned idgen.NodeID, spec *task.Spec, recovery bool) {
 	tctx, cancel := context.WithCancelCause(ctx)
-	ctl := &taskCtl{spec: spec, cancel: cancel, recovery: recovery}
+	ctl := &taskCtl{
+		spec: spec, cancel: cancel, pinned: pinned, recovery: recovery,
+		helpable: !slices.ContainsFunc(spec.Args, func(a task.Arg) bool { return a.IsRef }),
+	}
 	if !rt.registerTask(ctl) {
 		cancel(nil)
 		return
@@ -635,18 +675,29 @@ func (rt *Runtime) start(ctx context.Context, pinned idgen.NodeID, spec *task.Sp
 	}
 	rt.inflight.Add(1)
 	rt.autoscale.pending.Add(1)
-	tctx, root := rt.traceCtx(tctx, spec)
-	go func() {
-		defer rt.inflight.Done()
-		defer rt.autoscale.pending.Add(-1)
-		defer root.End()
-		defer cancel(nil)
-		defer rt.finish(ctl)
-		dequeued, ok := rt.dispatch(tctx, ctl, pinned)
-		if !recovery {
-			rt.Tenancy.TaskDone(spec.Tenant, dequeued, ok)
-		}
-	}()
+	ctl.ctx, ctl.root = rt.traceCtx(tctx, spec)
+	ctl.claim.Store(armed)
+	go rt.run(ctl)
+}
+
+// run claims an armed task and runs it to the end: dispatch, tenancy
+// accounting, and the bookkeeping Drain, Pending and Cancel read. It
+// reports false, doing nothing, if the task is claimed already or not
+// armed yet.
+func (rt *Runtime) run(ctl *taskCtl) bool {
+	if !ctl.claim.CompareAndSwap(armed, claimed) {
+		return false
+	}
+	defer rt.inflight.Done()
+	defer rt.autoscale.pending.Add(-1)
+	defer ctl.root.End()
+	defer ctl.cancel(nil)
+	defer rt.finish(ctl)
+	dequeued, ok := rt.dispatch(ctl.ctx, ctl, ctl.pinned)
+	if !ctl.recovery {
+		rt.Tenancy.TaskDone(ctl.spec.Tenant, dequeued, ok)
+	}
+	return true
 }
 
 // SubmitGang atomically places a gang of tasks (SPMD subgraph) and runs
@@ -943,15 +994,18 @@ func (rt *Runtime) taskErr(id idgen.ObjectID) error {
 }
 
 // Get blocks until the referenced object is ready and returns its bytes at
-// the driver. An object whose last holder died is waited for like a pending
-// one. An object found Lost — its task failed, or it was given up — is put
-// to restore once, and waited for again if that repaired it or re-submitted
-// its producer, before Get reports failure.
+// the driver. If the object's producer has not started yet and may be
+// helped (see help), Get runs it in the calling goroutine first. An object
+// whose last holder died is waited for like a pending one. An object found
+// Lost — given up, or its task failed with a retryable error — is put to
+// restore once, and waited for again if that repaired it or re-submitted
+// its producer, before Get reports failure. A terminal failure (see
+// terminalFailure) is reported as recorded.
 func (rt *Runtime) Get(ctx context.Context, id idgen.ObjectID) ([]byte, error) {
-	err := rt.Head.Table.WaitReady(ctx, id)
+	err := rt.waitReady(ctx, id)
 	if errors.Is(err, ownership.ErrObjectLost) && !rt.terminalFailure(id) {
 		if lost, rerr := rt.restore([]idgen.ObjectID{id}, true); len(lost) == 0 {
-			err = rt.Head.Table.WaitReady(ctx, id)
+			err = rt.waitReady(ctx, id)
 		} else if rerr != nil {
 			err = fmt.Errorf("%w (recovery also failed: %v)", err, rerr)
 		}
@@ -967,23 +1021,46 @@ func (rt *Runtime) Get(ctx context.Context, id idgen.ObjectID) ([]byte, error) {
 	return rt.drv.FetchLocal(ctx, id)
 }
 
-// terminalFailure reports whether an object's recorded error is a deliberate
-// revocation (cancel or deadline). Lineage recovery must not resurrect such
-// tasks: re-executing work the user revoked would defeat the cancellation.
-func (rt *Runtime) terminalFailure(id idgen.ObjectID) bool {
-	switch skaderr.CodeOf(rt.taskErr(id)) {
-	case skaderr.Cancelled, skaderr.DeadlineExceeded:
-		return true
-	default:
-		return false
+// waitReady is help, then WaitReady on the ownership directory.
+func (rt *Runtime) waitReady(ctx context.Context, id idgen.ObjectID) error {
+	rt.help(ctx, id)
+	return rt.Head.Table.WaitReady(ctx, id)
+}
+
+// help runs id's producer in the calling goroutine if it is registered,
+// helpable (value arguments only, not a gang member) and not started yet:
+// the caller would park until it finishes anyway, and running it here saves
+// the two cross-thread wake-ups of the task's goroutine and of the parked
+// caller. A caller whose ctx can be cancelled or can expire never helps, so
+// it returns on time instead of sitting inside someone's kernel.
+func (rt *Runtime) help(ctx context.Context, id idgen.ObjectID) {
+	if ctx.Done() != nil {
+		return
+	}
+	rt.mu.Lock()
+	ctl := rt.producers[id]
+	rt.mu.Unlock()
+	if ctl != nil && rt.run(ctl) {
+		rt.Metrics.Counter(MetricTasksHelped).Inc()
 	}
 }
 
+// terminalFailure reports whether an object's recorded error is terminal: a
+// deliberate revocation (cancel or deadline) or a failure no retry can
+// change (skaderr.Retryable is false, e.g. the kernel's own error). Neither
+// is re-derived: re-executing revoked work would defeat the cancellation,
+// and re-running a failed kernel fails it again.
+func (rt *Runtime) terminalFailure(id idgen.ObjectID) bool {
+	err := rt.taskErr(id)
+	return err != nil && !skaderr.Retryable(err)
+}
+
 // Wait blocks until at least n of the references are ready (or failed) and
-// returns the ready ones.
+// returns the ready ones. When every reference is required it helps their
+// producers (see help) and parks on each in turn.
 func (rt *Runtime) Wait(ctx context.Context, ids []idgen.ObjectID, n int) ([]idgen.ObjectID, error) {
-	if n > len(ids) {
-		n = len(ids)
+	if n >= len(ids) {
+		return rt.waitAll(ctx, ids)
 	}
 	// Waiters run under a context canceled when Wait returns, so waiters
 	// for not-yet-ready objects do not outlive the call (goroutine leak).
@@ -1012,6 +1089,25 @@ func (rt *Runtime) Wait(ctx context.Context, ids []idgen.ObjectID, n int) ([]idg
 	}
 	if len(ready) < n {
 		return ready, fmt.Errorf("runtime: only %d of %d objects became ready", len(ready), n)
+	}
+	return ready, nil
+}
+
+// waitAll is Wait with every reference required.
+func (rt *Runtime) waitAll(ctx context.Context, ids []idgen.ObjectID) ([]idgen.ObjectID, error) {
+	for _, id := range ids {
+		rt.help(ctx, id)
+	}
+	var ready []idgen.ObjectID
+	for _, id := range ids {
+		if err := rt.Head.Table.WaitReady(ctx, id); err == nil {
+			ready = append(ready, id)
+		} else if ctx.Err() != nil {
+			return ready, ctx.Err()
+		}
+	}
+	if len(ready) < len(ids) {
+		return ready, fmt.Errorf("runtime: only %d of %d objects became ready", len(ready), len(ids))
 	}
 	return ready, nil
 }
@@ -1119,8 +1215,9 @@ func (rt *Runtime) live(id idgen.ObjectID) bool {
 
 // readable reports whether id can be read now: it is live, or the caching
 // layer still serves a copy (replica, EC shards, DSM) and the record is
-// repaired from it onto the driver — never for a revoked object, which
-// would resurrect work the user cancelled.
+// repaired from it onto the driver — never for an object whose task failed
+// terminally, which would resurrect work the user cancelled or a result
+// the kernel never produced.
 func (rt *Runtime) readable(id idgen.ObjectID) bool {
 	if rt.live(id) {
 		return true
@@ -1149,7 +1246,8 @@ func (rt *Runtime) pending(id idgen.ObjectID) bool {
 // or found Lost): §2.1's two mechanisms as an order. Each id is settled —
 // Ready if a copy is readable, Pending if its producer is re-submitted,
 // else Lost; with rederive false (a drained node's dead weight), Lost
-// unlooked. Lineage asks the same of every argument: one readable or
+// unlooked. A producer whose recorded failure is terminal (see
+// terminalFailure) is never re-submitted: its outputs are Lost. Lineage asks the same of every argument: one readable or
 // Pending will arrive, the rest are re-derived too. Every planned return
 // is claimed Pending (Settle, a compare-and-set: concurrent restores
 // re-submit a producer once) before its producer starts through dispatch;
@@ -1172,10 +1270,11 @@ func (rt *Runtime) restore(ids []idgen.ObjectID, rederive bool) (lost []idgen.Ob
 				err = perr
 			}
 			for _, spec := range steps {
-				// Never resurrect revoked work. Cancellation cascades to
-				// every downstream consumer, so a dependent of a skipped
-				// producer is itself revoked and skipped.
-				if !planned[spec.ID] && !rt.revokedTask(spec) {
+				// Never re-run a terminal failure. Cancellation cascades to
+				// every downstream consumer, and a consumer of a failed
+				// output fails on the lost argument, so a dependent of a
+				// skipped producer is itself skipped.
+				if !planned[spec.ID] && !rt.failedTerminally(spec) {
 					planned[spec.ID] = true
 					plan = append(plan, spec)
 				}
@@ -1206,15 +1305,10 @@ func (rt *Runtime) restore(ids []idgen.ObjectID, rederive bool) (lost []idgen.Ob
 	return lost, err
 }
 
-// revokedTask reports whether any of a task's returns carries a cancel or
-// deadline failure.
-func (rt *Runtime) revokedTask(spec *task.Spec) bool {
-	for _, ret := range spec.Returns {
-		if rt.terminalFailure(ret) {
-			return true
-		}
-	}
-	return false
+// failedTerminally reports whether any of a task's returns carries a
+// terminal failure (see terminalFailure).
+func (rt *Runtime) failedTerminally(spec *task.Spec) bool {
+	return slices.ContainsFunc(spec.Returns, rt.terminalFailure)
 }
 
 // CancelReport summarizes what one Cancel call reclaimed.
