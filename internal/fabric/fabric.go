@@ -225,18 +225,18 @@ func (f *Fabric) Compressible(class LinkClass) bool {
 	return class >= 0 && class < numClasses && f.compress[class]
 }
 
-// wireSizeSampleMax bounds how many payload bytes wireSize actually runs
-// through the codec; larger payloads extrapolate the sample's ratio. The
-// cost model needs entropy sensitivity — all-zero pages vs random bytes —
-// not a second full compression pass on every multi-megabyte transfer.
+// wireSizeSampleMax bounds how many payload bytes wireSize measures with
+// the codec; larger payloads extrapolate the sample's ratio. The cost model
+// needs entropy sensitivity — all-zero pages vs random bytes — not a second
+// full compression pass on every multi-megabyte transfer.
 const wireSizeSampleMax = 256 << 10
 
 // wireSize returns the bytes-on-wire for a payload crossing class: the
 // compressed size when the class's policy says compress and the payload
-// clears the minimum, the raw size otherwise. The compression really runs
-// (into pooled scratch, then discarded) over a bounded prefix so the
-// modeled wire bytes reflect the payload's actual entropy, not a guessed
-// ratio.
+// clears the minimum, the raw size otherwise. The codec's match finder
+// really runs over a bounded prefix (wire.CompressedLen: the block is
+// measured, never written), so the modeled wire bytes reflect the
+// payload's actual entropy, not a guessed ratio.
 func (f *Fabric) wireSize(class LinkClass, data []byte) int {
 	if !f.Compressible(class) || len(data) < f.compressMin {
 		return len(data)
@@ -245,10 +245,7 @@ func (f *Fabric) wireSize(class LinkClass, data []byte) int {
 	if len(sample) > wireSizeSampleMax {
 		sample = data[:wireSizeSampleMax]
 	}
-	scratch := wire.GetBuf(wire.CompressBound(len(sample)))
-	compressed := wire.AppendCompress(scratch, sample)
-	n := len(compressed)
-	wire.PutBuf(compressed)
+	n := wire.CompressedLen(sample)
 	if n >= len(sample) {
 		// Incompressible payload: the sender ships it raw (plus nothing —
 		// the one-byte framing flag is lost in message overhead).

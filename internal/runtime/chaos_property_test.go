@@ -10,6 +10,7 @@ import (
 	"skadi/internal/chaos"
 	"skadi/internal/idgen"
 	"skadi/internal/raylet"
+	"skadi/internal/scheduler"
 	"skadi/internal/skaderr"
 	"skadi/internal/task"
 	"skadi/internal/transport"
@@ -31,18 +32,18 @@ func failEpisode(t *testing.T, rt *Runtime, seed int64, format string, args ...a
 	var sb strings.Builder
 	_ = rt.Chaos().WriteJournal(&sb)
 	t.Logf("chaos journal (seed=%d):\n%s", seed, sb.String())
-	t.Logf("replay: go test ./internal/runtime -run TestChaosProperty -chaos.seed=%d", seed)
+	t.Logf("replay: go test ./internal/runtime -run '^%s$' -chaos.seed=%d", strings.ReplaceAll(t.Name(), "/", "$/^"), seed)
 	t.Fatalf(format, args...)
 }
 
-// runChaosEpisode boots a small cluster, arms a generated plan, runs a
-// fan-out/fan-in DAG through it, and checks every invariant at quiesce.
-// The fault mix is derived from the seed so a replayed seed regenerates
-// the identical episode.
-func runChaosEpisode(t *testing.T, seed int64) {
+// runChaosEpisode boots a small cluster placing tasks by policy, arms a
+// generated plan, runs a fan-out/fan-in DAG through it, and checks every
+// invariant at quiesce. The fault mix is derived from the seed so a
+// replayed seed regenerates the identical episode.
+func runChaosEpisode(t *testing.T, seed int64, policy scheduler.Policy) {
 	rt, err := New(ClusterSpec{
 		Servers: 4, ServerSlots: 2, ServerMemBytes: 64 << 20,
-	}, Options{Recovery: Recover, TimeScale: 1.0})
+	}, Options{Recovery: Recover, TimeScale: 1.0, Policy: policy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,15 +99,20 @@ func checkResubmissions(t *testing.T, rt *Runtime, seed int64) {
 // episodes of mixed faults (message chaos, partitions, crash/restart
 // cycles) over a fan-out/fan-in DAG, with all five invariants checked
 // after every episode. On failure it prints the seed and the exact replay
-// command. -chaos.seed=N re-runs episode 0 with seed N.
+// command. -chaos.seed=N re-runs episode 0 with seed N. The data-locality
+// arm places each aggregate only once its leaves exist, so that wait meets
+// the kills and the Orphaned arguments they leave.
 func TestChaosProperty(t *testing.T) {
-	base := chaos.FlagSeed()
-	for ep := 0; ep < chaosEpisodes(); ep++ {
-		seed := base + int64(ep)
-		runChaosEpisode(t, seed)
-		if t.Failed() {
-			return
-		}
+	for _, policy := range []scheduler.Policy{scheduler.RoundRobin, scheduler.DataLocality} {
+		t.Run(policy.String(), func(t *testing.T) {
+			base := chaos.FlagSeed()
+			for ep := 0; ep < chaosEpisodes(); ep++ {
+				runChaosEpisode(t, base+int64(ep), policy)
+				if t.Failed() {
+					return
+				}
+			}
+		})
 	}
 }
 

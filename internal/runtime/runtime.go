@@ -787,7 +787,8 @@ func (rt *Runtime) prepare(spec *task.Spec) {
 	rt.Head.Lineage.Record(spec)
 }
 
-// dispatch picks a node (unless pinned) and executes the task until it
+// dispatch picks a node (unless pinned; under DataLocality once the
+// reference arguments exist, see awaitArgs) and executes the task until it
 // succeeds, fails terminally or a budget runs out. maxAttempts counts
 // transient exec errors: the task ran on a live node and failed with a
 // retryable code. maxReplaces bounds the runs that never had
@@ -802,6 +803,10 @@ func (rt *Runtime) dispatch(ctx context.Context, ctl *taskCtl, pinned idgen.Node
 	spec := ctl.spec
 	var lastErr error
 	for attempts, replaces := 0, 0; attempts < maxAttempts && replaces <= maxReplaces; {
+		if err := rt.awaitArgs(ctx, spec, pinned); err != nil {
+			rt.failTask(spec, err)
+			return dequeued, false
+		}
 		// Cancellation checkpoint between attempts: a revoked task stops
 		// before taking a node, and the recorded error carries the cause
 		// (skaderr.Cancelled or DeadlineExceeded), not a transport artifact.
@@ -932,6 +937,34 @@ func (rt *Runtime) dispatch(ctx context.Context, ctl *taskCtl, pinned idgen.Node
 	}
 	rt.failTask(spec, lastErr)
 	return dequeued, false
+}
+
+// awaitArgs parks a task placed by DataLocality until its reference
+// arguments exist, so Pick sees where their bytes are (Ray's rule: resolve
+// dependencies, then ask for a lease). The task holds no slot and no
+// tenancy grant while it waits. Pinned and actor tasks have no placement to
+// make, and the other policies never read argument locations; E4's push
+// resolution needs a consumer placed while its producer still runs. An
+// argument whose producer failed terminally (see terminalFailure) fails the
+// task with that error. Any other wait error is dropped: the raylet's
+// argument fetch reports a lost argument as it would have anyway, and
+// dispatch's checkpoint reports a revoked ctx.
+func (rt *Runtime) awaitArgs(ctx context.Context, spec *task.Spec, pinned idgen.NodeID) error {
+	if !pinned.IsNil() || !spec.Actor.IsNil() || rt.Sched.Policy() != scheduler.DataLocality {
+		return nil
+	}
+	for i, a := range spec.Args {
+		if !a.IsRef || rt.Head.Table.WaitReady(ctx, a.Ref) == nil {
+			continue
+		}
+		if ctx.Err() != nil {
+			return nil
+		}
+		if rt.terminalFailure(a.Ref) {
+			return fmt.Errorf("argument %d: %w", i, rt.taskErr(a.Ref))
+		}
+	}
+	return nil
 }
 
 // execOn performs the exec RPC against one raylet.

@@ -9,11 +9,11 @@ import (
 // An LZ4-style block codec for per-link compression on the wire path. The
 // format is the classic token stream — literal-run / match-length nibbles
 // with 255-run extensions, 16-bit little-endian match offsets — compressed
-// greedily through a pooled hash table. It trades ratio for speed the way
-// LZ4 does, which is the right trade on rack-class links: the fabric's
-// rack bandwidth (~3 GB/s) is slower than the codec, so shipping fewer
-// bytes wins, while island/NVLink-class links are faster than any codec
-// and ship raw.
+// greedily through a pooled hash table, with LZ4's skip acceleration over
+// runs of missed probes. It trades ratio for speed the way LZ4 does, which
+// is the right trade on rack-class links: the fabric's rack bandwidth
+// (~3 GB/s) is slower than the codec, so shipping fewer bytes wins, while
+// island/NVLink-class links are faster than any codec and ship raw.
 //
 // The codec is self-contained (no dependency beyond the standard library)
 // and deterministic: the same input always yields the same block.
@@ -29,6 +29,9 @@ const (
 	// lz4MFLimit: matches must start at least this far from the end, so the
 	// final sequence is always literals (mirrors the reference format rule).
 	lz4MFLimit = 12
+	// lz4SkipLog sets how fast the scan step widens over a run of missed
+	// probes (the reference codec's skip trigger; 7 as in pierrec/lz4).
+	lz4SkipLog = 7
 )
 
 var lz4TablePool = sync.Pool{
@@ -45,9 +48,52 @@ func CompressBound(n int) int { return n + n/255 + 16 }
 // CompressBound(len(src)) - len(src) bytes (callers ship raw when the block
 // is not smaller).
 func AppendCompress(dst, src []byte) []byte {
+	out := lz4Out{b: dst}
+	lz4Compress(&out, src)
+	return out.b
+}
+
+// CompressedLen returns len(AppendCompress(nil, src)) without building the
+// block: the same parse, with each sequence measured instead of written. It
+// is the probe for a cost model that needs a payload's compression ratio but
+// ships no block.
+func CompressedLen(src []byte) int {
+	out := lz4Out{count: true}
+	lz4Compress(&out, src)
+	return out.n
+}
+
+// lz4Out receives the parser's sequences: appended to b, or, when count is
+// set, only added up in n.
+type lz4Out struct {
+	b     []byte
+	n     int
+	count bool
+}
+
+func (o *lz4Out) sequence(lits []byte, offset, mLen int) {
+	if o.count {
+		o.n += 1 + lz4LenExtSize(len(lits)) + len(lits) + 2 + lz4LenExtSize(mLen-lz4MinMatch)
+		return
+	}
+	o.b = lz4AppendSequence(o.b, lits, offset, mLen)
+}
+
+func (o *lz4Out) last(lits []byte) {
+	if o.count {
+		o.n += 1 + lz4LenExtSize(len(lits)) + len(lits)
+		return
+	}
+	o.b = lz4AppendLastLiterals(o.b, lits)
+}
+
+// lz4Compress is the greedy match finder both AppendCompress and
+// CompressedLen run; it hands every sequence to out.
+func lz4Compress(out *lz4Out, src []byte) {
 	n := len(src)
 	if n < lz4MFLimit+lz4MinMatch {
-		return lz4AppendLastLiterals(dst, src)
+		out.last(src)
+		return
 	}
 	table := lz4TablePool.Get().(*[lz4TableSize]int32)
 	for i := range table {
@@ -67,7 +113,10 @@ func AppendCompress(dst, src []byte) []byte {
 		table[h] = int32(s + 1)
 		if cand < 0 || s-cand > lz4MaxOffset ||
 			binary.LittleEndian.Uint32(src[cand:]) != seq {
-			s++
+			// Skip acceleration: the step grows by one for every
+			// 1<<lz4SkipLog bytes since the last match, so incompressible
+			// input costs ~1K probes per 256 KiB instead of one per byte.
+			s += 1 + (s-anchor)>>lz4SkipLog
 			continue
 		}
 		// Extend the match forward (leave the final 5 bytes as literals)
@@ -81,11 +130,11 @@ func AppendCompress(dst, src []byte) []byte {
 			cand--
 			mLen++
 		}
-		dst = lz4AppendSequence(dst, src[anchor:s], s-cand, mLen)
+		out.sequence(src[anchor:s], s-cand, mLen)
 		s += mLen
 		anchor = s
 	}
-	return lz4AppendLastLiterals(dst, src[anchor:])
+	out.last(src[anchor:])
 }
 
 // lz4AppendSequence emits one token + literals + offset + match length.
@@ -125,6 +174,15 @@ func lz4AppendLastLiterals(dst, lits []byte) []byte {
 		dst = append(dst, byte(litLen)<<4)
 	}
 	return append(dst, lits...)
+}
+
+// lz4LenExtSize is how many extension bytes a length field of v takes:
+// none below 15, else what lz4AppendLenExt writes for v-15.
+func lz4LenExtSize(v int) int {
+	if v < 15 {
+		return 0
+	}
+	return (v-15)/255 + 1
 }
 
 func lz4AppendLenExt(dst []byte, v int) []byte {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -102,15 +103,94 @@ func TestLZ4DecompressHostile(t *testing.T) {
 	}
 }
 
-func BenchmarkLZ4Compress(b *testing.B) {
-	src := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog "), 2000)
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	var block []byte
-	for i := 0; i < b.N; i++ {
-		block = AppendCompress(block[:0], src)
+// lz4Shapes are the inputs the codec guards run: incompressible, one long
+// run, repetitive text, and random bytes that give way to a run (a literal
+// sequence, then a match).
+func lz4Shapes(n int) map[string][]byte {
+	random := make([]byte, n)
+	rand.New(rand.NewSource(int64(n))).Read(random)
+	text := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog "), n/44+1)[:n]
+	tail := append([]byte(nil), random...)
+	clear(tail[n/2:])
+	return map[string][]byte{"random": random, "zeros": make([]byte, n), "text": text, "random-then-zero": tail}
+}
+
+// lz4GuardLens covers every length below 32, the lengths around 4 KiB, and
+// the lengths around the 15 and 15+255 literal- and match-length extension
+// edges, both for a whole input and for its first half.
+func lz4GuardLens() []int {
+	var lens []int
+	for n := 0; n < 32; n++ {
+		lens = append(lens, n)
+	}
+	for _, edge := range []int{15, 15 + 255, 15 + 2*255, 4 << 10} {
+		for _, mid := range []int{edge, 2 * edge} {
+			for n := mid - 12; n <= mid+12; n++ {
+				lens = append(lens, n)
+			}
+		}
+	}
+	return lens
+}
+
+// lz4Check is the property FuzzLZ4 and the guard tests share: the block
+// stays under CompressBound, decodes back to src, and CompressedLen
+// measures it exactly.
+func lz4Check(t *testing.T, src []byte) {
+	t.Helper()
+	block := AppendCompress(nil, src)
+	if got := CompressedLen(src); got != len(block) {
+		t.Fatalf("CompressedLen = %d, len(AppendCompress) = %d for %d input bytes", got, len(block), len(src))
+	}
+	lz4RoundTrip(t, src)
+}
+
+func TestCompressedLenMatchesAppendCompress(t *testing.T) {
+	for _, n := range lz4GuardLens() {
+		for name, src := range lz4Shapes(n) {
+			t.Run(fmt.Sprintf("%s/%d", name, n), func(t *testing.T) { lz4Check(t, src) })
+		}
 	}
 }
+
+func FuzzLZ4(f *testing.F) {
+	for _, n := range []int{0, 1, 15, 16, 31, 270, 4 << 10} {
+		for _, src := range lz4Shapes(n) {
+			f.Add(src)
+		}
+	}
+	f.Fuzz(func(t *testing.T, src []byte) { lz4Check(t, src) })
+}
+
+func BenchmarkLZ4Compress(b *testing.B) {
+	for _, name := range []string{"text", "random", "zeros"} {
+		src := lz4Shapes(88000)[name]
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(src)))
+			b.ReportAllocs()
+			var block []byte
+			for i := 0; i < b.N; i++ {
+				block = AppendCompress(block[:0], src)
+			}
+		})
+	}
+}
+
+func BenchmarkCompressedLen(b *testing.B) {
+	for _, name := range []string{"text", "random", "zeros"} {
+		src := lz4Shapes(88000)[name]
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(src)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				compressedLenResult = CompressedLen(src)
+			}
+		})
+	}
+}
+
+// compressedLenResult keeps BenchmarkCompressedLen's result live.
+var compressedLenResult int
 
 func BenchmarkLZ4Decompress(b *testing.B) {
 	src := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog "), 2000)
