@@ -217,6 +217,27 @@ func (b *Builder) Build() *Batch {
 	return &Batch{Schema: b.schema, Cols: b.cols, rows: b.rows}
 }
 
+// NewBatch assembles a batch from columns that already hold its values,
+// without copying them: every column must have its field's type and all
+// must have the same length.
+func NewBatch(schema *Schema, cols []Column) (*Batch, error) {
+	if len(cols) != len(schema.Fields) {
+		return nil, fmt.Errorf("%w: %d columns for %d fields", ErrSchemaMismatch, len(cols), len(schema.Fields))
+	}
+	rows := 0
+	for i := range cols {
+		if cols[i].Type != schema.Fields[i].Type {
+			return nil, fmt.Errorf("%w: column %d is %s, field wants %s", ErrSchemaMismatch, i, cols[i].Type, schema.Fields[i].Type)
+		}
+		if n := cols[i].Len(); i == 0 {
+			rows = n
+		} else if n != rows {
+			return nil, fmt.Errorf("%w: column %d has %d rows, column 0 has %d", ErrSchemaMismatch, i, n, rows)
+		}
+	}
+	return &Batch{Schema: schema, Cols: cols, rows: rows}, nil
+}
+
 // Encoding layout:
 //
 //	magic uint32 | nCols uvarint | nRows uvarint
@@ -513,6 +534,11 @@ func (b *Batch) Select(rows []int) *Batch {
 				dst.Floats[j] = src.Floats[r]
 			}
 		case Bytes:
+			size := 0
+			for _, r := range rows {
+				size += int(src.Offsets[r+1] - src.Offsets[r])
+			}
+			dst.Blob = make([]byte, 0, size)
 			dst.Offsets = make([]int32, 1, len(rows)+1)
 			for _, r := range rows {
 				dst.Blob = append(dst.Blob, src.BytesAt(r)...)

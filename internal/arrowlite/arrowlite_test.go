@@ -2,6 +2,7 @@ package arrowlite
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -179,6 +180,28 @@ func TestSelect(t *testing.T) {
 	}
 	if string(sel.Col(2).BytesAt(0)) != "row-9" {
 		t.Errorf("name = %q", sel.Col(2).BytesAt(0))
+	}
+}
+
+func TestNewBatch(t *testing.T) {
+	batch := sampleBatch(t, 4)
+	got, err := NewBatch(batch.Schema, batch.Cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumRows() != 4 || !bytes.Equal(Encode(got), Encode(batch)) {
+		t.Errorf("NewBatch over a batch's own columns differs from it")
+	}
+	short := batch.Select([]int{0, 1})
+	bad := map[string][]Column{
+		"too few columns": batch.Cols[:2],
+		"wrong type":      {batch.Cols[1], batch.Cols[1], batch.Cols[2]},
+		"ragged":          {batch.Cols[0], short.Cols[1], batch.Cols[2]},
+	}
+	for name, cols := range bad {
+		if _, err := NewBatch(batch.Schema, cols); !errors.Is(err, ErrSchemaMismatch) {
+			t.Errorf("%s: err = %v, want ErrSchemaMismatch", name, err)
+		}
 	}
 }
 

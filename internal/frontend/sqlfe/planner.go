@@ -46,10 +46,8 @@ func identityFunc(name string) *ir.Func {
 	return f
 }
 
-// filterFunc chains the conditions as rel.filter ops.
-func filterFunc(name string, conds []Cond) (*ir.Func, error) {
-	f := ir.NewFunc(name)
-	v := f.AddParam(ir.KTable)
+// addFilters chains the conditions onto v as rel.filter ops.
+func addFilters(f *ir.Func, v *ir.Value, conds []Cond) (*ir.Value, error) {
 	for _, c := range conds {
 		cmp, err := cmpAttr(c.Op)
 		if err != nil {
@@ -59,13 +57,17 @@ func filterFunc(name string, conds []Cond) (*ir.Func, error) {
 			"col": c.Col, "cmp": cmp, "value": c.Val,
 		}, v)
 	}
-	f.Return(v)
-	return f, nil
+	return v, nil
 }
 
 // PlanGraph lowers a parsed query onto a logical FlowGraph. Source
 // vertices are named after their tables; the sink is named "result".
 // The executor's inputs map must provide a table per source vertex.
+//
+// GROUP BY and global aggregates run in two phases: the vertex feeding the
+// aggregate (the scan, the join, or the where after a join) ends with a
+// partial rel.agg, so each of its shards ships one row per group, and the
+// aggregate vertex merges the partials.
 func PlanGraph(q *Query, opts PlanOptions) (*flowgraph.Graph, error) {
 	if opts.ScanParallelism < 1 {
 		opts.ScanParallelism = 2
@@ -74,14 +76,28 @@ func PlanGraph(q *Query, opts PlanOptions) (*flowgraph.Graph, error) {
 		opts.ShuffleParallelism = 2
 	}
 	g := flowgraph.New("sql:" + q.From)
+	aggSpecs := aggList(q)
+	aggAttrs := func(phase string) map[string]string {
+		return map[string]string{"group": q.GroupBy, "aggs": strings.Join(aggSpecs, ","), "phase": phase}
+	}
+	// feed ends the function of the vertex that feeds the aggregate (or
+	// the tail, for a query without one).
+	feed := func(f *ir.Func, v *ir.Value) {
+		if len(aggSpecs) > 0 {
+			v = f.Add("rel", "agg", ir.KTable, aggAttrs("partial"), v)
+		}
+		f.Return(v)
+	}
 
 	var current *flowgraph.Vertex
 	if q.Join == nil {
 		// Filters fold into the scan.
-		scanFn, err := filterFunc("scan_"+q.From, q.Where)
+		scanFn := ir.NewFunc("scan_" + q.From)
+		v, err := addFilters(scanFn, scanFn.AddParam(ir.KTable), q.Where)
 		if err != nil {
 			return nil, err
 		}
+		feed(scanFn, v)
 		current = g.AddIR(q.From, scanFn)
 		current.Parallelism = opts.ScanParallelism
 	} else {
@@ -96,7 +112,6 @@ func PlanGraph(q *Query, opts PlanOptions) (*flowgraph.Graph, error) {
 		j := joinFn.Add("rel", "join", ir.KTable, map[string]string{
 			"leftkey": q.Join.LeftKey, "rightkey": q.Join.RightKey,
 		}, l, r)
-		joinFn.Return(j)
 		joinV := g.AddIR("join", joinFn)
 		joinV.Parallelism = opts.ShuffleParallelism
 		g.ConnectKeyed(left, joinV, q.Join.LeftKey)
@@ -104,26 +119,26 @@ func PlanGraph(q *Query, opts PlanOptions) (*flowgraph.Graph, error) {
 		current = joinV
 
 		if len(q.Where) > 0 {
-			whereFn, err := filterFunc("where", q.Where)
+			joinFn.Return(j)
+			whereFn := ir.NewFunc("where")
+			v, err := addFilters(whereFn, whereFn.AddParam(ir.KTable), q.Where)
 			if err != nil {
 				return nil, err
 			}
+			feed(whereFn, v)
 			whereV := g.AddIR("where", whereFn)
 			whereV.Parallelism = opts.ShuffleParallelism
 			g.Connect(current, whereV)
 			current = whereV
+		} else {
+			feed(joinFn, j)
 		}
 	}
 
-	// Aggregation.
-	aggSpecs := aggList(q)
+	// Aggregation: merge the partials.
 	if len(aggSpecs) > 0 {
 		aggFn := ir.NewFunc("agg")
-		in := aggFn.AddParam(ir.KTable)
-		out := aggFn.Add("rel", "agg", ir.KTable, map[string]string{
-			"group": q.GroupBy, "aggs": strings.Join(aggSpecs, ","),
-		}, in)
-		aggFn.Return(out)
+		aggFn.Return(aggFn.Add("rel", "agg", ir.KTable, aggAttrs("merge"), aggFn.AddParam(ir.KTable)))
 		aggV := g.AddIR("agg", aggFn)
 		if q.GroupBy != "" {
 			aggV.Parallelism = opts.ShuffleParallelism
@@ -137,18 +152,11 @@ func PlanGraph(q *Query, opts PlanOptions) (*flowgraph.Graph, error) {
 
 	// Tail: having, distinct, order, limit, project — single-shard.
 	tail := ir.NewFunc("tail")
-	v := tail.AddParam(ir.KTable)
-	touched := false
-	for _, c := range q.Having {
-		cmp, err := cmpAttr(c.Op)
-		if err != nil {
-			return nil, err
-		}
-		v = tail.Add("rel", "filter", ir.KTable, map[string]string{
-			"col": c.Col, "cmp": cmp, "value": c.Val,
-		}, v)
-		touched = true
+	v, err := addFilters(tail, tail.AddParam(ir.KTable), q.Having)
+	if err != nil {
+		return nil, err
 	}
+	touched := len(q.Having) > 0
 	if q.Distinct {
 		// Deduplicate after projecting to the selected columns so
 		// DISTINCT applies to the output schema; project here and skip

@@ -153,7 +153,8 @@ func TestPlanGraphJoinShape(t *testing.T) {
 	}
 }
 
-// engine runs a query end to end against in-memory tables.
+// engine runs a query end to end against in-memory tables on a fresh
+// runtime, with scan and shuffle parallelism 2.
 func engine(t *testing.T, query string, tables map[string]*arrowlite.Batch) *arrowlite.Batch {
 	t.Helper()
 	rt, err := runtime.New(runtime.ClusterSpec{
@@ -163,12 +164,18 @@ func engine(t *testing.T, query string, tables map[string]*arrowlite.Batch) *arr
 		t.Fatal(err)
 	}
 	defer rt.Shutdown()
+	return runSQL(t, rt, query, tables, 2, 2, false)
+}
 
+// runSQL plans and runs one query on rt and returns its result table;
+// free releases the run's intermediate objects afterwards.
+func runSQL(t *testing.T, rt *runtime.Runtime, query string, tables map[string]*arrowlite.Batch, scanPar, shufflePar int, free bool) *arrowlite.Batch {
+	t.Helper()
 	q, err := Parse(query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := PlanGraph(q, PlanOptions{ScanParallelism: 2, ShuffleParallelism: 2})
+	g, err := PlanGraph(q, PlanOptions{ScanParallelism: scanPar, ShuffleParallelism: shufflePar})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,9 +191,9 @@ func engine(t *testing.T, query string, tables map[string]*arrowlite.Batch) *arr
 	for name, batch := range tables {
 		inputs[name] = []*ir.Datum{ir.TableDatum(batch)}
 	}
-	results, err := physical.NewExecutor(rt, plan).Run(context.Background(), inputs)
+	results, err := physical.NewExecutor(rt, plan).FreeIntermediates(free).Run(context.Background(), inputs)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", query, err)
 	}
 	res, ok := results["result"]
 	if !ok {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -332,24 +333,33 @@ func compareFn(op *Op, batch *arrowlite.Batch) (func(row int) bool, error) {
 			return nil, fmt.Errorf("%w: cmp %q on bytes column", ErrBadOperands, cmp)
 		}
 	}
+	// An int64 column against an integer literal compares as int64: through
+	// float64 it would lose every integer above 2^53.
+	if want, err := strconv.ParseInt(op.Attr("value"), 10, 64); err == nil && col.Type == arrowlite.Int64 {
+		return orderedCmp(cmp, func(r int) int64 { return col.Ints[r] }, want)
+	}
 	want, err := strconv.ParseFloat(op.Attr("value"), 64)
 	if err != nil {
 		return nil, fmt.Errorf("%w: bad filter value %q", ErrBadOperands, op.Attr("value"))
 	}
-	num := func(r int) float64 { return batch.Float64At(colIdx, r) }
+	return orderedCmp(cmp, func(r int) float64 { return batch.Float64At(colIdx, r) }, want)
+}
+
+// orderedCmp builds the row predicate "at(r) cmp want".
+func orderedCmp[T int64 | float64](cmp string, at func(int) T, want T) (func(row int) bool, error) {
 	switch cmp {
 	case "lt":
-		return func(r int) bool { return num(r) < want }, nil
+		return func(r int) bool { return at(r) < want }, nil
 	case "le":
-		return func(r int) bool { return num(r) <= want }, nil
+		return func(r int) bool { return at(r) <= want }, nil
 	case "gt":
-		return func(r int) bool { return num(r) > want }, nil
+		return func(r int) bool { return at(r) > want }, nil
 	case "ge":
-		return func(r int) bool { return num(r) >= want }, nil
+		return func(r int) bool { return at(r) >= want }, nil
 	case "eq":
-		return func(r int) bool { return num(r) == want }, nil
+		return func(r int) bool { return at(r) == want }, nil
 	case "ne":
-		return func(r int) bool { return num(r) != want }, nil
+		return func(r int) bool { return at(r) != want }, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown cmp %q", ErrBadOperands, cmp)
 	}
@@ -433,8 +443,13 @@ func registerRelKernels() {
 			rows[i] = i
 		}
 		col := batch.Col(colIdx)
-		less := func(a, b int) bool { return batch.Float64At(colIdx, a) < batch.Float64At(colIdx, b) }
-		if col.Type == arrowlite.Bytes {
+		var less func(a, b int) bool
+		switch col.Type {
+		case arrowlite.Int64:
+			less = func(a, b int) bool { return col.Ints[a] < col.Ints[b] }
+		case arrowlite.Float64:
+			less = func(a, b int) bool { return col.Floats[a] < col.Floats[b] }
+		default:
 			less = func(a, b int) bool { return bytes.Compare(col.BytesAt(a), col.BytesAt(b)) < 0 }
 		}
 		sort.SliceStable(rows, func(i, j int) bool {
@@ -469,7 +484,7 @@ func registerRelKernels() {
 		if err != nil {
 			return nil, err
 		}
-		return aggBatch(batch, op.Attr("group"), op.Attr("aggs"))
+		return aggBatch(batch, op.Attr("group"), op.Attr("aggs"), op.Attr("phase"))
 	})
 
 	RegisterKernel("rel.distinct", func(_ *Op, args []*Datum) (*Datum, error) {
@@ -523,7 +538,9 @@ func registerRelKernels() {
 }
 
 // joinBatches is an inner hash join on int64 key columns. The output
-// schema is left's columns followed by right's non-key columns.
+// schema is left's columns followed by right's non-key columns; rows come in
+// left order, and a left row's matches in right order. The probe only
+// collects matched row indices; the output is gathered column by column.
 func joinBatches(left, right *arrowlite.Batch, leftKey, rightKey string) (*Datum, error) {
 	li := left.Schema.Index(leftKey)
 	ri := right.Schema.Index(rightKey)
@@ -533,87 +550,87 @@ func joinBatches(left, right *arrowlite.Batch, leftKey, rightKey string) (*Datum
 	if left.Col(li).Type != arrowlite.Int64 || right.Col(ri).Type != arrowlite.Int64 {
 		return nil, fmt.Errorf("%w: join keys must be int64", ErrBadOperands)
 	}
-	// Build side: right.
-	index := make(map[int64][]int, right.NumRows())
-	for r := 0; r < right.NumRows(); r++ {
-		k := right.Col(ri).Ints[r]
-		index[k] = append(index[k], r)
+	// Build side: right, as chains through next. head[k] and next[r] hold
+	// a right row plus one, 0 ending the chain; building backwards makes
+	// each chain ascend.
+	rkeys := right.Col(ri).Ints
+	head := make(map[int64]int32, len(rkeys))
+	next := make([]int32, len(rkeys))
+	for r := len(rkeys) - 1; r >= 0; r-- {
+		next[r] = head[rkeys[r]]
+		head[rkeys[r]] = int32(r + 1)
 	}
-	var fields []arrowlite.Field
-	fields = append(fields, left.Schema.Fields...)
-	var rightCols []int
+	lrows := make([]int, 0, left.NumRows())
+	rrows := make([]int, 0, left.NumRows())
+	for lr, k := range left.Col(li).Ints {
+		for m := head[k]; m != 0; m = next[m-1] {
+			lrows = append(lrows, lr)
+			rrows = append(rrows, int(m-1))
+		}
+	}
+	var rightNames []string
 	for c, f := range right.Schema.Fields {
-		if c == ri {
-			continue
-		}
-		rightCols = append(rightCols, c)
-		fields = append(fields, f)
-	}
-	b := arrowlite.NewBuilder(arrowlite.NewSchema(fields...))
-	row := make([]any, len(fields))
-	for lr := 0; lr < left.NumRows(); lr++ {
-		matches := index[left.Col(li).Ints[lr]]
-		for _, rr := range matches {
-			pos := 0
-			for c := range left.Schema.Fields {
-				row[pos] = colValue(left, c, lr)
-				pos++
-			}
-			for _, c := range rightCols {
-				row[pos] = colValue(right, c, rr)
-				pos++
-			}
-			if err := b.Append(row...); err != nil {
-				return nil, err
-			}
+		if c != ri {
+			rightNames = append(rightNames, f.Name)
 		}
 	}
-	return TableDatum(b.Build()), nil
-}
-
-func colValue(batch *arrowlite.Batch, col, row int) any {
-	c := batch.Col(col)
-	switch c.Type {
-	case arrowlite.Int64:
-		return c.Ints[row]
-	case arrowlite.Float64:
-		return c.Floats[row]
-	default:
-		return append([]byte(nil), c.BytesAt(row)...)
+	rightVals, err := right.Project(rightNames...)
+	if err != nil {
+		return nil, err
 	}
+	l, r := left.Select(lrows), rightVals.Select(rrows)
+	fields := append(append([]arrowlite.Field(nil), left.Schema.Fields...), rightVals.Schema.Fields...)
+	out, err := arrowlite.NewBatch(arrowlite.NewSchema(fields...), append(l.Cols, r.Cols...))
+	if err != nil {
+		return nil, err
+	}
+	return TableDatum(out), nil
 }
 
-// aggState accumulates one group's aggregates.
-type aggState struct {
-	count        int64
-	sums         []float64
-	mins, maxs   []float64
-	seen         bool
-	firstGroupBy any
+// aggSpec is one entry of a rel.agg "aggs" list: fn is sum, count, avg,
+// min or max; col is a column name, or "*".
+type aggSpec struct{ fn, col string }
+
+// name is the spec's output column: fn_col, or fn alone for "*".
+func (s aggSpec) name() string {
+	if s.col == "*" {
+		return s.fn
+	}
+	return s.fn + "_" + s.col
 }
+
+// rowsCol names a partial aggregate's per-group row count. It is not an
+// identifier the SQL lexer accepts, so it cannot collide with a column.
+const rowsCol = "#rows"
 
 // aggBatch groups by an optional column and computes the comma-separated
 // aggregate list, e.g. "sum:amount,count:*,avg:price,min:price,max:price".
-func aggBatch(batch *arrowlite.Batch, group, aggs string) (*Datum, error) {
-	type aggSpec struct{ fn, col string }
+//
+// phase splits the aggregate in two. "partial" aggregates raw rows into one
+// row per group: the group column, then per spec its count (int64), its sum
+// (sum and avg) or its min or max, then rowsCol. "merge" takes concatenated
+// partials and produces what one phase ("") produces over the raw rows:
+// counts and sums add, min and max combine, avg divides the summed sum by
+// the summed count, and a partial row whose count is 0 (an empty shard's
+// global aggregate) is skipped. Either way groups come out sorted by their
+// key text, and a global aggregate over no rows is one row.
+func aggBatch(batch *arrowlite.Batch, group, aggs, phase string) (*Datum, error) {
+	merge := phase == "merge"
+	if phase != "" && phase != "partial" && !merge {
+		return nil, fmt.Errorf("%w: agg phase %q", ErrBadOperands, phase)
+	}
 	var specs []aggSpec
 	for _, part := range strings.Split(aggs, ",") {
 		fn, col, ok := strings.Cut(strings.TrimSpace(part), ":")
 		if !ok {
 			return nil, fmt.Errorf("%w: bad agg %q", ErrBadOperands, part)
 		}
+		switch fn {
+		case "sum", "count", "avg", "min", "max":
+		default:
+			return nil, fmt.Errorf("%w: unknown agg fn %q", ErrBadOperands, fn)
+		}
 		specs = append(specs, aggSpec{fn, col})
-	}
-	colIdx := make([]int, len(specs))
-	for i, s := range specs {
-		if s.col == "*" {
-			colIdx[i] = -1
-			continue
-		}
-		colIdx[i] = batch.Schema.Index(s.col)
-		if colIdx[i] < 0 {
-			return nil, fmt.Errorf("%w: no column %q", ErrBadOperands, s.col)
-		}
 	}
 	groupIdx := -1
 	if group != "" {
@@ -622,105 +639,224 @@ func aggBatch(batch *arrowlite.Batch, group, aggs string) (*Datum, error) {
 			return nil, fmt.Errorf("%w: no group column %q", ErrBadOperands, group)
 		}
 	}
-
-	groups := make(map[string]*aggState)
-	var order []string
-	keyOf := func(r int) (string, any) {
-		if groupIdx < 0 {
-			return "", nil
+	// colIdx[i] is the input column spec i reads, -1 for none; counts
+	// holds each input row's count in a merge.
+	colIdx := make([]int, len(specs))
+	var counts []int64
+	if merge {
+		off := 0
+		if groupIdx >= 0 {
+			off = 1
 		}
-		c := batch.Col(groupIdx)
-		switch c.Type {
-		case arrowlite.Int64:
-			return strconv.FormatInt(c.Ints[r], 10), c.Ints[r]
-		case arrowlite.Float64:
-			return strconv.FormatFloat(c.Floats[r], 'g', -1, 64), c.Floats[r]
-		default:
-			s := string(c.BytesAt(r))
-			return s, []byte(s)
+		if batch.NumCols() != off+len(specs)+1 || batch.Schema.Fields[batch.NumCols()-1].Name != rowsCol {
+			return nil, fmt.Errorf("%w: merge input is not a partial aggregate", ErrBadOperands)
 		}
-	}
-	for r := 0; r < batch.NumRows(); r++ {
-		key, keyVal := keyOf(r)
-		st, ok := groups[key]
-		if !ok {
-			st = &aggState{
-				sums: make([]float64, len(specs)),
-				mins: make([]float64, len(specs)),
-				maxs: make([]float64, len(specs)),
-			}
-			st.firstGroupBy = keyVal
-			groups[key] = st
-			order = append(order, key)
+		for i := range specs {
+			colIdx[i] = off + i
 		}
-		st.count++
-		for i, ci := range colIdx {
-			if ci < 0 {
+		counts = batch.Col(batch.NumCols() - 1).Ints
+	} else {
+		for i, s := range specs {
+			colIdx[i] = -1
+			if s.col == "*" {
 				continue
 			}
-			v := batch.Float64At(ci, r)
-			st.sums[i] += v
-			if !st.seen || v < st.mins[i] {
-				st.mins[i] = v
-			}
-			if !st.seen || v > st.maxs[i] {
-				st.maxs[i] = v
+			if colIdx[i] = batch.Schema.Index(s.col); colIdx[i] < 0 {
+				return nil, fmt.Errorf("%w: no column %q", ErrBadOperands, s.col)
 			}
 		}
-		st.seen = true
 	}
-	// Degenerate case: global aggregate over zero rows still yields one row.
-	if groupIdx < 0 && len(order) == 0 {
-		groups[""] = &aggState{
-			sums: make([]float64, len(specs)),
-			mins: make([]float64, len(specs)),
-			maxs: make([]float64, len(specs)),
+	for i, s := range specs {
+		if s.fn != "count" && colIdx[i] >= 0 && batch.Col(colIdx[i]).Type == arrowlite.Bytes {
+			return nil, fmt.Errorf("%w: %s of bytes column %q", ErrBadOperands, s.fn, s.col)
 		}
-		order = append(order, "")
 	}
 
-	var fields []arrowlite.Field
-	if groupIdx >= 0 {
-		fields = append(fields, batch.Schema.Fields[groupIdx])
-	}
-	for _, s := range specs {
-		name := s.fn
-		if s.col != "*" {
-			name = s.fn + "_" + s.col
-		}
-		t := arrowlite.Float64
-		if s.fn == "count" {
-			t = arrowlite.Int64
-		}
-		fields = append(fields, arrowlite.Field{Name: name, Type: t})
-	}
-	b := arrowlite.NewBuilder(arrowlite.NewSchema(fields...))
-	sort.Strings(order)
-	for _, key := range order {
-		st := groups[key]
-		var row []any
-		if groupIdx >= 0 {
-			row = append(row, st.firstGroupBy)
-		}
-		for i, s := range specs {
-			switch s.fn {
-			case "count":
-				row = append(row, st.count)
-			case "sum":
-				row = append(row, st.sums[i])
-			case "avg":
-				row = append(row, st.sums[i]/float64(st.count))
-			case "min":
-				row = append(row, st.mins[i])
-			case "max":
-				row = append(row, st.maxs[i])
-			default:
-				return nil, fmt.Errorf("%w: unknown agg fn %q", ErrBadOperands, s.fn)
+	// Pass 1 numbers the groups: gids[r] is row r's group (-1 for a
+	// skipped partial); per group, n is its row count, first the first
+	// row holding its key and keys the key's text.
+	var (
+		n     []int64
+		first []int
+		keys  []string
+	)
+	gids := make([]int32, batch.NumRows())
+	find := newGrouper(batch, groupIdx)
+	for r := range gids {
+		rows := int64(1)
+		if merge {
+			if rows = counts[r]; rows == 0 {
+				gids[r] = -1
+				continue
 			}
 		}
-		if err := b.Append(row...); err != nil {
-			return nil, err
+		g, key, isNew := find(r)
+		if isNew {
+			n = append(n, 0)
+			first = append(first, r)
+			keys = append(keys, key)
+		}
+		gids[r] = int32(g)
+		n[g] += rows
+	}
+	// Pass 2 runs one tight loop per aggregate column: acc[i][g] is spec
+	// i's sum, min or max for group g, min and max starting from the
+	// group's first row.
+	acc := make([][]float64, len(specs))
+	for i, s := range specs {
+		if s.fn == "count" {
+			continue
+		}
+		acc[i] = make([]float64, len(n))
+		if s.fn == "min" || s.fn == "max" {
+			for g, r := range first {
+				acc[i][g] = batch.Float64At(colIdx[i], r)
+			}
+		}
+		if col := batch.Col(colIdx[i]); col.Type == arrowlite.Int64 {
+			accumulate(acc[i], gids, col.Ints, s.fn)
+		} else {
+			accumulate(acc[i], gids, col.Floats, s.fn)
 		}
 	}
-	return TableDatum(b.Build()), nil
+	if groupIdx < 0 && len(n) == 0 {
+		n, keys = []int64{0}, []string{""}
+		for i := range acc {
+			acc[i] = []float64{0}
+		}
+	}
+
+	order := make([]int, len(keys))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
+
+	var fields []arrowlite.Field
+	var cols []arrowlite.Column
+	if groupIdx >= 0 {
+		rows := make([]int, len(order))
+		for i, g := range order {
+			rows[i] = first[g]
+		}
+		key, err := batch.Project(batch.Schema.Fields[groupIdx].Name)
+		if err != nil {
+			return nil, err
+		}
+		fields = append(fields, key.Schema.Fields[0])
+		cols = append(cols, key.Select(rows).Cols[0])
+	}
+	countCol := func() arrowlite.Column {
+		c := arrowlite.Column{Type: arrowlite.Int64, Ints: make([]int64, len(order))}
+		for i, g := range order {
+			c.Ints[i] = n[g]
+		}
+		return c
+	}
+	for i, s := range specs {
+		if s.fn == "count" {
+			fields = append(fields, arrowlite.Field{Name: s.name(), Type: arrowlite.Int64})
+			cols = append(cols, countCol())
+			continue
+		}
+		c := arrowlite.Column{Type: arrowlite.Float64, Floats: make([]float64, len(order))}
+		for j, g := range order {
+			c.Floats[j] = acc[i][g]
+			if s.fn == "avg" && phase != "partial" {
+				c.Floats[j] /= float64(n[g])
+			}
+		}
+		fields = append(fields, arrowlite.Field{Name: s.name(), Type: arrowlite.Float64})
+		cols = append(cols, c)
+	}
+	if phase == "partial" {
+		fields = append(fields, arrowlite.Field{Name: rowsCol, Type: arrowlite.Int64})
+		cols = append(cols, countCol())
+	}
+	out, err := arrowlite.NewBatch(arrowlite.NewSchema(fields...), cols)
+	if err != nil {
+		return nil, err
+	}
+	return TableDatum(out), nil
+}
+
+// accumulate folds vals into acc by group: min, max, or else a sum. A row
+// whose group is negative is skipped.
+func accumulate[T int64 | float64](acc []float64, gids []int32, vals []T, fn string) {
+	switch fn {
+	case "min":
+		for r, g := range gids {
+			if v := float64(vals[r]); g >= 0 && v < acc[g] {
+				acc[g] = v
+			}
+		}
+	case "max":
+		for r, g := range gids {
+			if v := float64(vals[r]); g >= 0 && v > acc[g] {
+				acc[g] = v
+			}
+		}
+	default:
+		for r, g := range gids {
+			if g >= 0 {
+				acc[g] += float64(vals[r])
+			}
+		}
+	}
+}
+
+// newGrouper returns a function that maps row r of batch to its group,
+// numbering groups 0, 1, ... in order of first appearance; groupIdx < 0
+// puts every row in group 0. It allocates only for a new group, whose key
+// text (the group column's value as strconv formats it, "" for a global
+// aggregate) it also returns.
+func newGrouper(batch *arrowlite.Batch, groupIdx int) func(r int) (g int, key string, isNew bool) {
+	if groupIdx < 0 {
+		seen := false
+		return func(int) (int, string, bool) {
+			isNew := !seen
+			seen = true
+			return 0, "", isNew
+		}
+	}
+	col := batch.Col(groupIdx)
+	switch col.Type {
+	case arrowlite.Int64:
+		ids := make(map[int64]int)
+		return func(r int) (int, string, bool) {
+			v := col.Ints[r]
+			if g, ok := ids[v]; ok {
+				return g, "", false
+			}
+			ids[v] = len(ids)
+			return len(ids) - 1, strconv.FormatInt(v, 10), true
+		}
+	case arrowlite.Float64:
+		// Keyed by bits, with every NaN one key, so the groups are those
+		// of the key text: -0 and 0 differ, all NaNs agree.
+		ids := make(map[uint64]int)
+		return func(r int) (int, string, bool) {
+			v := col.Floats[r]
+			bits := math.Float64bits(v)
+			if v != v {
+				bits = math.Float64bits(math.NaN())
+			}
+			if g, ok := ids[bits]; ok {
+				return g, "", false
+			}
+			ids[bits] = len(ids)
+			return len(ids) - 1, strconv.FormatFloat(v, 'g', -1, 64), true
+		}
+	default:
+		ids := make(map[string]int)
+		return func(r int) (int, string, bool) {
+			b := col.BytesAt(r)
+			if g, ok := ids[string(b)]; ok {
+				return g, "", false
+			}
+			key := string(b)
+			ids[key] = len(ids)
+			return len(ids) - 1, key, true
+		}
+	}
 }

@@ -3,7 +3,6 @@ package physical
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -152,9 +151,9 @@ func parseGroups(meta string, nArgs int) ([]int, error) {
 	return groups, nil
 }
 
-// mergeDatums combines the datums arriving on one edge: single datums pass
-// through; multiple tables concatenate; multiple tensors are summed... no:
-// multiple tensors on one edge indicate a planner bug.
+// mergeDatums combines the datums arriving on one edge: a single datum
+// passes through and several tables concatenate. Several datums of any
+// other kind are an error: only tables are sharded.
 func mergeDatums(ds []*ir.Datum) (*ir.Datum, error) {
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("physical: empty input group")
@@ -209,9 +208,7 @@ func partitionFn(tctx *task.Context, args [][]byte) ([][]byte, error) {
 		case arrowlite.Float64:
 			h = mix64(uint64(int64(col.Floats[r])))
 		default:
-			hasher := fnv.New64a()
-			_, _ = hasher.Write(col.BytesAt(r))
-			h = hasher.Sum64()
+			h = fnv1a(col.BytesAt(r))
 		}
 		p := int(h % uint64(parts))
 		rowSets[p] = append(rowSets[p], r)
@@ -221,6 +218,16 @@ func partitionFn(tctx *task.Context, args [][]byte) ([][]byte, error) {
 		out[p] = ir.EncodeDatum(ir.TableDatum(batch.Select(rowSets[p])))
 	}
 	return out, nil
+}
+
+// fnv1a is the 64-bit FNV-1a hash of b, as hash/fnv computes it.
+func fnv1a(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
 }
 
 // splitFn round-robins a table's rows into Meta["parts"] pieces.
@@ -239,16 +246,26 @@ func splitFn(tctx *task.Context, args [][]byte) ([][]byte, error) {
 	if err != nil || parts < 1 {
 		return nil, fmt.Errorf("physical: bad parts %q", tctx.Spec.Meta["parts"])
 	}
-	batch := d.Table
-	rowSets := make([][]int, parts)
-	for r := 0; r < batch.NumRows(); r++ {
-		rowSets[r%parts] = append(rowSets[r%parts], r)
-	}
 	out := make([][]byte, parts)
-	for p := range out {
-		out[p] = ir.EncodeDatum(ir.TableDatum(batch.Select(rowSets[p])))
+	for p, piece := range splitRoundRobin(d.Table, parts) {
+		out[p] = ir.EncodeDatum(ir.TableDatum(piece))
 	}
 	return out, nil
+}
+
+// splitRoundRobin deals batch's rows into parts pieces: row r goes to
+// piece r mod parts.
+func splitRoundRobin(batch *arrowlite.Batch, parts int) []*arrowlite.Batch {
+	rows := make([]int, 0, (batch.NumRows()+parts-1)/parts)
+	pieces := make([]*arrowlite.Batch, parts)
+	for p := range pieces {
+		rows = rows[:0]
+		for r := p; r < batch.NumRows(); r += parts {
+			rows = append(rows, r)
+		}
+		pieces[p] = batch.Select(rows)
+	}
+	return pieces
 }
 
 // mix64 is a splitmix64 finalizer for hash partitioning.
@@ -299,7 +316,7 @@ func (ex *Executor) Run(ctx context.Context, inputs map[string][]*ir.Datum) (map
 			if !ok {
 				return nil, fmt.Errorf("physical: no input for source vertex %q", v.Name)
 			}
-			refs, err := ex.materializeInputs(ctx, v, ds, par, track)
+			refs, err := ex.materializeInputs(ctx, v, ds, par)
 			if err != nil {
 				return nil, err
 			}
@@ -396,9 +413,8 @@ func (ex *Executor) Run(ctx context.Context, inputs map[string][]*ir.Datum) (map
 }
 
 // materializeInputs places source data into the object store and returns
-// one ref per shard; any staging objects it creates beyond the returned
-// refs are reported via track.
-func (ex *Executor) materializeInputs(ctx context.Context, v *flowgraph.Vertex, ds []*ir.Datum, par int, track func(...idgen.ObjectID)) ([]idgen.ObjectID, error) {
+// one ref per shard.
+func (ex *Executor) materializeInputs(ctx context.Context, v *flowgraph.Vertex, ds []*ir.Datum, par int) ([]idgen.ObjectID, error) {
 	switch {
 	case len(ds) == par:
 		refs := make([]idgen.ObjectID, par)
@@ -417,15 +433,17 @@ func (ex *Executor) materializeInputs(ctx context.Context, v *flowgraph.Vertex, 
 		}
 		return []idgen.ObjectID{ref}, nil
 	case len(ds) == 1 && ds[0].Kind == ir.KTable:
-		// One table split round-robin across shards.
-		ref, err := ex.rt.Put(ir.EncodeDatum(ds[0]), "datum")
-		if err != nil {
-			return nil, err
+		// One table split round-robin across shards, here: the whole
+		// table is never put, and no task fetches it to split it.
+		refs := make([]idgen.ObjectID, par)
+		for s, piece := range splitRoundRobin(ds[0].Table, par) {
+			ref, err := ex.rt.Put(ir.EncodeDatum(ir.TableDatum(piece)), "datum")
+			if err != nil {
+				return nil, err
+			}
+			refs[s] = ref
 		}
-		track(ref)
-		spec := task.NewSpec(ex.rt.Job(), ex.prefix+"/split", []task.Arg{task.RefArg(ref)}, par)
-		spec.Meta = map[string]string{"parts": strconv.Itoa(par)}
-		return ex.rt.Submit(spec), nil
+		return refs, nil
 	default:
 		return nil, fmt.Errorf("physical: vertex %q: %d inputs for %d shards", v.Name, len(ds), par)
 	}
