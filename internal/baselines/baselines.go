@@ -14,6 +14,7 @@
 package baselines
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -27,9 +28,11 @@ import (
 var ErrNotFound = errors.New("baselines: object not found in durable store")
 
 // DurableStore models cloud durable storage (S3-like): reliable, shared,
-// and slow. All transfers are charged to the fabric's Durable link class.
+// and slow. It is a Durable endpoint on the fabric, so every transfer to or
+// from it is charged to the Durable link class.
 type DurableStore struct {
 	fabric *fabric.Fabric
+	node   idgen.NodeID
 
 	mu    sync.Mutex
 	blobs map[string][]byte
@@ -37,24 +40,29 @@ type DurableStore struct {
 	gets  int64
 }
 
-// NewDurableStore returns an empty store over the fabric.
+// NewDurableStore returns an empty store registered on the fabric.
 func NewDurableStore(f *fabric.Fabric) *DurableStore {
-	return &DurableStore{fabric: f, blobs: make(map[string][]byte)}
+	s := &DurableStore{fabric: f, node: idgen.Next(), blobs: make(map[string][]byte)}
+	f.Register(s.node, fabric.Location{Island: -1, Durable: true})
+	return s
 }
 
-// Put uploads a blob.
-func (s *DurableStore) Put(key string, data []byte) {
-	s.fabric.TransferDataClass(fabric.Durable, data)
+// Put uploads a blob from the caller's node.
+func (s *DurableStore) Put(from idgen.NodeID, key string, data []byte) error {
+	if _, err := s.fabric.Move(context.TODO(), from, s.node, data, 0); err != nil {
+		return fmt.Errorf("baselines: put %q: %w", key, err)
+	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	s.mu.Lock()
 	s.blobs[key] = cp
 	s.puts++
 	s.mu.Unlock()
+	return nil
 }
 
-// Get downloads a blob.
-func (s *DurableStore) Get(key string) ([]byte, error) {
+// Get downloads a blob to the caller's node.
+func (s *DurableStore) Get(to idgen.NodeID, key string) ([]byte, error) {
 	s.mu.Lock()
 	data, ok := s.blobs[key]
 	if ok {
@@ -64,7 +72,9 @@ func (s *DurableStore) Get(key string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	s.fabric.TransferDataClass(fabric.Durable, data)
+	if _, err := s.fabric.Move(context.TODO(), s.node, to, data, 0); err != nil {
+		return nil, fmt.Errorf("baselines: get %q: %w", key, err)
+	}
 	return data, nil
 }
 
@@ -119,19 +129,21 @@ func delta(f *fabric.Fabric, fn func()) (fabric.Stats, fabric.Stats) {
 // stateless functions cannot hand data to each other directly.
 func RunStateless(f *fabric.Fabric, stages []Stage, input []byte) (Result, error) {
 	store := NewDurableStore(f)
+	fn := idgen.Next() // where the functions run; every path to the store is Durable
 	var out Result
+	var err error
 	dur, tot := delta(f, func() {
-		store.Put("stage-0-in", input)
-		data := input
-		for i, stage := range stages {
-			in, err := store.Get(fmt.Sprintf("stage-%d-in", i))
-			if err != nil {
-				panic(err) // keys are generated here; cannot miss
+		err = store.Put(fn, "stage-0-in", input)
+		for i := 0; err == nil && i < len(stages); i++ {
+			var in []byte
+			if in, err = store.Get(fn, fmt.Sprintf("stage-%d-in", i)); err == nil {
+				err = store.Put(fn, fmt.Sprintf("stage-%d-in", i+1), stages[i](in))
 			}
-			data = stage(in)
-			store.Put(fmt.Sprintf("stage-%d-in", i+1), data)
 		}
 	})
+	if err != nil {
+		return out, err
+	}
 	out.DurableBytes = dur.LogicalBytes
 	out.TotalBytes = tot.LogicalBytes
 	out.Messages = tot.Messages
@@ -151,7 +163,9 @@ func RunServerful(f *fabric.Fabric, stages []Stage, input []byte, reservedSlots 
 	dur, tot := delta(f, func() {
 		data := input
 		for _, stage := range stages {
-			f.Send(node, node, len(data)) // in-memory handoff
+			// In-memory handoff; node stays registered until the run ends,
+			// so the move cannot fail.
+			_, _ = f.Move(context.TODO(), node, node, data, 0)
 			data = stage(data)
 		}
 	})

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"skadi/internal/fabric"
+	"skadi/internal/idgen"
+	"skadi/internal/skaderr"
 )
 
 func passthrough(n int) []Stage {
@@ -19,12 +21,16 @@ func passthrough(n int) []Stage {
 func TestDurableStorePutGet(t *testing.T) {
 	f := fabric.New(fabric.Config{})
 	s := NewDurableStore(f)
-	s.Put("k", []byte("v"))
-	got, err := s.Get("k")
+	server := idgen.Next()
+	f.Register(server, fabric.Location{Rack: 0, Island: -1})
+	if err := s.Put(server, "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Get(server, "k")
 	if err != nil || !bytes.Equal(got, []byte("v")) {
 		t.Fatalf("Get = %q, %v", got, err)
 	}
-	if _, err := s.Get("missing"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Get(server, "missing"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get missing = %v", err)
 	}
 	puts, gets := s.Ops()
@@ -35,15 +41,23 @@ func TestDurableStorePutGet(t *testing.T) {
 	if f.ClassStats(fabric.Durable).Messages != 2 {
 		t.Errorf("durable messages = %d", f.ClassStats(fabric.Durable).Messages)
 	}
+	// A caller that left the fabric can neither upload nor download.
+	f.Unregister(server)
+	if err := s.Put(server, "k2", []byte("v")); skaderr.CodeOf(err) != skaderr.Unavailable {
+		t.Errorf("Put from departed node = %v, want Unavailable", err)
+	}
+	if _, err := s.Get(server, "k"); skaderr.CodeOf(err) != skaderr.Unavailable {
+		t.Errorf("Get to departed node = %v, want Unavailable", err)
+	}
 }
 
 func TestDurableStoreCopies(t *testing.T) {
 	f := fabric.New(fabric.Config{})
 	s := NewDurableStore(f)
 	data := []byte("abc")
-	s.Put("k", data)
+	_ = s.Put(idgen.Next(), "k", data)
 	data[0] = 'X'
-	got, _ := s.Get("k")
+	got, _ := s.Get(idgen.Next(), "k")
 	if got[0] == 'X' {
 		t.Error("store aliases caller buffer")
 	}

@@ -164,8 +164,8 @@ func BenchmarkParallelPutReplicate3(b *testing.B) {
 }
 
 func BenchmarkChunkedRemoteGet4MiB(b *testing.B) {
-	// A 4 MiB remote hit streams over fabric.TransferChunked (16 chunks at
-	// the default 256 KiB chunk size).
+	// A 4 MiB remote hit streams as one fabric.Move (16 chunks of
+	// fabric.ChunkBytes).
 	layer, nodes := benchLayer(b, Config{}, 2)
 	id := idgen.Next()
 	if err := layer.Put(nodes[0], id, make([]byte, 4<<20), "raw"); err != nil {

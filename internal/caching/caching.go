@@ -548,7 +548,7 @@ func (l *Layer) writeReplica(ctx context.Context, from, node idgen.NodeID, id id
 			return nil // degrade: fewer copies, counted, not a crash
 		}
 	}
-	if _, err := l.fabric.TransferDataCtx(ctx, from, node, data); err != nil {
+	if _, err := l.fabric.Move(ctx, from, node, data, 0); err != nil {
 		// The target left the fabric while the replica was in flight:
 		// degrade (fewer copies, counted), same as a dropped store.
 		l.stats.degradedPlacements.Add(1)
@@ -626,7 +626,7 @@ func (l *Layer) encodeShards(ctx context.Context, from idgen.NodeID, id idgen.Ob
 			}
 		}
 		shardID := idgen.Next()
-		if _, err := l.fabric.TransferDataCtx(ctx, from, node, shards[i]); err != nil {
+		if _, err := l.fabric.Move(ctx, from, node, shards[i], 0); err != nil {
 			// Target departed mid-encode: skip the slot (Nil node; parity
 			// tolerates missing shards), counted as a degraded placement.
 			l.stats.degradedPlacements.Add(1)
@@ -765,13 +765,7 @@ func (l *Layer) fetchMiss(ctx context.Context, to idgen.NodeID, id idgen.ObjectI
 
 	// 2. Remote replica: cheapest location by fabric cost first, falling
 	// through to the next on a stale entry.
-	sort.Slice(locs, func(i, j int) bool {
-		ci, cj := l.fabric.Cost(locs[i], to, 0), l.fabric.Cost(locs[j], to, 0)
-		if ci != cj {
-			return ci < cj
-		}
-		return locs[i].Less(locs[j])
-	})
+	l.fabric.SortNearest(to, locs)
 	for _, node := range locs {
 		remote := l.store(node)
 		if remote == nil {
@@ -781,7 +775,7 @@ func (l *Layer) fetchMiss(ctx context.Context, to idgen.NodeID, id idgen.ObjectI
 		if err != nil {
 			continue
 		}
-		if _, err := l.fabric.TransferDataCtx(ctx, node, to, data); err != nil {
+		if _, err := l.fabric.Move(ctx, node, to, data, 0); err != nil {
 			continue // source vanished mid-transfer: try the next location
 		}
 		l.stats.remoteHits.Add(1)
@@ -856,7 +850,7 @@ func (l *Layer) reconstruct(ctx context.Context, to idgen.NodeID, info *ecInfo) 
 	}
 	if err := l.forEachParallel(len(fetches), func(i int) error {
 		f := fetches[i]
-		if _, err := l.fabric.TransferDataCtx(ctx, f.node, to, f.data); err != nil {
+		if _, err := l.fabric.Move(ctx, f.node, to, f.data, 0); err != nil {
 			return nil // shard source departed; the hole is within parity
 		}
 		l.stats.bytesTransferred.Add(int64(len(f.data)))

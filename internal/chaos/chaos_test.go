@@ -188,7 +188,7 @@ func TestCrashRestoreFabricEndpoint(t *testing.T) {
 	e.Install(&Plan{Seed: 1}, nodes)
 
 	e.CrashNode(nodes[1])
-	if _, err := f.SendCtx(t.Context(), nodes[0], nodes[1], 64); skaderr.CodeOf(err) != skaderr.Unavailable {
+	if _, err := f.Move(t.Context(), nodes[0], nodes[1], nil, 64); skaderr.CodeOf(err) != skaderr.Unavailable {
 		t.Fatalf("send to crashed node: err = %v, want Unavailable", err)
 	}
 	if len(killed) != 1 || killed[0] != nodes[1] {
@@ -196,7 +196,7 @@ func TestCrashRestoreFabricEndpoint(t *testing.T) {
 	}
 
 	e.RestoreNode(nodes[1])
-	if _, err := f.SendCtx(t.Context(), nodes[0], nodes[1], 64); err != nil {
+	if _, err := f.Move(t.Context(), nodes[0], nodes[1], nil, 64); err != nil {
 		t.Fatalf("send after restore: %v", err)
 	}
 	if loc, ok := f.Location(nodes[1]); !ok || loc.Rack != 1 {

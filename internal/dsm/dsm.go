@@ -7,6 +7,7 @@
 package dsm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -51,7 +52,8 @@ func New(f *fabric.Fabric, blade idgen.NodeID, capacity int64) *Pool {
 }
 
 // Write stores a blob from the given node, paying the fabric cost of
-// moving the data to the blade. The pool copies data.
+// moving the data to the blade. The pool copies data. A write whose blade
+// or writer has left the fabric fails typed and leaves the pool as it was.
 func (p *Pool) Write(from idgen.NodeID, id idgen.ObjectID, data []byte) error {
 	p.mu.Lock()
 	if _, ok := p.blobs[id]; ok {
@@ -71,7 +73,18 @@ func (p *Pool) Write(from idgen.NodeID, id idgen.ObjectID, data []byte) error {
 	// Charge the transfer outside the lock: it may sleep. Demotions stream
 	// in pipelined chunks so a large spill pays one latency, not a
 	// whole-object stall per message.
-	p.fabric.TransferData(from, p.blade, data)
+	if _, err := p.fabric.Move(context.TODO(), from, p.blade, data, 0); err != nil {
+		// The bytes never landed: take the reservation back, unless a
+		// concurrent Free already did.
+		p.mu.Lock()
+		if _, ok := p.blobs[id]; ok {
+			delete(p.blobs, id)
+			p.used -= int64(len(cp))
+		}
+		p.writes--
+		p.mu.Unlock()
+		return fmt.Errorf("dsm: write %s: %w", id.Short(), err)
+	}
 	return nil
 }
 
@@ -88,7 +101,9 @@ func (p *Pool) Read(to idgen.NodeID, id idgen.ObjectID) ([]byte, error) {
 		return nil, ErrNotFound
 	}
 	// Promotions stream back in pipelined chunks (see Write).
-	p.fabric.TransferData(p.blade, to, data)
+	if _, err := p.fabric.Move(context.TODO(), p.blade, to, data, 0); err != nil {
+		return nil, fmt.Errorf("dsm: read %s: %w", id.Short(), err)
+	}
 	return data, nil
 }
 
@@ -98,8 +113,8 @@ func (p *Pool) Contains(from idgen.NodeID, id idgen.ObjectID) bool {
 	p.mu.Lock()
 	_, ok := p.blobs[id]
 	p.mu.Unlock()
-	p.fabric.Send(from, p.blade, 0)
-	return ok
+	_, err := p.fabric.Move(context.TODO(), from, p.blade, nil, 0)
+	return ok && err == nil
 }
 
 // Free releases a blob.

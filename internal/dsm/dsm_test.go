@@ -7,6 +7,7 @@ import (
 
 	"skadi/internal/fabric"
 	"skadi/internal/idgen"
+	"skadi/internal/skaderr"
 )
 
 func testPool(capacity int64) (*Pool, *fabric.Fabric, idgen.NodeID) {
@@ -122,5 +123,32 @@ func TestFabricCharged(t *testing.T) {
 	stats := f.ClassStats(fabric.Rack)
 	if stats.Messages != 2 || stats.Bytes != 2000 {
 		t.Errorf("rack stats = %+v, want 2 msgs / 2000 bytes", stats)
+	}
+}
+
+// TestDepartedBladeRefusesAccess checks that a pool whose blade has left
+// the fabric fails typed: a spill does not land (the pool is left as it
+// was), and a read cannot bring the bytes back.
+func TestDepartedBladeRefusesAccess(t *testing.T) {
+	p, f, server := testPool(1 << 20)
+	f.Unregister(p.blade)
+	if err := p.Write(server, idgen.Next(), make([]byte, 1000)); skaderr.CodeOf(err) != skaderr.Unavailable {
+		t.Fatalf("Write to departed blade = %v, want Unavailable", err)
+	}
+	if _, writes := p.Accesses(); p.Used() != 0 || p.Len() != 0 || writes != 0 {
+		t.Errorf("failed Write changed the pool: used %d, len %d, writes %d", p.Used(), p.Len(), writes)
+	}
+
+	f.Register(p.blade, fabric.Location{Rack: 0, Island: -1})
+	kept := idgen.Next()
+	if err := p.Write(server, kept, []byte("landed")); err != nil {
+		t.Fatal(err)
+	}
+	f.Unregister(p.blade)
+	if _, err := p.Read(server, kept); skaderr.CodeOf(err) != skaderr.Unavailable {
+		t.Errorf("Read from departed blade = %v, want Unavailable", err)
+	}
+	if p.Contains(server, kept) {
+		t.Error("Contains answered through a departed blade")
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -170,17 +171,15 @@ func chunkedRow() []string {
 	f.Register(a, fabric.Location{Rack: 0, Island: -1})
 	f.Register(b, fabric.Location{Rack: 3, Island: -1}) // cross-rack: Core
 
+	// Both endpoints stay registered, so no move below can fail.
 	const size = 8 << 20
-	chunk := f.ChunkBytes()
+	ctx := context.Background()
 	var serial time.Duration
-	for sent := 0; sent < size; sent += chunk {
-		n := chunk
-		if size-sent < n {
-			n = size - sent
-		}
-		serial += f.Send(a, b, n)
+	for sent := 0; sent < size; sent += fabric.ChunkBytes {
+		d, _ := f.Move(ctx, a, b, nil, min(fabric.ChunkBytes, size-sent))
+		serial += d
 	}
-	pipelined := f.TransferChunked(a, b, size)
+	pipelined, _ := f.Move(ctx, a, b, nil, size)
 	return []string{
 		"chunked 8 MiB core move (sim)",
 		msec(int64(serial)),

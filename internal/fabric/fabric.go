@@ -1,20 +1,24 @@
 // Package fabric models the data-center interconnect of a disaggregated
-// cluster: which link class connects two endpoints, what a message or bulk
-// transfer costs on that link, and how many bytes/messages flowed where.
+// cluster: which link class connects two endpoints, what moving bytes
+// between them costs, and how many bytes/messages flowed where.
 //
 // The paper's architectural arguments (Gen-1 vs Gen-2 raylet placement,
 // pull vs push future resolution, durable-storage bouncing) are arguments
 // about message paths and their costs. The fabric makes those costs explicit
-// and measurable: every Send/Transfer both accumulates deterministic
-// simulated-time counters and (optionally) delays the caller by the scaled
-// simulated duration so that concurrency effects (overlap, stalls) are real.
+// and measurable through one call, Move: every transfer both accumulates
+// deterministic simulated-time counters and (optionally) delays the caller
+// by the scaled simulated duration so that concurrency effects (overlap,
+// stalls) are real.
 package fabric
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,18 +104,21 @@ type Location struct {
 	// DPU is the DPU fronting this endpoint, or the nil ID for endpoints
 	// that are directly attached to the network (servers, DPUs themselves).
 	DPU idgen.NodeID
+	// Durable marks cloud durable storage: every path to or from it is the
+	// Durable link class, wherever the other endpoint sits.
+	Durable bool
 }
 
-// DefaultChunkBytes is the chunk size used by TransferChunked when the
-// Config does not override it. 256 KiB matches the sweet spot of
+// ChunkBytes is the unit a Move is sliced into and counted by: one message
+// per chunk of bytes on the wire. 256 KiB matches the sweet spot of
 // RDMA/NVLink bulk moves: large enough to amortize per-message headers,
 // small enough that a transfer can be overlapped and cancelled mid-flight.
-const DefaultChunkBytes = 256 << 10
+const ChunkBytes = 256 << 10
 
-// DefaultCompressMinBytes is the smallest payload worth compressing when
-// Config.CompressMinBytes is zero. Below ~4 KiB the per-block overhead and
-// codec latency outweigh the wire savings on every modelled link.
-const DefaultCompressMinBytes = 4 << 10
+// compressMinBytes is the smallest payload worth compressing. Below ~4 KiB
+// the per-block overhead and codec latency outweigh the wire savings on
+// every modelled link.
+const compressMinBytes = 4 << 10
 
 // DefaultCompression returns the per-link-class compression policy: the
 // LZ4-style codec runs faster than rack-and-beyond links (Rack, Core,
@@ -138,22 +145,16 @@ type Config struct {
 	// Profiles overrides the per-class cost model; nil uses
 	// DefaultProfiles.
 	Profiles map[LinkClass]LinkProfile
-	// ChunkBytes is the chunk size for TransferChunked; 0 means
-	// DefaultChunkBytes.
-	ChunkBytes int
-	// Compress is the per-link-class compression policy for the data-aware
-	// transfer APIs (TransferData and friends); nil uses
-	// DefaultCompression. Pass NoCompression() to ship raw everywhere.
+	// Compress is the per-link-class compression policy Move applies to
+	// payloads; nil uses DefaultCompression. Pass NoCompression() to ship
+	// raw everywhere.
 	Compress map[LinkClass]bool
-	// CompressMinBytes is the smallest payload the fabric will try to
-	// compress; 0 means DefaultCompressMinBytes.
-	CompressMinBytes int
 }
 
 // classStats holds per-class accounting. All fields are atomics so the hot
 // path takes no locks. bytes is bytes-on-wire (post-compression);
-// logicalBytes is the pre-compression payload size. The two differ only on
-// compressed link classes fed through the data-aware transfer APIs.
+// logicalBytes is the pre-compression size. The two differ only on
+// compressed link classes.
 type classStats struct {
 	messages     atomic.Int64
 	bytes        atomic.Int64
@@ -163,12 +164,10 @@ type classStats struct {
 
 // Fabric is the cluster interconnect. It is safe for concurrent use.
 type Fabric struct {
-	timeScale   float64
-	chunkBytes  int
-	compressMin int
-	compress    [numClasses]bool
-	profiles    [numClasses]LinkProfile
-	stats       [numClasses]classStats
+	timeScale float64
+	compress  [numClasses]bool
+	profiles  [numClasses]LinkProfile
+	stats     [numClasses]classStats
 	// slow holds per-class float64 multipliers (as bits) applied to link
 	// costs; 0 means unset (×1). The chaos engine uses it to degrade link
 	// classes without rebuilding the fabric.
@@ -178,25 +177,17 @@ type Fabric struct {
 	locations map[idgen.NodeID]Location
 	// departed marks endpoints that were explicitly Unregistered (crash,
 	// decommission). Unlike never-registered endpoints — which are simply
-	// treated as remote — transfers touching a departed endpoint fail with
-	// a typed skaderr.Unavailable.
+	// treated as remote — moves touching a departed endpoint fail with a
+	// typed skaderr.Unavailable.
 	departed map[idgen.NodeID]bool
 }
 
 // New returns a Fabric with the given configuration.
 func New(cfg Config) *Fabric {
 	f := &Fabric{
-		timeScale:   cfg.TimeScale,
-		chunkBytes:  cfg.ChunkBytes,
-		compressMin: cfg.CompressMinBytes,
-		locations:   make(map[idgen.NodeID]Location),
-		departed:    make(map[idgen.NodeID]bool),
-	}
-	if f.chunkBytes <= 0 {
-		f.chunkBytes = DefaultChunkBytes
-	}
-	if f.compressMin <= 0 {
-		f.compressMin = DefaultCompressMinBytes
+		timeScale: cfg.TimeScale,
+		locations: make(map[idgen.NodeID]Location),
+		departed:  make(map[idgen.NodeID]bool),
 	}
 	profiles := cfg.Profiles
 	if profiles == nil {
@@ -219,12 +210,6 @@ func New(cfg Config) *Fabric {
 	return f
 }
 
-// Compressible reports whether the fabric compresses payloads on the given
-// link class.
-func (f *Fabric) Compressible(class LinkClass) bool {
-	return class >= 0 && class < numClasses && f.compress[class]
-}
-
 // wireSizeSampleMax bounds how many payload bytes wireSize measures with
 // the codec; larger payloads extrapolate the sample's ratio. The cost model
 // needs entropy sensitivity — all-zero pages vs random bytes — not a second
@@ -238,7 +223,7 @@ const wireSizeSampleMax = 256 << 10
 // measured, never written), so the modeled wire bytes reflect the
 // payload's actual entropy, not a guessed ratio.
 func (f *Fabric) wireSize(class LinkClass, data []byte) int {
-	if !f.Compressible(class) || len(data) < f.compressMin {
+	if !f.compress[class] || len(data) < compressMinBytes {
 		return len(data)
 	}
 	sample := data
@@ -273,9 +258,9 @@ func (f *Fabric) Register(node idgen.NodeID, loc Location) {
 	f.mu.Unlock()
 }
 
-// Unregister removes an endpoint. Subsequent SendCtx/TransferChunkedCtx
-// calls touching it fail with skaderr.Unavailable — including transfers
-// already in flight, which abort at the next chunk boundary.
+// Unregister removes an endpoint. Subsequent moves touching it fail with
+// skaderr.Unavailable — including moves already in flight, which abort at
+// the next chunk boundary.
 func (f *Fabric) Unregister(node idgen.NodeID) {
 	f.mu.Lock()
 	delete(f.locations, node)
@@ -291,51 +276,56 @@ func (f *Fabric) Location(node idgen.NodeID) (Location, bool) {
 	return loc, ok
 }
 
-// endpointErr returns the typed failure for a transfer touching a departed
-// endpoint, or nil.
-func (f *Fabric) endpointErr(from, to idgen.NodeID) error {
-	f.mu.RLock()
-	gf, gt := f.departed[from], f.departed[to]
-	f.mu.RUnlock()
-	if gt {
+// departedErr returns the typed failure for a move touching a departed
+// endpoint, or nil. The caller holds f.mu.
+func (f *Fabric) departedErr(from, to idgen.NodeID) error {
+	if f.departed[to] {
 		return skaderr.New(skaderr.Unavailable, "fabric: endpoint %s unregistered", to.Short())
 	}
-	if gf {
+	if f.departed[from] {
 		return skaderr.New(skaderr.Unavailable, "fabric: endpoint %s unregistered", from.Short())
 	}
 	return nil
 }
 
-// ClassBetween derives the link class connecting two registered endpoints:
-// same node → Loopback; endpoints sharing a fronting DPU (or one being the
-// other's DPU) → DPUHop; same island → Island; same rack → Rack; otherwise
-// Core. Unregistered endpoints are treated as remote (Core).
+// ClassBetween derives the link class connecting two endpoints: same node
+// → Loopback; either endpoint durable storage → Durable; endpoints sharing
+// a fronting DPU (or one being the other's DPU) → DPUHop; same island →
+// Island; same rack → Rack; otherwise Core. Unregistered endpoints are
+// treated as remote (Core).
 func (f *Fabric) ClassBetween(a, b idgen.NodeID) LinkClass {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.classLocked(a, b)
+}
+
+// classLocked is ClassBetween with f.mu held.
+func (f *Fabric) classLocked(a, b idgen.NodeID) LinkClass {
 	if a == b {
 		return Loopback
 	}
-	f.mu.RLock()
 	la, oka := f.locations[a]
 	lb, okb := f.locations[b]
-	f.mu.RUnlock()
-	if !oka || !okb {
+	switch {
+	case la.Durable || lb.Durable:
+		return Durable
+	case !oka || !okb:
 		return Core
-	}
-	if (!la.DPU.IsNil() && (la.DPU == b || la.DPU == lb.DPU)) ||
-		(!lb.DPU.IsNil() && lb.DPU == a) {
+	case (!la.DPU.IsNil() && (la.DPU == b || la.DPU == lb.DPU)) ||
+		(!lb.DPU.IsNil() && lb.DPU == a):
 		return DPUHop
-	}
-	if la.Island >= 0 && la.Island == lb.Island {
+	case la.Island >= 0 && la.Island == lb.Island:
 		return Island
-	}
-	if la.Rack == lb.Rack {
+	case la.Rack == lb.Rack:
 		return Rack
 	}
 	return Core
 }
 
 // cost returns the simulated duration of moving size bytes over class,
-// scaled by any slow-link factor installed on the class.
+// scaled by any slow-link factor installed on the class. A move's chunks
+// ride the link back to back, so it pays one latency plus the bandwidth
+// cost — not one latency per chunk.
 func (f *Fabric) cost(class LinkClass, size int) time.Duration {
 	p := f.profiles[class]
 	d := p.Latency
@@ -358,225 +348,80 @@ func (f *Fabric) SetSlowFactor(class LinkClass, factor float64) {
 	f.slow[class].Store(math.Float64bits(factor))
 }
 
-// account records the transfer and delays the caller per TimeScale. Size-only
-// callers have no payload to compress, so wire bytes equal logical bytes.
-func (f *Fabric) account(class LinkClass, size int) time.Duration {
-	return f.accountWire(class, size, size)
-}
-
-// accountWire records a transfer whose bytes-on-wire (post-compression) and
-// logical bytes (pre-compression) differ. The cost model charges wire bytes —
-// that is what crosses the link — while logical bytes keep the data-plane
-// accounting (hot-key detection, experiment byte counters) stable across
-// compression policies.
-func (f *Fabric) accountWire(class LinkClass, wireBytes, logicalBytes int) time.Duration {
+// Move charges the fabric for moving payload plus raw bytes from one
+// endpoint to another and returns the simulated duration.
+//
+//   - payload is compressed when the link class's policy says so; raw
+//     bytes (headers, or the whole message for a size-only caller that
+//     passes a nil payload) ride uncompressed.
+//   - The message count is the number of ChunkBytes chunks of the bytes on
+//     the wire (at least one); the cost is one latency plus the bandwidth
+//     cost of those bytes.
+//   - An endpoint that was Unregistered fails the move with a typed
+//     skaderr.Unavailable: up front with nothing charged, or at a chunk
+//     boundary when it departs mid-move (the full move was already charged:
+//     bytes in flight are not unsent; the error says they did not land).
+//   - Under TimeScale > 0 the caller is delayed in per-chunk slices, so
+//     concurrent moves interleave at chunk granularity; a cancelled ctx
+//     skips what is left of the delay.
+//   - When ctx carries a trace the move is recorded as a span whose kind
+//     names the link class (dpu-hop, durable-bounce, or xfer) and whose Sim
+//     field carries the cost-model duration.
+func (f *Fabric) Move(ctx context.Context, from, to idgen.NodeID, payload []byte, raw int) (time.Duration, error) {
+	f.mu.RLock()
+	err := f.departedErr(from, to)
+	class := f.classLocked(from, to)
+	f.mu.RUnlock()
+	if err != nil {
+		return 0, err
+	}
+	wireBytes := f.wireSize(class, payload) + raw
+	logical := len(payload) + raw
+	chunks := 1
+	if wireBytes > ChunkBytes {
+		chunks = (wireBytes + ChunkBytes - 1) / ChunkBytes
+	}
 	d := f.cost(class, wireBytes)
-	s := &f.stats[class]
-	s.messages.Add(1)
-	s.bytes.Add(int64(wireBytes))
-	s.logicalBytes.Add(int64(logicalBytes))
-	s.simNanos.Add(int64(d))
-	f.wait(d)
-	return d
-}
-
-// Send charges the fabric for a message of size bytes between two endpoints
-// and returns the simulated duration. The caller is delayed by
-// TimeScale × duration.
-func (f *Fabric) Send(from, to idgen.NodeID, size int) time.Duration {
-	return f.account(f.ClassBetween(from, to), size)
-}
-
-// SendCtx is Send with trace annotation: when ctx carries an active trace,
-// the transfer is recorded as a span whose kind names the link class
-// (dpu-hop, durable-bounce, or xfer with a link attribute) and whose Sim
-// field carries the deterministic cost-model duration.
-//
-// Unlike Send, SendCtx has an error path: a message addressed to (or from)
-// an endpoint that has been Unregistered — crashed, decommissioned — fails
-// with a typed skaderr.Unavailable instead of being silently charged as a
-// remote transfer that never arrives.
-func (f *Fabric) SendCtx(ctx context.Context, from, to idgen.NodeID, size int) (time.Duration, error) {
-	if err := f.endpointErr(from, to); err != nil {
-		return 0, err
-	}
-	class := f.ClassBetween(from, to)
-	_, sp := trace.Start(ctx, spanKindFor(class), from)
-	d := f.account(class, size)
-	if sp != nil {
-		sp.SetSim(d)
-		sp.SetAttr("link", class.String())
-		sp.End()
-	}
-	return d, nil
-}
-
-// TransferClass charges an explicit link class; used for paths that are not
-// endpoint-to-endpoint (e.g. durable-storage puts).
-func (f *Fabric) TransferClass(class LinkClass, size int) time.Duration {
-	if class < 0 || class >= numClasses {
-		class = Core
-	}
-	return f.account(class, size)
-}
-
-// ChunkBytes returns the chunk size TransferChunked splits transfers into.
-func (f *Fabric) ChunkBytes() int { return f.chunkBytes }
-
-// Chunks returns the number of chunks TransferChunked would split a
-// transfer of size bytes into (at least 1).
-func (f *Fabric) Chunks(size int) int {
-	if size <= f.chunkBytes {
-		return 1
-	}
-	return (size + f.chunkBytes - 1) / f.chunkBytes
-}
-
-// TransferChunked moves size bytes between two endpoints as a pipelined
-// stream of ChunkBytes-sized chunks. The chunks ride the link back to
-// back, so the whole transfer pays one link latency plus the bandwidth
-// cost — not one latency per chunk — while the accounting still records
-// every chunk as a message. Compared to a single Send of the same size
-// the deterministic cost is identical; the difference is real-time
-// behaviour under TimeScale > 0: the caller's delay is sliced per chunk,
-// so a large move can be overlapped with (and, via the Ctx variant,
-// cancelled under) other work instead of stalling whole-object.
-func (f *Fabric) TransferChunked(from, to idgen.NodeID, size int) time.Duration {
-	return f.transferChunked(context.Background(), f.ClassBetween(from, to), size)
-}
-
-// TransferChunkedCtx is TransferChunked with trace annotation and
-// cancellation: when ctx is cancelled mid-transfer the remaining chunk
-// delays are skipped (the accounting for the full transfer has already
-// been charged — bytes in flight are not unsent).
-//
-// Like SendCtx it has an error path: if either endpoint has been
-// Unregistered the transfer fails with skaderr.Unavailable — up front, or
-// at the next chunk boundary when the endpoint departs mid-transfer.
-func (f *Fabric) TransferChunkedCtx(ctx context.Context, from, to idgen.NodeID, size int) (time.Duration, error) {
-	if err := f.endpointErr(from, to); err != nil {
-		return 0, err
-	}
-	class := f.ClassBetween(from, to)
-	_, sp := trace.Start(ctx, spanKindFor(class), from)
-	d, err := f.transferChunkedEndpoints(ctx, from, to, class, size, size)
-	if sp != nil {
-		sp.SetSim(d)
-		sp.SetAttr("link", class.String())
-		sp.SetAttr("chunks", fmt.Sprint(f.Chunks(size)))
-		sp.End()
-	}
-	return d, err
-}
-
-// TransferData is the data-aware TransferChunked: given the actual payload
-// (not just its length) the fabric applies the link class's compression
-// policy, charges bytes-on-wire for cost, and records both wire and logical
-// bytes. This is the bulk-move entry point for the zero-copy columnar path.
-func (f *Fabric) TransferData(from, to idgen.NodeID, data []byte) time.Duration {
-	class := f.ClassBetween(from, to)
-	d, _ := f.transferChunkedEndpoints(context.Background(), idgen.Nil, idgen.Nil, class, f.wireSize(class, data), len(data))
-	return d
-}
-
-// TransferDataCtx is TransferData with trace annotation, cancellation, and
-// endpoint liveness (see TransferChunkedCtx). The trace span carries both a
-// wire and a logical byte count so compressed links are visible in traces.
-func (f *Fabric) TransferDataCtx(ctx context.Context, from, to idgen.NodeID, data []byte) (time.Duration, error) {
-	if err := f.endpointErr(from, to); err != nil {
-		return 0, err
-	}
-	class := f.ClassBetween(from, to)
-	wireBytes := f.wireSize(class, data)
-	_, sp := trace.Start(ctx, spanKindFor(class), from)
-	d, err := f.transferChunkedEndpoints(ctx, from, to, class, wireBytes, len(data))
-	if sp != nil {
-		sp.SetSim(d)
-		sp.SetAttr("link", class.String())
-		sp.SetAttr("chunks", fmt.Sprint(f.Chunks(wireBytes)))
-		if wireBytes != len(data) {
-			sp.SetAttr("wire", fmt.Sprint(wireBytes))
-			sp.SetAttr("logical", fmt.Sprint(len(data)))
-		}
-		sp.End()
-	}
-	return d, err
-}
-
-// TransferDataClass is TransferData over an explicit link class; used for
-// paths that are not endpoint-to-endpoint (e.g. durable-storage puts).
-func (f *Fabric) TransferDataClass(class LinkClass, data []byte) time.Duration {
-	if class < 0 || class >= numClasses {
-		class = Core
-	}
-	d, _ := f.transferChunkedEndpoints(context.Background(), idgen.Nil, idgen.Nil, class, f.wireSize(class, data), len(data))
-	return d
-}
-
-// TransferMessageCtx charges a single (non-chunked) message whose payload is
-// in hand, with overhead bytes of headers riding along uncompressed. It is
-// SendCtx for callers that can hand the fabric real bytes: the data-plane
-// transports use it so per-link compression shows up in their cost model
-// without changing the sizes they report to the chaos interposer.
-func (f *Fabric) TransferMessageCtx(ctx context.Context, from, to idgen.NodeID, payload []byte, overhead int) (time.Duration, error) {
-	if err := f.endpointErr(from, to); err != nil {
-		return 0, err
-	}
-	class := f.ClassBetween(from, to)
-	wireBytes := f.wireSize(class, payload) + overhead
-	logical := len(payload) + overhead
-	_, sp := trace.Start(ctx, spanKindFor(class), from)
-	d := f.accountWire(class, wireBytes, logical)
-	if sp != nil {
-		sp.SetSim(d)
-		sp.SetAttr("link", class.String())
-		if wireBytes != logical {
-			sp.SetAttr("wire", fmt.Sprint(wireBytes))
-			sp.SetAttr("logical", fmt.Sprint(logical))
-		}
-		sp.End()
-	}
-	return d, nil
-}
-
-// transferChunked accounts a pipelined chunked transfer and delays the
-// caller in per-chunk slices.
-func (f *Fabric) transferChunked(ctx context.Context, class LinkClass, size int) time.Duration {
-	d, _ := f.transferChunkedEndpoints(ctx, idgen.Nil, idgen.Nil, class, size, size)
-	return d
-}
-
-// transferChunkedEndpoints is transferChunked with endpoint liveness checks
-// between chunks: a transfer whose source or destination is Unregistered
-// mid-flight aborts with skaderr.Unavailable. Nil endpoints skip the check
-// (class-only transfers have no registration to lose). wireBytes is what
-// crosses the link (post-compression) and drives both cost and chunk count;
-// logicalBytes is the pre-compression payload size.
-func (f *Fabric) transferChunkedEndpoints(ctx context.Context, from, to idgen.NodeID, class LinkClass, wireBytes, logicalBytes int) (time.Duration, error) {
-	chunks := f.Chunks(wireBytes)
-	d := f.cost(class, wireBytes) // pipelined: one latency + size/bandwidth
 	s := &f.stats[class]
 	s.messages.Add(int64(chunks))
 	s.bytes.Add(int64(wireBytes))
-	s.logicalBytes.Add(int64(logicalBytes))
+	s.logicalBytes.Add(int64(logical))
 	s.simNanos.Add(int64(d))
+	_, sp := trace.Start(ctx, spanKindFor(class), from)
+	d, err = f.pace(ctx, from, to, d, chunks)
+	if sp != nil {
+		sp.SetSim(d)
+		sp.SetAttr("link", class.String())
+		if chunks > 1 {
+			sp.SetAttr("chunks", strconv.Itoa(chunks))
+		}
+		if wireBytes != logical {
+			sp.SetAttr("wire", strconv.Itoa(wireBytes))
+			sp.SetAttr("logical", strconv.Itoa(logical))
+		}
+		sp.End()
+	}
+	return d, err
+}
+
+// pace delays the caller by d in per-chunk slices. It returns d, or the
+// share of d already elapsed and the typed failure when an endpoint departs
+// at a chunk boundary.
+func (f *Fabric) pace(ctx context.Context, from, to idgen.NodeID, d time.Duration, chunks int) (time.Duration, error) {
 	if f.timeScale <= 0 || d <= 0 {
 		return d, nil
 	}
-	checked := !from.IsNil() || !to.IsNil()
-	// Slice the delay across chunks so concurrent transfers interleave at
-	// chunk granularity and cancellation takes effect between chunks.
 	slice := d / time.Duration(chunks)
 	rem := d
 	for i := 0; i < chunks && rem > 0; i++ {
-		if ctx != nil && ctx.Err() != nil {
+		if ctx.Err() != nil {
 			return d, nil
 		}
-		if checked {
-			if err := f.endpointErr(from, to); err != nil {
-				// The endpoint vanished mid-transfer. The full transfer was
-				// already charged (bytes in flight are not unsent); the error
-				// tells the caller the data did not land.
+		if i > 0 {
+			f.mu.RLock()
+			err := f.departedErr(from, to)
+			f.mu.RUnlock()
+			if err != nil {
 				return d - rem, err
 			}
 		}
@@ -588,6 +433,20 @@ func (f *Fabric) transferChunkedEndpoints(ctx context.Context, from, to idgen.No
 		rem -= w
 	}
 	return d, nil
+}
+
+// SortNearest orders nodes cheapest-first as sources for a move to `to`:
+// by the cost of a zero-byte message (link latency, slow factors
+// included), ties broken by ID so every caller picks the same holder.
+func (f *Fabric) SortNearest(to idgen.NodeID, nodes []idgen.NodeID) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	slices.SortFunc(nodes, func(a, b idgen.NodeID) int {
+		if c := cmp.Compare(f.cost(f.classLocked(a, to), 0), f.cost(f.classLocked(b, to), 0)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Seq(), b.Seq())
+	})
 }
 
 // spanKindFor maps a link class to its trace span kind. DPU hops and
@@ -604,18 +463,10 @@ func spanKindFor(class LinkClass) string {
 	}
 }
 
-// Cost returns the simulated duration of a transfer without performing it.
-func (f *Fabric) Cost(from, to idgen.NodeID, size int) time.Duration {
-	return f.cost(f.ClassBetween(from, to), size)
-}
-
 // wait delays the caller by d scaled by TimeScale. Durations below 200 µs
 // are spin-waited because OS timers cannot sleep that precisely, and the
 // short-op experiments depend on microsecond-scale delays being honoured.
 func (f *Fabric) wait(d time.Duration) {
-	if f.timeScale <= 0 || d <= 0 {
-		return
-	}
 	d = time.Duration(float64(d) * f.timeScale)
 	if d < 200*time.Microsecond {
 		deadline := time.Now().Add(d)
@@ -629,7 +480,7 @@ func (f *Fabric) wait(d time.Duration) {
 
 // Stats is a snapshot of one link class's accounting. Bytes is
 // bytes-on-wire (post-compression); LogicalBytes is the pre-compression
-// payload size. On uncompressed classes the two are equal.
+// size. On uncompressed classes the two are equal.
 type Stats struct {
 	Messages     int64
 	Bytes        int64

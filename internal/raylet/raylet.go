@@ -237,7 +237,7 @@ func (r *Raylet) proxyHop(ctx context.Context, size int) {
 	}
 	// A departed DPU fails the charge; the subsequent transport call fails
 	// typed on the same condition, so the error is dropped here.
-	_, _ = r.cfg.Fabric.SendCtx(ctx, r.cfg.Node, r.cfg.DPUProxy, size)
+	_, _ = r.cfg.Fabric.Move(ctx, r.cfg.Node, r.cfg.DPUProxy, nil, size)
 	r.bump(func(s *Stats) { s.DPUHops++ })
 }
 
@@ -1019,15 +1019,8 @@ func (r *Raylet) fetch(ctx context.Context, id idgen.ObjectID, locations []idgen
 	ctx, sp := trace.Start(ctx, trace.KindFetch, r.cfg.Node)
 	sp.SetAttr("obj", id.Short())
 	defer sp.End()
-	// Cheapest location first.
 	locs := append([]idgen.NodeID(nil), locations...)
-	for i := 0; i < len(locs); i++ {
-		for j := i + 1; j < len(locs); j++ {
-			if r.cfg.Fabric.Cost(locs[j], r.cfg.Node, 0) < r.cfg.Fabric.Cost(locs[i], r.cfg.Node, 0) {
-				locs[i], locs[j] = locs[j], locs[i]
-			}
-		}
-	}
+	r.cfg.Fabric.SortNearest(r.cfg.Node, locs)
 	for _, loc := range locs {
 		if loc == r.cfg.Node {
 			if data, _, err := r.store.Get(id); err == nil {

@@ -593,7 +593,9 @@ func (rt *Runtime) PutAt(node idgen.NodeID, data []byte, format string) (idgen.O
 	if node != rt.driver {
 		// Bulk placement streams in pipelined chunks: one latency plus the
 		// bandwidth cost, however large the input shard.
-		rt.Cluster.Fabric.TransferData(rt.driver, node, data)
+		if _, err := rt.Cluster.Fabric.Move(context.TODO(), rt.driver, node, data, 0); err != nil {
+			return idgen.Nil, fmt.Errorf("runtime: put at %s: %w", node.Short(), err)
+		}
 	}
 	if err := rt.Layer.Put(node, id, data, format); err != nil {
 		return idgen.Nil, err

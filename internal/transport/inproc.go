@@ -115,18 +115,20 @@ func (t *InProc) Call(ctx context.Context, from, to idgen.NodeID, kind string, p
 			// Deliver the request an extra time before the real delivery and
 			// discard its response — what a retransmitted request looks like
 			// to the handler. Exercises handler idempotence.
-			if _, cerr := t.chargeErr(ctx, from, to, payload); cerr == nil {
+			if _, cerr := t.fabric.Move(ctx, from, to, payload, messageOverhead); cerr == nil {
 				_, _ = h(ctx, from, kind, payload)
 			}
 		}
 	}
-	// Charge the request path. SendCtx records the transfer as a span when
-	// the caller's context carries a trace; the handler then runs under the
-	// same context, so remote-side spans attach to the caller's trace —
-	// in-process propagation of the TraceID/SpanID pair. Deadlines and
-	// cancellation propagate the same way: the handler shares the caller's
-	// context directly.
-	if _, err := t.chargeErr(ctx, from, to, payload); err != nil {
+	// Charge the request path: the payload at its bytes-on-wire, the
+	// header raw. The interposer keeps seeing logical sizes — compression
+	// is a cost-model concern, not a delivery-accounting one. Move records
+	// the transfer as a span when the caller's context carries a trace; the
+	// handler then runs under the same context, so remote-side spans attach
+	// to the caller's trace — in-process propagation of the TraceID/SpanID
+	// pair. Deadlines and cancellation propagate the same way: the handler
+	// shares the caller's context directly.
+	if _, err := t.fabric.Move(ctx, from, to, payload, messageOverhead); err != nil {
 		// The fabric refused the message (endpoint unregistered mid-call).
 		if ip != nil {
 			ip.Undeliverable(v, from, to, kind, size)
@@ -141,30 +143,15 @@ func (t *InProc) Call(ctx context.Context, from, to idgen.NodeID, kind string, p
 		// Errors still travel back over the network — and flatten to their
 		// wire form (code + message), so the in-proc path surfaces exactly
 		// what a TCP caller would see.
-		_, _ = t.fabric.SendCtx(ctx, to, from, messageOverhead+len(err.Error()))
+		_, _ = t.fabric.Move(ctx, to, from, nil, messageOverhead+len(err.Error()))
 		return nil, skaderr.RoundTrip(err)
 	}
 	// Charge the response path. A responder unregistered while its handler
 	// ran cannot get the bytes back to the caller.
-	if _, cerr := t.chargeErr(ctx, to, from, resp); cerr != nil {
+	if _, cerr := t.fabric.Move(ctx, to, from, resp, messageOverhead); cerr != nil {
 		return nil, unavailable(cerr)
 	}
 	return resp, nil
-}
-
-// chargeErr accounts one message from its actual payload bytes, so the
-// fabric can apply the link class's compression policy and charge
-// bytes-on-wire. The interposer keeps seeing logical sizes — compression is
-// a cost-model concern, not a delivery-accounting one. Bulk payloads
-// (raylet pushes, migration object copies) larger than the fabric's chunk
-// size stream as pipelined chunks instead of one whole-object stall;
-// control messages stay single sends. A transfer touching an unregistered
-// endpoint fails typed.
-func (t *InProc) chargeErr(ctx context.Context, from, to idgen.NodeID, payload []byte) (time.Duration, error) {
-	if len(payload)+messageOverhead > t.fabric.ChunkBytes() {
-		return t.fabric.TransferDataCtx(ctx, from, to, payload)
-	}
-	return t.fabric.TransferMessageCtx(ctx, from, to, payload, messageOverhead)
 }
 
 // Close implements Transport.

@@ -188,6 +188,31 @@ func TestInProcChargesFabric(t *testing.T) {
 	}
 }
 
+// TestInProcChargesHeaderEveryCall checks that every in-process call is
+// charged its message header in each direction, whether the payload fits
+// in one fabric chunk or streams as several.
+func TestInProcChargesHeaderEveryCall(t *testing.T) {
+	f := fabric.New(fabric.Config{})
+	tr := NewInProc(f)
+	defer tr.Close()
+	server, client := idgen.Next(), idgen.Next()
+	f.Register(server, fabric.Location{Rack: 0, Island: -1})
+	f.Register(client, fabric.Location{Rack: 0, Island: -1})
+	mirror := func(_ context.Context, _ idgen.NodeID, _ string, p []byte) ([]byte, error) { return p, nil }
+	if err := tr.Listen(server, mirror); err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	for _, n := range []int{1 << 10, 300 << 10} {
+		f.ResetStats()
+		if _, err := tr.Call(context.Background(), client, server, "k", make([]byte, n)); err != nil {
+			t.Fatalf("Call(%d B): %v", n, err)
+		}
+		if got, want := f.ClassStats(fabric.Rack).LogicalBytes, int64(2*(n+messageOverhead)); got != want {
+			t.Errorf("%d B call: logical bytes = %d, want %d (payload + header, both ways)", n, got, want)
+		}
+	}
+}
+
 func TestInProcSetDown(t *testing.T) {
 	tr := NewInProc(fabric.New(fabric.Config{}))
 	defer tr.Close()
