@@ -295,7 +295,7 @@ func TestCheckerHygiene(t *testing.T) {
 	v.Hygiene = func() []Hygiene {
 		return []Hygiene{
 			{Node: node, LiveActorTombstones: 3},
-			{Node: node, LiveObjectTombstones: 1, Drained: true},
+			{Node: node, LiveActorTombstones: 1, Drained: true},
 		}
 	}
 	got = NewChecker(v, nil).Check()

@@ -19,13 +19,11 @@ type Hygiene struct {
 	FrozenActors int
 	// HeldLocks counts actor locks still held.
 	HeldLocks int
-	// LiveActorTombstones / LiveObjectTombstones count forwarding
-	// tombstones still inside their TTL. A bounded number is fine
-	// mid-episode; they must stop growing and eventually expire, so the
-	// checker only flags unexpired tombstones on nodes that finished
-	// draining (Drained true).
-	LiveActorTombstones  int
-	LiveObjectTombstones int
+	// LiveActorTombstones counts actor cutover tombstones still inside
+	// their TTL. A bounded number is fine mid-episode; they must stop
+	// growing and eventually expire, so the checker only flags unexpired
+	// tombstones on nodes that finished draining (Drained true).
+	LiveActorTombstones int
 	// Drained marks a node that completed a drain (decommission) and so
 	// must hold no live forwarding state at all.
 	Drained bool
@@ -230,11 +228,11 @@ func (c *Checker) checkHygiene() []Violation {
 				Detail:    fmt.Sprintf("node %s: %d actor lock(s) still held", h.Node.Short(), h.HeldLocks),
 			})
 		}
-		if h.Drained && (h.LiveActorTombstones > 0 || h.LiveObjectTombstones > 0) {
+		if h.Drained && h.LiveActorTombstones > 0 {
 			out = append(out, Violation{
 				Invariant: "I3-migration",
-				Detail: fmt.Sprintf("drained node %s: %d actor / %d object tombstone(s) still live",
-					h.Node.Short(), h.LiveActorTombstones, h.LiveObjectTombstones),
+				Detail: fmt.Sprintf("drained node %s: %d actor tombstone(s) still live",
+					h.Node.Short(), h.LiveActorTombstones),
 			})
 		}
 	}

@@ -32,8 +32,8 @@ const (
 // systems keep running):
 //
 //   - live-drain: Decommission — actors live-migrate (freeze → transfer →
-//     resume), resident objects are copied off behind tombstone-forwards,
-//     then the raylet actually stops. No state is lost, no task fails.
+//     resume), resident objects are copied off (copy → retarget the
+//     record → drop), then the raylet actually stops. No state is lost, no task fails.
 //   - kill+lineage: the node dies and every object whose only copy it held
 //     is re-derived by replaying its producing tasks (Ray's answer; as in
 //     Ray, an actor task's result is not re-derived).

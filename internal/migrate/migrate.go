@@ -7,13 +7,12 @@
 // (§1): servers and device blades join and leave while data systems keep
 // running. Killing a node and re-executing its lineage is correct but
 // wasteful — the paper's runtime can instead *drain*: checkpoint → transfer
-// → restore → cutover for actors, copy + ownership-location move +
-// tombstone-forward for objects. Experiment E14 quantifies the gap.
+// → restore → cutover for actors, copy → retarget → drop for objects.
+// Experiment E14 quantifies the gap.
 //
 // The migrator is a pure coordinator: it sequences RPCs against the source
-// and destination raylets and the head's ownership table, but the bytes
-// flow directly source → destination over the fabric, never through the
-// coordinator.
+// and destination raylets, but the bytes flow directly source → destination
+// over the fabric, never through the coordinator.
 //
 // The actor protocol is freeze → transfer → resume:
 //
@@ -28,11 +27,15 @@
 //     the actor keeps running at the source. No submission is lost either
 //     way.
 //
-// The object protocol is copy → move → forward: migrate.transfer pushes
-// the bytes to the destination, own.moveloc atomically retargets the
-// ownership location set and records a forwarding entry, and the source
-// keeps a tombstone so in-flight readers holding a stale location chase
-// the move (GetResponse.MovedTo) instead of failing.
+// The object protocol is one RPC, migrate.transfer, and the source raylet
+// runs it as copy → retarget → drop: it pushes the bytes to the
+// destination, asks the object's owner to retarget the record
+// (own.moveloc, which checks that the destination's store holds the
+// bytes), and only then drops its own copy. The record names a node holding
+// the bytes at every step, so a reader whose location went stale reads the
+// record again and finds the new holder. A destination that refused the
+// push fails the move, and the source keeps its copy and its place in the
+// record.
 package migrate
 
 import (
@@ -50,8 +53,6 @@ type Config struct {
 	// Self is the node the migrator issues RPCs from (the head or driver
 	// node of the runtime embedding it).
 	Self idgen.NodeID
-	// Head is the node hosting the ownership service.
-	Head idgen.NodeID
 	// Transport carries the coordination RPCs.
 	Transport transport.Transport
 }
@@ -146,8 +147,8 @@ func (m *Migrator) MigrateActor(ctx context.Context, actor idgen.ActorID, from, 
 		}
 	}
 
-	// 3. Resume with commit: cutover tombstone, parked tasks bounce to the
-	// destination.
+	// 3. Resume with commit: actor cutover tombstone, parked tasks bounce to
+	// the destination.
 	if _, err := m.call(ctx, from, raylet.KindMigrateResume,
 		transport.MustEncode(raylet.MigrateResumeRequest{Actor: actor, Dest: to, Commit: true})); err != nil {
 		return rep, fmt.Errorf("migrate: resume %s: %w", actor.Short(), err)
@@ -162,10 +163,10 @@ func (m *Migrator) rollback(ctx context.Context, actor idgen.ActorID, from idgen
 		transport.MustEncode(raylet.MigrateResumeRequest{Actor: actor, Commit: false}))
 }
 
-// MigrateObject moves one resident object's copy from → to: the source
-// pushes the bytes to the destination, drops its copy behind a tombstone,
-// and the ownership table's location set is atomically retargeted with a
-// forwarding entry for readers holding the stale location.
+// MigrateObject moves one resident object's copy from → to with one
+// migrate.transfer to the source, which pushes the bytes, retargets the
+// record and drops its copy (see the package doc). On error the record
+// still names the source and the source still holds the bytes.
 func (m *Migrator) MigrateObject(ctx context.Context, id idgen.ObjectID, from, to idgen.NodeID) (ObjectReport, error) {
 	ctx, sp := trace.Start(ctx, trace.KindMigrateObject, m.cfg.Self)
 	sp.SetAttr("obj", id.Short()).SetAttr("from", from.Short()).SetAttr("to", to.Short())
@@ -189,14 +190,6 @@ func (m *Migrator) MigrateObject(ctx context.Context, id idgen.ObjectID, from, t
 	}
 	rep.Bytes = xfer.Bytes
 	rep.Moved = true
-
-	// Cutover: retarget the ownership location set and record the forward.
-	if _, err := m.call(ctx, m.cfg.Head, raylet.KindOwnMoveLoc,
-		transport.MustEncode(raylet.OwnMoveLocRequest{ID: id, From: from, To: to})); err != nil {
-		// The bytes are at the destination and the source has a tombstone,
-		// so reads still resolve; only the table is stale. Surface it.
-		return rep, fmt.Errorf("migrate: own.moveloc %s: %w", id.Short(), err)
-	}
 	sp.SetAttr("bytes", fmt.Sprint(rep.Bytes))
 	return rep, nil
 }

@@ -57,10 +57,10 @@ func (s *scripted) Call(_ context.Context, _, to idgen.NodeID, kind string, payl
 	return nil, nil
 }
 
-// rig returns a migrator over the script and the three nodes it talks to.
-func rig(s *scripted) (m *Migrator, head, from, to idgen.NodeID) {
-	head, from, to = idgen.Next(), idgen.Next(), idgen.Next()
-	return New(Config{Self: idgen.Next(), Head: head, Transport: s}), head, from, to
+// rig returns a migrator over the script and the two nodes it talks to.
+func rig(s *scripted) (m *Migrator, from, to idgen.NodeID) {
+	from, to = idgen.Next(), idgen.Next()
+	return New(Config{Self: idgen.Next(), Transport: s}), from, to
 }
 
 func TestMigrateActorSuccessOrder(t *testing.T) {
@@ -74,7 +74,7 @@ func TestMigrateActorSuccessOrder(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := &scripted{known: tc.known, found: true}
-			m, _, from, to := rig(s)
+			m, from, to := rig(s)
 			rep, err := m.MigrateActor(context.Background(), idgen.Next(), from, to)
 			if err != nil {
 				t.Fatal(err)
@@ -111,7 +111,7 @@ func TestMigrateActorFailureRollsBackOnce(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := &scripted{known: tc.known, found: true, fail: map[string]bool{tc.fail: true}}
-			m, _, from, to := rig(s)
+			m, from, to := rig(s)
 			if _, err := m.MigrateActor(context.Background(), idgen.Next(), from, to); err == nil {
 				t.Fatal("migration succeeded through a failed step")
 			}
@@ -127,7 +127,7 @@ func TestMigrateActorFailureRollsBackOnce(t *testing.T) {
 
 func TestMigrateSameNodeFailsBeforeRPC(t *testing.T) {
 	s := &scripted{known: true, found: true}
-	m, _, from, _ := rig(s)
+	m, from, _ := rig(s)
 	if _, err := m.MigrateActor(context.Background(), idgen.Next(), from, from); err == nil {
 		t.Error("actor migration onto its own node succeeded")
 	}
@@ -141,24 +141,31 @@ func TestMigrateSameNodeFailsBeforeRPC(t *testing.T) {
 
 func TestMigrateObject(t *testing.T) {
 	s := &scripted{found: true}
-	m, head, from, to := rig(s)
+	m, from, to := rig(s)
 	rep, err := m.MigrateObject(context.Background(), idgen.Next(), from, to)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []step{{from, raylet.KindMigrateTransfer}, {head, raylet.KindOwnMoveLoc}}
+	// One RPC: the source pushes, retargets the record and drops its copy.
+	want := []step{{from, raylet.KindMigrateTransfer}}
 	if !rep.Moved || rep.Bytes != 42 || !reflect.DeepEqual(s.steps, want) {
 		t.Errorf("report = %+v, steps = %v, want moved with %v", rep, s.steps, want)
 	}
 
-	// No copy at the source: nothing moved, the table is left alone.
+	// No copy at the source: nothing moved.
 	s = &scripted{found: false}
-	m, _, from, to = rig(s)
+	m, from, to = rig(s)
 	rep, err = m.MigrateObject(context.Background(), idgen.Next(), from, to)
 	if err != nil || rep.Moved {
 		t.Fatalf("report = %+v, err = %v, want not moved", rep, err)
 	}
-	if want := []step{{from, raylet.KindMigrateTransfer}}; !reflect.DeepEqual(s.steps, want) {
-		t.Errorf("steps = %v, want only %v (no own.moveloc)", s.steps, want)
+
+	// The source could not finish the move (push refused, record not
+	// retargeted): the migration fails and reports nothing moved.
+	s = &scripted{found: true, fail: map[string]bool{raylet.KindMigrateTransfer: true}}
+	m, from, to = rig(s)
+	rep, err = m.MigrateObject(context.Background(), idgen.Next(), from, to)
+	if err == nil || rep.Moved {
+		t.Fatalf("report = %+v, err = %v, want an error and not moved", rep, err)
 	}
 }

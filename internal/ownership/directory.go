@@ -12,15 +12,15 @@ import (
 // swapped between a head-node monolith and a consistent-hash-sharded
 // directory without touching the future-resolution protocols built on top.
 type Directory interface {
-	// SetCommitGuard installs the residency validator used by MarkReady and
-	// AddLocation. Implementations must apply it to shards added later too.
+	// SetCommitGuard installs the residency validator used by MarkReady,
+	// AddLocation and MoveLocation. Implementations must apply it to shards
+	// added later too.
 	SetCommitGuard(g CommitGuard)
 
 	CreatePending(id idgen.ObjectID, owner idgen.NodeID, task idgen.TaskID) error
 	MarkReady(id idgen.ObjectID, size int64, location idgen.NodeID, deviceID idgen.NodeID, deviceHandle string) ([]idgen.NodeID, error)
 	AddLocation(id idgen.ObjectID, node idgen.NodeID) error
 	MoveLocation(id idgen.ObjectID, from, to idgen.NodeID) error
-	ResolveForward(id idgen.ObjectID, stale idgen.NodeID) (idgen.NodeID, bool)
 	Subscribe(id idgen.ObjectID, node idgen.NodeID) (ready bool, rec Record, err error)
 	Get(id idgen.ObjectID) (Record, error)
 	Records() []Record

@@ -99,9 +99,10 @@ func errStaleCommit(id idgen.ObjectID, loc idgen.NodeID) error {
 // own.ready land at the head. Without the guard that late commit
 // resurrects a location with no bytes behind it; with it, the commit is
 // rejected typed and the task fails over to lineage recovery. extra marks a
-// claim of one more full copy (AddLocation) rather than the commit itself:
-// redundancy elsewhere cannot vouch for that — the claimed copy is the point,
-// and a record naming a byte-less node outlives the copy that vouched for it.
+// claim of one more full copy (AddLocation, MoveLocation) rather than the
+// commit itself: redundancy elsewhere cannot vouch for that — the claimed
+// copy is the point, and a record naming a byte-less node outlives the copy
+// that vouched for it.
 type CommitGuard func(location idgen.NodeID, id idgen.ObjectID, extra bool) bool
 
 // Record is one ownership-table entry.
@@ -142,10 +143,6 @@ type entry struct {
 	locations   map[idgen.NodeID]bool
 	waiters     []chan State
 	subscribers map[idgen.NodeID]bool
-	// forwards maps a node that used to hold the object to the node its
-	// copy migrated to — the tombstone-forward entries in-flight pulls
-	// chase when they race a live migration.
-	forwards map[idgen.NodeID]idgen.NodeID
 }
 
 // Table is the ownership table. It is a passive, concurrency-safe data
@@ -167,9 +164,9 @@ func NewTable() *Table {
 	return &Table{entries: make(map[idgen.ObjectID]*entry)}
 }
 
-// SetCommitGuard installs the residency validator consulted by MarkReady
-// and AddLocation. Call before serving traffic; a nil guard (the default)
-// accepts every commit. The guard runs under the table lock, so its
+// SetCommitGuard installs the residency validator consulted by MarkReady,
+// AddLocation and MoveLocation. Call before serving traffic; a nil guard
+// (the default) accepts every commit. The guard runs under the table lock, so its
 // serialization against location-purging writers (RemoveNodeLocations) is
 // what closes the race — it must not call back into the table.
 func (t *Table) SetCommitGuard(g CommitGuard) {
@@ -279,11 +276,12 @@ func (t *Table) AddLocation(id idgen.ObjectID, node idgen.NodeID) error {
 }
 
 // MoveLocation atomically retargets a copy from one node to another: the
-// destination is added to the location set, the source is removed, and a
-// forwarding entry source → destination is recorded so readers holding a
-// stale location list can chase the move (live migration's cutover step).
-// The object must be Ready with a copy at from (or already moved, which is
-// a no-op if the forward matches).
+// destination is added to the location set and the source removed (live
+// migration's cutover step). Like AddLocation it claims a full copy, so the
+// commit guard must find the bytes in the destination's store: a move whose
+// push was refused fails and leaves the record naming the source, which
+// keeps its copy. A reader holding the stale source finds the new holder by
+// reading the record again.
 func (t *Table) MoveLocation(id idgen.ObjectID, from, to idgen.NodeID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -291,43 +289,14 @@ func (t *Table) MoveLocation(id idgen.ObjectID, from, to idgen.NodeID) error {
 	if !ok {
 		return errUnknown(id)
 	}
+	if t.guard != nil && !t.guard(to, id, true) {
+		return errStaleCommit(id, to)
+	}
 	e.locations[to] = true
 	delete(e.locations, from)
-	if e.forwards == nil {
-		e.forwards = make(map[idgen.NodeID]idgen.NodeID)
-	}
-	e.forwards[from] = to
-	// A forward pointing back at from (ping-pong migration) would loop;
-	// drop the destination's own stale forward, if any.
-	delete(e.forwards, to)
 	e.syncLocations()
 	t.logOp(repOp{kind: opMoveLoc, id: id, node: from, node2: to})
 	return nil
-}
-
-// ResolveForward chases the forwarding chain from a stale location and
-// returns the current holder, or false if the node never forwarded the
-// object. Chains are bounded by the number of entries, so ping-pong
-// migrations cannot loop.
-func (t *Table) ResolveForward(id idgen.ObjectID, stale idgen.NodeID) (idgen.NodeID, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.entries[id]
-	if !ok || e.forwards == nil {
-		return idgen.Nil, false
-	}
-	cur, ok := e.forwards[stale]
-	if !ok {
-		return idgen.Nil, false
-	}
-	for i := 0; i < len(e.forwards); i++ {
-		next, more := e.forwards[cur]
-		if !more || next == cur {
-			break
-		}
-		cur = next
-	}
-	return cur, true
 }
 
 // Subscribe registers node for a proactive push of id when it becomes
@@ -547,7 +516,6 @@ func (t *Table) Settle(id idgen.ObjectID, to State) bool {
 func (e *entry) reset() {
 	e.rec.State = Pending
 	e.locations = make(map[idgen.NodeID]bool)
-	e.forwards = nil // re-execution commits fresh copies; old forwards are moot
 	e.syncLocations()
 }
 
@@ -572,11 +540,9 @@ func (t *Table) Len() int {
 }
 
 // takeMisplaced removes and returns every entry whose ID fails the keep
-// predicate. Entries move whole — waiter channels, subscriber sets, and the
-// PR 2 forwarding chains travel with the record, so a WaitReady parked
-// before a shard handoff is still released by a MarkReady that lands on the
-// entry's new shard, and stale-location pulls keep chasing forwards across
-// the move.
+// predicate. Entries move whole — waiter channels and subscriber sets travel
+// with the record, so a WaitReady parked before a shard handoff is still
+// released by a MarkReady that lands on the entry's new shard.
 func (t *Table) takeMisplaced(keep func(idgen.ObjectID) bool) map[idgen.ObjectID]*entry {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -3,11 +3,13 @@ package ownership
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"skadi/internal/idgen"
+	"skadi/internal/skaderr"
 )
 
 func TestCreateAndGet(t *testing.T) {
@@ -487,36 +489,10 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-func TestMoveLocationRecordsForward(t *testing.T) {
-	tbl := NewTable()
-	id := idgen.Next()
-	a, b := idgen.Next(), idgen.Next()
-	if err := tbl.CreatePending(id, a, idgen.Next()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tbl.MarkReady(id, 8, a, idgen.Nil, ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.MoveLocation(id, a, b); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := tbl.Get(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Locations) != 1 || rec.Locations[0] != b {
-		t.Errorf("Locations = %v, want [%v]", rec.Locations, b)
-	}
-	to, found := tbl.ResolveForward(id, a)
-	if !found || to != b {
-		t.Errorf("ResolveForward(a) = %v,%v, want %v,true", to, found, b)
-	}
-	if _, found := tbl.ResolveForward(id, b); found {
-		t.Error("ResolveForward(current holder) should report no forward")
-	}
-}
-
-func TestResolveForwardChainsAndPingPong(t *testing.T) {
+// TestMoveLocationRetargetsRecord: a move names the destination in place
+// of the source, through chained moves and a ping-pong back to the start —
+// the record is the only place a reader looks for the new holder.
+func TestMoveLocationRetargetsRecord(t *testing.T) {
 	tbl := NewTable()
 	id := idgen.Next()
 	a, b, c := idgen.Next(), idgen.Next(), idgen.Next()
@@ -526,25 +502,58 @@ func TestResolveForwardChainsAndPingPong(t *testing.T) {
 	if _, err := tbl.MarkReady(id, 8, a, idgen.Nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	// a → b → c: a reader holding the original location must resolve to c.
-	if err := tbl.MoveLocation(id, a, b); err != nil {
+	for _, mv := range [][2]idgen.NodeID{{a, b}, {b, c}, {c, a}} {
+		if err := tbl.MoveLocation(id, mv[0], mv[1]); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := tbl.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Locations) != 1 || rec.Locations[0] != mv[1] {
+			t.Errorf("after %s→%s: Locations = %v, want [%v]", mv[0].Short(), mv[1].Short(), rec.Locations, mv[1])
+		}
+	}
+}
+
+// TestMoveLocationNeedsBytesAtDestination: the commit guard vouches for the
+// destination's copy. When it says no — the push was refused — the move
+// fails and neither the record nor the replication log changes, so the
+// source keeps its place.
+func TestMoveLocationNeedsBytesAtDestination(t *testing.T) {
+	tbl := NewTable()
+	var logged []repOp
+	tbl.setOpLog(func(op repOp) { logged = append(logged, op) })
+	id := idgen.Next()
+	src, dst := idgen.Next(), idgen.Next()
+	if err := tbl.CreatePending(id, src, idgen.Next()); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.MoveLocation(id, b, c); err != nil {
+	if _, err := tbl.MarkReady(id, 8, src, idgen.Nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	if to, found := tbl.ResolveForward(id, a); !found || to != c {
-		t.Errorf("chained ResolveForward(a) = %v,%v, want %v,true", to, found, c)
+	var asked []bool
+	tbl.SetCommitGuard(func(loc idgen.NodeID, _ idgen.ObjectID, extra bool) bool {
+		asked = append(asked, extra)
+		return loc != dst
+	})
+	before, _ := tbl.Get(id)
+	nLogged := len(logged)
+	err := tbl.MoveLocation(id, src, dst)
+	if err == nil {
+		t.Fatal("move onto a node without the bytes succeeded")
 	}
-	// Ping-pong back to a: the chase must terminate at a, not loop.
-	if err := tbl.MoveLocation(id, c, a); err != nil {
-		t.Fatal(err)
+	if skaderr.CodeOf(err) != skaderr.Unavailable {
+		t.Errorf("error code = %v, want Unavailable", skaderr.CodeOf(err))
 	}
-	if to, found := tbl.ResolveForward(id, b); !found || to != a {
-		t.Errorf("ping-pong ResolveForward(b) = %v,%v, want %v,true", to, found, a)
+	if !reflect.DeepEqual(asked, []bool{true}) {
+		t.Errorf("guard asked with extra = %v, want one claim of a full copy", asked)
 	}
-	if _, found := tbl.ResolveForward(id, a); found {
-		t.Error("current holder must not have a forward after ping-pong")
+	if after, _ := tbl.Get(id); !reflect.DeepEqual(after, before) {
+		t.Errorf("record changed by a refused move: %+v, want %+v", after, before)
+	}
+	if len(logged) != nLogged {
+		t.Errorf("refused move logged %d op(s)", len(logged)-nLogged)
 	}
 }
 
@@ -575,7 +584,6 @@ func TestMoveLocationConcurrentReaders(t *testing.T) {
 					t.Errorf("mid-migration record: %v %v", rec.Locations, err)
 					return
 				}
-				tbl.ResolveForward(id, nodes[0])
 			}
 		}()
 	}

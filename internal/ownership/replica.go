@@ -11,7 +11,7 @@ import (
 // via the Table op-log hook — into a bounded per-primary log that drains
 // asynchronously onto a replica Table hosted at the primary's ring
 // successor. The replica is a full Table (entries, waiter channels,
-// subscriber sets, forwarding chains) with one difference: ops are applied
+// subscriber sets) with one difference: ops are applied
 // silently. The primary already signalled its waiters and returned its
 // subscriber lists; the replica only has to END UP in the same state so
 // that promotion on a primary death restores every entry without lineage
@@ -88,11 +88,6 @@ func (t *Table) applyRep(op repOp) {
 		if e, ok := t.entries[op.id]; ok {
 			e.locations[op.node2] = true
 			delete(e.locations, op.node)
-			if e.forwards == nil {
-				e.forwards = make(map[idgen.NodeID]idgen.NodeID)
-			}
-			e.forwards[op.node] = op.node2
-			delete(e.forwards, op.node2)
 			e.syncLocations()
 		}
 	case opSubscribe:
@@ -130,7 +125,7 @@ func (t *Table) applyRep(op repOp) {
 }
 
 // cloneForReplica deep-copies the table into a fresh replica: records,
-// location sets, subscriber sets, and forwarding chains are copied; waiter
+// location sets and subscriber sets are copied; waiter
 // CHANNELS are shared (they are the rendezvous with the parked caller —
 // sharing is the point). Membership churn uses this to (re)seed a replica
 // wholesale, since handoff moves bypass the op-log.
@@ -151,12 +146,6 @@ func (t *Table) cloneForReplica() *Table {
 		for n := range e.subscribers {
 			ne.subscribers[n] = true
 		}
-		if len(e.forwards) > 0 {
-			ne.forwards = make(map[idgen.NodeID]idgen.NodeID, len(e.forwards))
-			for k, v := range e.forwards {
-				ne.forwards[k] = v
-			}
-		}
 		ne.waiters = append([]chan State(nil), e.waiters...)
 		out.entries[id] = ne
 	}
@@ -165,7 +154,7 @@ func (t *Table) cloneForReplica() *Table {
 
 // diffReplica reports human-readable mismatches between a primary table
 // and its (fully drained) replica: entries present on one side only, or
-// records/waiters/subscribers/forwards that diverge. Both tables are
+// records/waiters/subscribers that diverge. Both tables are
 // locked primary-first; callers must quiesce mutations (the sharded table
 // holds its write lock).
 func diffReplica(primary, replica *Table) []string {
@@ -222,14 +211,6 @@ func diffEntry(p, r *entry) string {
 	for n := range p.subscribers {
 		if !r.subscribers[n] {
 			return fmt.Sprintf("subscriber %s missing from replica", n.Short())
-		}
-	}
-	if len(p.forwards) != len(r.forwards) {
-		return fmt.Sprintf("forwards diverge: %d vs %d", len(p.forwards), len(r.forwards))
-	}
-	for k, v := range p.forwards {
-		if r.forwards[k] != v {
-			return fmt.Sprintf("forward %s diverges", k.Short())
 		}
 	}
 	return ""

@@ -152,8 +152,8 @@ func TestShardReplicationBoundedLog(t *testing.T) {
 
 // TestPromotionRestoresState is the heart of the durability change: kill a
 // shard primary via RemoveMemberDead and verify the successor's replica —
-// not the dead member's table — restores records, parked waiters, push
-// subscriptions, and forwarding chains.
+// not the dead member's table — restores records (a moved location
+// included), parked waiters and push subscriptions.
 func TestPromotionRestoresState(t *testing.T) {
 	s, nodes := newShardedWith(4)
 	owner, task := idgen.Next(), idgen.Next()
@@ -199,9 +199,9 @@ func TestPromotionRestoresState(t *testing.T) {
 	if rec, err := s.Get(pending); err != nil || rec.State != Pending {
 		t.Fatalf("pending entry after promotion: %+v, %v", rec, err)
 	}
-	// Forward chain survived.
-	if to, found := s.ResolveForward(moved, loc); !found || to != loc2 {
-		t.Fatalf("forward after promotion = (%s,%v), want (%s,true)", to.Short(), found, loc2.Short())
+	// The move survived: the record names the destination, not the source.
+	if rec, err := s.Get(moved); err != nil || len(rec.Locations) != 1 || rec.Locations[0] != loc2 {
+		t.Fatalf("locations after promotion = %v (%v), want [%s]", rec.Locations, err, loc2.Short())
 	}
 	// Subscriber and waiter survived: MarkReady on the promoted shard
 	// releases both.

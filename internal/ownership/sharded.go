@@ -24,14 +24,13 @@ func errNoShards() error {
 // Ring routes every object ID to a member node, and each member hosts a
 // full *Table holding exactly the entries it owns. Each shard preserves the
 // complete Table contract — CommitGuard, WaitReady parking, push
-// subscriptions, forwarding chains, AbortPending — so the protocols built
-// on the centralized table run unchanged against a shard.
+// subscriptions, AbortPending — so the protocols built on the centralized
+// table run unchanged against a shard.
 //
 // Membership changes (AddMember / RemoveMember) hand keys off by moving
 // whole entries between shards under the directory's exclusive lock:
-// parked waiters, subscriber sets, and forwarding chains travel with the
-// entry, so a future created before a handoff resolves after it with no
-// protocol-visible seam. Ops hold the shared lock only long enough to
+// parked waiters and subscriber sets travel with the entry, so a future
+// created before a handoff resolves after it with no protocol-visible seam. Ops hold the shared lock only long enough to
 // route and run the shard call (WaitReady parks outside it), so routing
 // can never observe a half-finished handoff.
 type ShardedTable struct {
@@ -270,17 +269,6 @@ func (s *ShardedTable) MoveLocation(id idgen.ObjectID, from, to idgen.NodeID) er
 		return err
 	}
 	return t.MoveLocation(id, from, to)
-}
-
-// ResolveForward chases a forwarding chain on the owning shard.
-func (s *ShardedTable) ResolveForward(id idgen.ObjectID, stale idgen.NodeID) (idgen.NodeID, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, err := s.shardFor(id)
-	if err != nil {
-		return idgen.Nil, false
-	}
-	return t.ResolveForward(id, stale)
 }
 
 // Subscribe registers a push subscription on the owning shard.

@@ -78,7 +78,7 @@ func (s *ShardedTable) syncReplicasLocked(touched map[idgen.NodeID]bool) {
 // RemoveMemberDead drops a shard host that died. Unlike the graceful
 // RemoveMember, it never consults the dead member's own table for the
 // handoff: the successor's replica is drained to the crash point and
-// promoted — waiters, subscriber sets, and forwarding chains restore from
+// promoted — waiters and subscriber sets restore from
 // the replica, so no lineage replay is needed to rebuild directory state.
 // Returns the restored entry count and the count lost (primary entries the
 // replica did not cover — zero by construction; nonzero means a

@@ -130,7 +130,7 @@ func TestShardedHandoffPreservesWaiters(t *testing.T) {
 	}
 }
 
-func TestShardedHandoffPreservesForwards(t *testing.T) {
+func TestShardedHandoffPreservesLocations(t *testing.T) {
 	s, nodes := newShardedWith(3)
 	joiner := idgen.Next()
 	id := pickMigratingID(t, s, joiner, idgen.Next(), idgen.Next())
@@ -142,9 +142,9 @@ func TestShardedHandoffPreservesForwards(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.AddMember(joiner)
-	to, found := s.ResolveForward(id, a)
-	if !found || to != b {
-		t.Fatalf("forward after handoff = (%s,%v), want (%s,true)", to.Short(), found, b.Short())
+	rec, err := s.Get(id)
+	if err != nil || len(rec.Locations) != 1 || rec.Locations[0] != b {
+		t.Fatalf("locations after handoff = %v (%v), want [%s]", rec.Locations, err, b.Short())
 	}
 }
 
@@ -348,7 +348,7 @@ func TestOneMemberRingMatchesTable(t *testing.T) {
 		return skaderr.CodeOf(err).String() + ": " + err.Error()
 	}
 	for step := 0; step < 6000; step++ {
-		op := rng.Intn(18)
+		op := rng.Intn(17)
 		obj := objs[rng.Intn(len(objs))]
 		n1, n2 := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
 		size := int64(rng.Intn(1 << 20))
@@ -372,37 +372,34 @@ func TestOneMemberRingMatchesTable(t *testing.T) {
 			case 4:
 				got[i] = errText(d.MoveLocation(obj, n1, n2))
 			case 5:
-				to, ok := d.ResolveForward(obj, n1)
-				got[i] = []any{to, ok}
-			case 6:
 				ready, rec, err := d.Subscribe(obj, n1)
 				got[i] = []any{ready, rec, errText(err)}
-			case 7:
+			case 6:
 				rec, err := d.Get(obj)
 				got[i] = []any{rec, errText(err)}
-			case 8:
+			case 7:
 				got[i] = d.Records()
-			case 9:
+			case 8:
 				// A pre-cancelled wait resolves at once whatever the state:
 				// nil if Ready, lost if Lost, the context error if Pending
 				// or orphaned.
 				got[i] = errText(d.WaitReady(cancelled, obj))
-			case 10:
+			case 9:
 				got[i] = d.PendingIDs()
-			case 11:
+			case 10:
 				got[i] = d.AbortPending()
-			case 12:
+			case 11:
 				got[i] = d.RemoveNodeLocations(n1)
-			case 13:
+			case 12:
 				got[i] = errText(d.MarkLost(obj))
-			case 14:
+			case 13:
 				// Out of orphaned (or Lost) only; a no-op on anything else.
 				got[i] = d.Settle(obj, Pending)
-			case 15:
+			case 14:
 				d.Delete(obj)
-			case 16:
+			case 15:
 				got[i] = d.Len()
-			case 17:
+			case 16:
 				got[i] = d.Settle(obj, Lost)
 			}
 		}

@@ -64,14 +64,14 @@ var (
 	testState = map[string][]byte{"counter": {0, 0, 0, 9}, "empty": nil}
 )
 
-// populatedCases holds one fully populated value of each of the 29 message
+// populatedCases holds one fully populated value of each of the 27 message
 // types, in protocol.go order.
 func populatedCases() []codecCase {
 	return []codecCase{
 		mk("ExecRequest", ExecRequest{Spec: testSpec}),
 		mk("ExecResponse", ExecResponse{ResultSizes: []int64{0, -1, 1 << 40}, StallMicros: 1234, ActorMovedTo: gid(0x11)}),
 		mk("GetRequest", GetRequest{ID: gid(0x12)}),
-		mk("GetResponse", GetResponse{Data: []byte("hello"), Format: "raw", MovedTo: gid(0x10)}),
+		mk("GetResponse", GetResponse{Data: []byte("hello"), Format: "raw"}),
 		mk("PushRequest", PushRequest{ID: gid(0x20), Data: []byte("hello"), Format: "arrowlite"}),
 		mk("DeleteRequest", DeleteRequest{ID: gid(0x13)}),
 		mk("OwnCreateRequest", OwnCreateRequest{IDs: []idgen.ObjectID{gid(0x30), gid(0x40)}, Owner: gid(0x50), Task: gid(0x60)}),
@@ -87,8 +87,6 @@ func populatedCases() []codecCase {
 		mk("ActorRestoreRequest", ActorRestoreRequest{Actor: gid(0x19)}),
 		mk("ActorRestoreResponse", ActorRestoreResponse{Seq: 7, State: testState}),
 		mk("OwnMoveLocRequest", OwnMoveLocRequest{ID: gid(0x1a), From: gid(0x1b), To: gid(0x1c)}),
-		mk("OwnForwardRequest", OwnForwardRequest{ID: gid(0x1d), Stale: gid(0x1e)}),
-		mk("OwnForwardResponse", OwnForwardResponse{To: gid(0x1f), Found: true}),
 		mk("GossipProbeRequest", GossipProbeRequest{From: gid(0x50), Nonce: 300}),
 		mk("GossipProbeAck", GossipProbeAck{Node: gid(0x51), Nonce: 300}),
 		mk("MigrateFreezeRequest", MigrateFreezeRequest{Actor: gid(0x21)}),
@@ -133,14 +131,13 @@ func allCases() []codecCase {
 		mk("ActorRestoreResponse/empty", ActorRestoreResponse{Seq: 1, State: map[string][]byte{}}),
 		mk("MigrateInstallRequest/empty", MigrateInstallRequest{State: map[string][]byte{}}),
 		// The bulk views keep nil-ness where the layout records it.
-		mk("GetResponse/moved", GetResponse{MovedTo: gid(0x10)}),
 		mk("GetResponse/empty", GetResponse{Data: []byte{}, Format: "raw"}),
 		mk("GetResponse/1MiB", GetResponse{Data: bytes.Repeat([]byte{7}, 1<<20), Format: "arrow"}),
 		mk("PushRequest/4KiB", PushRequest{ID: gid(0x20), Data: bytes.Repeat([]byte("x"), 4096), Format: "arrow"}),
 	)
 }
 
-// TestCodecCoversEveryMessage pins the table against protocol.go: 29 types,
+// TestCodecCoversEveryMessage pins the table against protocol.go: 27 types,
 // each with its own tag byte.
 func TestCodecCoversEveryMessage(t *testing.T) {
 	types := map[reflect.Type]bool{}
@@ -152,8 +149,8 @@ func TestCodecCoversEveryMessage(t *testing.T) {
 		}
 		tags[cc.enc[0]] = cc.name
 	}
-	if len(types) != 29 {
-		t.Errorf("table covers %d message types, protocol.go declares 29", len(types))
+	if len(types) != 27 {
+		t.Errorf("table covers %d message types, protocol.go declares 27", len(types))
 	}
 }
 
@@ -187,8 +184,7 @@ func TestCodecRoundTrip(t *testing.T) {
 // (bulk get/push, own.create/ready/get, gossip probe/ack) byte for byte.
 func TestCodecGoldenBytes(t *testing.T) {
 	golden := map[string]string{
-		"GetResponse":        "a1101112131415161718191a1b1c1d1e1f03726177010568656c6c6f",
-		"GetResponse/moved":  "a1101112131415161718191a1b1c1d1e1f000000",
+		"GetResponse":        "a103726177010568656c6c6f",
 		"PushRequest":        "a2202122232425262728292a2b2c2d2e2f096172726f776c6974650568656c6c6f",
 		"OwnCreateRequest":   "b102303132333435363738393a3b3c3d3e3f404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f606162636465666768696a6b6c6d6e6f",
 		"OwnReadyRequest":    "b2303132333435363738393a3b3c3d3e3f80808001505152535455565758595a5b5c5d5e5f707172737475767778797a7b7c7d7e7f096770753a302f6f626a",
@@ -355,13 +351,18 @@ func elements(v reflect.Value) int {
 
 // FuzzDecodeMessage feeds arbitrary bytes to every message kind. Decoding
 // must never panic, never build more elements than the input has bytes, and
-// whatever it accepts must survive a re-encode.
+// whatever it accepts must survive a re-encode. Each kind is seeded with its
+// populated frame, that frame cut in half, a hostile element count, and its
+// zero value (every presence byte and count at zero).
 func FuzzDecodeMessage(f *testing.F) {
 	cases := populatedCases()
 	for i, cc := range cases {
 		f.Add(uint8(i), cc.enc)
 		f.Add(uint8(i), cc.enc[:len(cc.enc)/2])
 		f.Add(uint8(i), hostileCount(cc.enc[0], nil))
+	}
+	for i, cc := range cases {
+		f.Add(uint8(i), wire.Marshal(cc.fresh()))
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		cc := cases[int(kind)%len(cases)]

@@ -170,14 +170,6 @@ func ServeOwnership(ctx context.Context, dir ownership.Directory, kind string, p
 			return nil, true, err
 		}
 		return nil, true, nil
-
-	case KindOwnForward:
-		var req OwnForwardRequest
-		if err := transport.Decode(payload, &req); err != nil {
-			return nil, true, err
-		}
-		to, found := dir.ResolveForward(req.ID, req.Stale)
-		return transport.MustEncode(OwnForwardResponse{To: to, Found: found}), true, nil
 	}
 	return nil, false, nil
 }

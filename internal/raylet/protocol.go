@@ -33,8 +33,9 @@ const (
 	KindMigrateFreeze = "migrate.freeze"
 	// KindMigrateTransfer asks the source raylet to copy an actor's state
 	// or a resident object directly to the destination raylet
-	// (migrate.install / raylet.push), installing a tombstone-forward for
-	// stale readers and dropping the local copy.
+	// (migrate.install / raylet.push). For an object the source then
+	// retargets the record (own.moveloc) and drops its copy only once the
+	// record names the destination.
 	KindMigrateTransfer = "migrate.transfer"
 	// KindMigrateInstall delivers migrated actor state to the destination
 	// raylet (the receiving half of a transfer).
@@ -64,12 +65,9 @@ const (
 	KindActorCkpt = "actor.ckpt"
 	// KindActorRestore fetches an actor's last checkpoint.
 	KindActorRestore = "actor.restore"
-	// KindOwnMoveLoc atomically retargets a copy from one node to another,
-	// recording a tombstone-forward entry (live migration cutover).
+	// KindOwnMoveLoc atomically retargets a copy from one node to another
+	// (live migration cutover). The destination must already hold the bytes.
 	KindOwnMoveLoc = "own.moveloc"
-	// KindOwnForward resolves a stale location to the node its copy
-	// migrated to, so in-flight pulls can chase the move.
-	KindOwnForward = "own.forward"
 )
 
 // RPC kinds of the failure detector. Gossip probe rounds run over the
@@ -135,20 +133,16 @@ func (m *GetRequest) Wire(c *wire.Coder) {
 	c.ID(&m.ID)
 }
 
-// GetResponse carries object bytes. When the object migrated away from
-// this node, Data is nil and MovedTo names the node now holding the copy —
-// the tombstone-forward path stale readers resolve through.
+// GetResponse carries object bytes.
 type GetResponse struct {
-	Data    []byte
-	Format  string
-	MovedTo idgen.NodeID
+	Data   []byte
+	Format string
 }
 
-// Wire implements transport.Message. A presence byte keeps a nil Data (the
-// MovedTo case) distinct from an empty object.
+// Wire implements transport.Message. A presence byte keeps a nil Data
+// distinct from an empty object.
 func (m *GetResponse) Wire(c *wire.Coder) {
 	c.Tag(0xA1)
-	c.ID(&m.MovedTo)
 	c.String(&m.Format)
 	hasData := m.Data != nil
 	c.Bool(&hasData)
@@ -354,32 +348,6 @@ func (m *OwnMoveLocRequest) Wire(c *wire.Coder) {
 	c.ID(&m.ID)
 	c.ID(&m.From)
 	c.ID(&m.To)
-}
-
-// OwnForwardRequest resolves a stale location after a migration.
-type OwnForwardRequest struct {
-	ID    idgen.ObjectID
-	Stale idgen.NodeID
-}
-
-// Wire implements transport.Message.
-func (m *OwnForwardRequest) Wire(c *wire.Coder) {
-	c.Tag(0xCD)
-	c.ID(&m.ID)
-	c.ID(&m.Stale)
-}
-
-// OwnForwardResponse carries the forward target, if one exists.
-type OwnForwardResponse struct {
-	To    idgen.NodeID
-	Found bool
-}
-
-// Wire implements transport.Message.
-func (m *OwnForwardResponse) Wire(c *wire.Coder) {
-	c.Tag(0xCE)
-	c.ID(&m.To)
-	c.Bool(&m.Found)
 }
 
 // GossipProbeRequest is one failure-detector probe. From is the gossip

@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -124,9 +125,6 @@ type Stats struct {
 	ActorsMigratedIn   int64
 	ActorsMigratedOut  int64
 	ObjectsMigratedOut int64
-	// ForwardFollows counts reads that chased a tombstone-forward after
-	// racing a migration.
-	ForwardFollows int64
 }
 
 // Raylet is one node's daemon. Create with New, then Start.
@@ -150,11 +148,6 @@ type Raylet struct {
 	// ExecResponse.ActorMovedTo instead of executing against dropped state.
 	frozenActors map[idgen.ActorID]chan struct{}
 	movedActors  map[idgen.ActorID]forwardEntry
-
-	// migMu guards movedObjects, the tombstone-forward map stale readers
-	// resolve through after an object migrates away (GetResponse.MovedTo).
-	migMu        sync.Mutex
-	movedObjects map[idgen.ObjectID]forwardEntry
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -183,7 +176,6 @@ func New(cfg Config) (*Raylet, error) {
 
 		frozenActors: make(map[idgen.ActorID]chan struct{}),
 		movedActors:  make(map[idgen.ActorID]forwardEntry),
-		movedObjects: make(map[idgen.ObjectID]forwardEntry),
 	}
 	for i := 0; i < cfg.Slots; i++ {
 		r.slots <- struct{}{}
@@ -301,21 +293,6 @@ func (r *Raylet) dispatch(ctx context.Context, from idgen.NodeID, kind string, p
 		}
 		data, format, err := r.store.Get(req.ID)
 		if err != nil {
-			// Tombstone-forward: the copy migrated away; tell the reader
-			// where instead of erroring, so in-flight pulls racing a live
-			// migration resolve without a retry loop. An expired tombstone
-			// errors instead; the reader then falls back to the ownership
-			// table's forwarding entry (queryForward).
-			r.migMu.Lock()
-			fwd, moved := r.movedObjects[req.ID]
-			if moved && time.Now().After(fwd.expires) {
-				delete(r.movedObjects, req.ID)
-				moved = false
-			}
-			r.migMu.Unlock()
-			if moved {
-				return transport.Encode(GetResponse{MovedTo: fwd.to})
-			}
 			return nil, err
 		}
 		return transport.Encode(GetResponse{Data: data, Format: format})
@@ -386,13 +363,12 @@ func (r *Raylet) dispatch(ctx context.Context, from idgen.NodeID, kind string, p
 	}
 }
 
-// forwardEntry is one cutover tombstone: where the actor/object went, and
-// when the entry may be dropped. Tombstones only serve requests that were
+// forwardEntry is one actor cutover tombstone: where the actor went, and
+// when the entry may be dropped. Tombstones only serve tasks that were
 // already in flight at cutover (everything dispatched afterwards targets
-// the new location), so they expire after tombstoneTTL — far longer than
-// any RPC stays in flight — instead of accumulating one entry per
-// migration for the raylet's lifetime. Expired object reads fall back to
-// the ownership table's forwarding entries (queryForward).
+// the new node), so they expire after tombstoneTTL — far longer than any
+// RPC stays in flight — instead of accumulating one entry per migration for
+// the raylet's lifetime.
 type forwardEntry struct {
 	to      idgen.NodeID
 	expires time.Time
@@ -405,10 +381,9 @@ const tombstoneTTL = time.Minute
 // and held locks must be zero, and tombstones must be bounded (live ones
 // expire; none may survive a full drain).
 type HygieneCounts struct {
-	FrozenActors                                  int
-	HeldLocks                                     int
-	LiveActorTombstones, ExpiredActorTombstones   int
-	LiveObjectTombstones, ExpiredObjectTombstones int
+	FrozenActors                                int
+	HeldLocks                                   int
+	LiveActorTombstones, ExpiredActorTombstones int
 }
 
 // MigrationHygiene counts leaked migration state. Lock-holding is probed
@@ -434,15 +409,6 @@ func (r *Raylet) MigrationHygiene() HygieneCounts {
 		}
 	}
 	r.actorsMu.Unlock()
-	r.migMu.Lock()
-	for _, fwd := range r.movedObjects {
-		if now.After(fwd.expires) {
-			h.ExpiredObjectTombstones++
-		} else {
-			h.LiveObjectTombstones++
-		}
-	}
-	r.migMu.Unlock()
 	return h
 }
 
@@ -582,10 +548,13 @@ func (r *Raylet) migrateResume(req *MigrateResumeRequest) {
 	r.actorsMu.Unlock()
 }
 
-// migrateTransferObject copies one resident object to the destination
-// raylet (raylet.push), installs a tombstone-forward for stale readers,
-// and drops the local copy. Ownership-table updates (MoveLocation) are the
-// migrator's job; this handler only moves bytes.
+// migrateTransferObject moves one resident object to the destination:
+// copy (raylet.push), retarget the record (own.moveloc), drop the local
+// copy. The record names a node holding the bytes at every step, so a
+// reader that finds the source empty finds the destination by reading the
+// record again. If the destination refused the push, own.moveloc fails its
+// residency check and the source keeps both its copy and its place in the
+// record.
 func (r *Raylet) migrateTransferObject(ctx context.Context, req *MigrateTransferRequest) ([]byte, error) {
 	data, format, err := r.store.Get(req.Object)
 	if err != nil {
@@ -596,15 +565,10 @@ func (r *Raylet) migrateTransferObject(ctx context.Context, req *MigrateTransfer
 	if _, err := r.call(ctx, req.Dest, KindPush, push); err != nil {
 		return nil, fmt.Errorf("raylet: migrate push to %s: %w", req.Dest.Short(), err)
 	}
-	r.migMu.Lock()
-	now := time.Now()
-	for id, fwd := range r.movedObjects {
-		if now.After(fwd.expires) {
-			delete(r.movedObjects, id)
-		}
+	move := transport.MustEncode(OwnMoveLocRequest{ID: req.Object, From: r.cfg.Node, To: req.Dest})
+	if _, err := r.callOwner(ctx, req.Object, KindOwnMoveLoc, move); err != nil {
+		return nil, fmt.Errorf("raylet: migrate own.moveloc %s to %s: %w", req.Object.Short(), req.Dest.Short(), err)
 	}
-	r.movedObjects[req.Object] = forwardEntry{to: req.Dest, expires: now.Add(tombstoneTTL)}
-	r.migMu.Unlock()
 	r.cfg.Layer.ForgetLocation(r.cfg.Node, req.Object)
 	_ = r.store.Delete(req.Object)
 	r.bump(func(s *Stats) { s.ObjectsMigratedOut++ })
@@ -619,11 +583,6 @@ func (r *Raylet) receivePush(id idgen.ObjectID, data []byte, format string) {
 		return
 	}
 	r.cfg.Layer.NoteLocation(r.cfg.Node, id)
-	// The copy is back; a tombstone from an earlier migration away would
-	// misdirect readers, so clear it.
-	r.migMu.Lock()
-	delete(r.movedObjects, id)
-	r.migMu.Unlock()
 	r.bump(func(s *Stats) { s.PushesRecv++ })
 	r.wakeArrivals(id)
 }
@@ -964,6 +923,16 @@ func (r *Raylet) resolvePull(ctx context.Context, id idgen.ObjectID) ([]byte, er
 	if _, err := r.callOwner(ctx, id, KindOwnWait, wait); err != nil {
 		return nil, err
 	}
+	locs, err := r.locations(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	return r.fetch(ctx, id, locs)
+}
+
+// locations reads the object's record at its owner (own.get) and returns
+// the nodes it names as holding a full copy.
+func (r *Raylet) locations(ctx context.Context, id idgen.ObjectID) ([]idgen.NodeID, error) {
 	get := transport.MustEncode(OwnGetRequest{ID: id})
 	resp, err := r.callOwner(ctx, id, KindOwnGet, get)
 	if err != nil {
@@ -973,7 +942,7 @@ func (r *Raylet) resolvePull(ctx context.Context, id idgen.ObjectID) ([]byte, er
 	if err := transport.Decode(resp, &rec); err != nil {
 		return nil, err
 	}
-	return r.fetch(ctx, id, rec.Rec.Locations)
+	return rec.Rec.Locations, nil
 }
 
 // resolvePush subscribes for a proactive push; if the object is already
@@ -1012,54 +981,35 @@ func (r *Raylet) resolvePush(ctx context.Context, id idgen.ObjectID) ([]byte, er
 	return data, nil
 }
 
-// fetch pulls object bytes from the cheapest reachable location and caches
-// them locally. If every location fails it falls back to the caching
-// layer's recovery paths (replica, DSM, erasure reconstruction).
+// maxRereads bounds how often fetch reads the record again after none of
+// the locations it holds serves the object. A read that returns the same
+// locations ends the retries early; the bound covers chained moves without
+// letting a ping-pong migration keep a reader busy forever.
+const maxRereads = 4
+
+// fetch pulls object bytes from the nearest location that serves them and
+// caches them locally. A location can be stale: the copy migrated away
+// after the caller read the record. A migration names the new holder in the
+// record before the old copy goes, so when no location serves, fetch reads
+// the record again and retries, up to maxRereads times. If every copy the
+// record names is gone it falls back to the caching layer's recovery paths
+// (replica, DSM, erasure reconstruction).
 func (r *Raylet) fetch(ctx context.Context, id idgen.ObjectID, locations []idgen.NodeID) ([]byte, error) {
 	ctx, sp := trace.Start(ctx, trace.KindFetch, r.cfg.Node)
 	sp.SetAttr("obj", id.Short())
 	defer sp.End()
-	locs := append([]idgen.NodeID(nil), locations...)
-	r.cfg.Fabric.SortNearest(r.cfg.Node, locs)
-	for _, loc := range locs {
-		if loc == r.cfg.Node {
-			if data, _, err := r.store.Get(id); err == nil {
-				return data, nil
-			}
-			continue
+	for reread := 0; ; reread++ {
+		if data, ok := r.fetchFrom(ctx, sp, id, locations); ok {
+			return data, nil
 		}
-		// A location may be stale mid-migration: chase raylet tombstones
-		// (GetResponse.MovedTo) and, when the source is already gone,
-		// ownership forwarding entries (own.forward). Hop bound covers
-		// chained migrations without risking a ping-pong loop.
-		const maxHops = 4
-		target := loc
-		for hop := 0; hop < maxHops && !target.IsNil(); hop++ {
-			if hop > 0 {
-				r.bump(func(s *Stats) { s.ForwardFollows++ })
-				sp.SetAttr("forwarded-from", loc.Short())
-			}
-			payload := transport.MustEncode(GetRequest{ID: id})
-			resp, err := r.call(ctx, target, KindGet, payload)
-			if err != nil {
-				// Source unreachable (e.g. decommissioned after the drain):
-				// ask the ownership table where its copy went.
-				target = r.queryForward(ctx, id, target)
-				continue
-			}
-			var get GetResponse
-			if err := transport.Decode(resp, &get); err != nil {
-				break
-			}
-			if !get.MovedTo.IsNil() {
-				target = get.MovedTo
-				continue
-			}
-			sp.SetAttr("from", target.Short())
-			r.bump(func(s *Stats) { s.RemoteFetches++ })
-			r.cacheLocal(ctx, id, get.Data, get.Format)
-			return get.Data, nil
+		if reread == maxRereads {
+			break
 		}
+		fresh, err := r.locations(ctx, id)
+		if err != nil || len(fresh) == 0 || slices.Equal(fresh, locations) {
+			break // the record has nothing newer to offer
+		}
+		locations = fresh
 	}
 	// Last resort: the caching layer's redundancy paths.
 	data, format, err := r.cfg.Layer.GetCtx(ctx, r.cfg.Node, id)
@@ -1074,21 +1024,33 @@ func (r *Raylet) fetch(ctx context.Context, id idgen.ObjectID, locations []idgen
 	return data, nil
 }
 
-// queryForward asks the head's ownership table where a stale location's
-// copy migrated (own.forward), returning Nil when no forward exists. This
-// is the fallback for readers whose source raylet already shut down, so
-// its tombstone map is unreachable.
-func (r *Raylet) queryForward(ctx context.Context, id idgen.ObjectID, stale idgen.NodeID) idgen.NodeID {
-	req := transport.MustEncode(OwnForwardRequest{ID: id, Stale: stale})
-	respB, err := r.callOwner(ctx, id, KindOwnForward, req)
-	if err != nil {
-		return idgen.Nil
+// fetchFrom asks each location for the bytes, nearest first, and returns
+// the first copy served.
+func (r *Raylet) fetchFrom(ctx context.Context, sp *trace.Span, id idgen.ObjectID, locations []idgen.NodeID) ([]byte, bool) {
+	locs := append([]idgen.NodeID(nil), locations...)
+	r.cfg.Fabric.SortNearest(r.cfg.Node, locs)
+	for _, loc := range locs {
+		if loc == r.cfg.Node {
+			if data, _, err := r.store.Get(id); err == nil {
+				return data, true
+			}
+			continue
+		}
+		payload := transport.MustEncode(GetRequest{ID: id})
+		resp, err := r.call(ctx, loc, KindGet, payload)
+		if err != nil {
+			continue
+		}
+		var get GetResponse
+		if err := transport.Decode(resp, &get); err != nil {
+			continue
+		}
+		sp.SetAttr("from", loc.Short())
+		r.bump(func(s *Stats) { s.RemoteFetches++ })
+		r.cacheLocal(ctx, id, get.Data, get.Format)
+		return get.Data, true
 	}
-	var resp OwnForwardResponse
-	if err := transport.Decode(respB, &resp); err != nil || !resp.Found {
-		return idgen.Nil
-	}
-	return resp.To
+	return nil, false
 }
 
 // cacheLocal keeps a fetched copy in the local store and registers the

@@ -572,3 +572,53 @@ func TestDeleteRPC(t *testing.T) {
 		t.Errorf("double delete: %v", err)
 	}
 }
+
+// TestFetchRereadsRecordAfterMigration: a reader holding a location the
+// object migrated away from finds the new holder by reading the record
+// again, whether the old holder answers "not here" or is gone. The caching
+// layer is never told about the new copy, so only the record can lead the
+// reader there.
+func TestFetchRereadsRecordAfterMigration(t *testing.T) {
+	for _, stopped := range []bool{false, true} {
+		name := "source running"
+		if stopped {
+			name = "source stopped"
+		}
+		t.Run(name, func(t *testing.T) {
+			r := newRig(t, 3, Pull)
+			s0, s1, reader := r.raylets[0], r.raylets[1], r.raylets[2]
+			id := idgen.Next()
+			want := bytes.Repeat([]byte("m"), 4096)
+			tbl := r.head.Table
+			if err := tbl.CreatePending(id, r.driver, idgen.Next()); err != nil {
+				t.Fatal(err)
+			}
+			if err := s0.store.Put(id, want, "raw"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tbl.MarkReady(id, int64(len(want)), s0.Node(), idgen.Nil, ""); err != nil {
+				t.Fatal(err)
+			}
+			// Copy → retarget → drop, as migrate.transfer runs it.
+			if err := s1.store.Put(id, want, "raw"); err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.MoveLocation(id, s0.Node(), s1.Node()); err != nil {
+				t.Fatal(err)
+			}
+			if err := s0.store.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+			if stopped {
+				s0.Stop()
+			}
+			got, err := reader.fetch(context.Background(), id, []idgen.NodeID{s0.Node()})
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("fetch through a stale location = %d bytes, %v; want %d bytes", len(got), err, len(want))
+			}
+			if n := reader.Stats().RemoteFetches; n != 1 {
+				t.Errorf("RemoteFetches = %d, want 1 (served by the new holder)", n)
+			}
+		})
+	}
+}

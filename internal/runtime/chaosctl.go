@@ -178,11 +178,10 @@ func (rt *Runtime) ChaosChecker() *chaos.Checker {
 			for _, rl := range rt.Raylets() {
 				h := rl.MigrationHygiene()
 				out = append(out, chaos.Hygiene{
-					Node:                 rl.Node(),
-					FrozenActors:         h.FrozenActors,
-					HeldLocks:            h.HeldLocks,
-					LiveActorTombstones:  h.LiveActorTombstones,
-					LiveObjectTombstones: h.LiveObjectTombstones,
+					Node:                rl.Node(),
+					FrozenActors:        h.FrozenActors,
+					HeldLocks:           h.HeldLocks,
+					LiveActorTombstones: h.LiveActorTombstones,
 				})
 			}
 			return out

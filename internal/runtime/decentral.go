@@ -89,8 +89,8 @@ func (rt *Runtime) applyGossipEvents(events []gossip.Event) {
 			if e.Node != rt.driver {
 				rt.Sched.SetAlive(e.Node, false)
 				// Death promotes the node's replica: its shard is rebuilt
-				// from the ring successor's copy, restoring waiters,
-				// subscribers, and forwarding chains without lineage replay.
+				// from the ring successor's copy, restoring waiters and
+				// subscribers without lineage replay.
 				// (Graceful departures keep using RemoveMember — see
 				// noteNodeLeft — because the live table is still the best
 				// source.)

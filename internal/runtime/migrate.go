@@ -77,7 +77,7 @@ func (rt *Runtime) MigrateActor(ctx context.Context, actor idgen.ActorID, to idg
 }
 
 // MigrateObject moves one resident object's copy between nodes via the
-// live-migration path (copy, ownership location move, tombstone-forward).
+// live-migration path (copy, retarget the record, drop at the source).
 func (rt *Runtime) MigrateObject(ctx context.Context, id idgen.ObjectID, from, to idgen.NodeID) (migrate.ObjectReport, error) {
 	if _, traced := trace.FromContext(ctx); !traced {
 		var sp *trace.Span
@@ -103,7 +103,7 @@ type DecommissionReport struct {
 
 // Decommission gracefully removes a node: it is withdrawn from scheduling,
 // its actors live-migrate away (no failed tasks), in-flight work drains,
-// resident objects are copied off behind tombstone-forwards, and only then
+// resident objects are copied off (copy → retarget → drop), and only then
 // is the raylet actually stopped and the node removed from the cluster.
 // This is the elastic shrink path of a disaggregated pool — contrast with
 // KillNode, which drops state and leans on lineage or cache recovery.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"skadi/internal/chaos"
@@ -98,9 +99,10 @@ func TestMigrateActorRedirectsStaleDispatch(t *testing.T) {
 	}
 }
 
-// TestConcurrentGetDuringObjectMigration races readers against a migrating
-// object: every Get must resolve — possibly via the source's tombstone
-// forward — and return the exact payload. Run under -race.
+// TestConcurrentGetDuringObjectMigration races readers against an object
+// that ping-pongs between two workers 16 times: every Get must resolve —
+// a reader whose location went stale reads the record again — and return
+// the exact payload. Run under -race.
 func TestConcurrentGetDuringObjectMigration(t *testing.T) {
 	rt := newMigrateRuntime(t, 3)
 	rt.Registry.Register("blob", func(_ *task.Context, args [][]byte) ([][]byte, error) {
@@ -176,6 +178,49 @@ func TestConcurrentGetDuringObjectMigration(t *testing.T) {
 	}
 	if follows == 0 {
 		t.Error("no object migrations recorded on any raylet")
+	}
+}
+
+// TestMigrateObjectRefusedByDestinationKeepsSource: a destination whose
+// store cannot hold the object refuses the push. The move must fail before
+// the source lets go: the record keeps naming the source, the source keeps
+// the bytes, and a Get reads them without re-running the producer.
+func TestMigrateObjectRefusedByDestinationKeepsSource(t *testing.T) {
+	rt := newMigrateRuntime(t, 2)
+	var runs atomic.Int64
+	rt.Registry.Register("blob32k", func(_ *task.Context, args [][]byte) ([][]byte, error) {
+		runs.Add(1)
+		return [][]byte{bytes.Repeat(args[0], 32<<10)}, nil
+	})
+	src := rt.workerServers()[0]
+	tiny, err := rt.ScaleUp(1, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := task.NewSpec(rt.Job(), "blob32k", []task.Arg{task.ValueArg([]byte{7})}, 1)
+	id := rt.SubmitTo(src, spec)[0]
+	rt.Drain() // the driver never reads the output: worker 0 holds the only copy
+
+	rep, err := rt.MigrateObject(context.Background(), id, src, tiny)
+	if err == nil {
+		t.Fatalf("migration onto a 1 KiB store succeeded: %+v", rep)
+	}
+	rec, err := rt.Head.Table.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Locations) != 1 || rec.Locations[0] != src {
+		t.Errorf("record names %v after a refused move, want [%s]", rec.Locations, src.Short())
+	}
+	data, err := rt.Get(context.Background(), id)
+	if err != nil {
+		t.Fatalf("Get after a refused move: %v", err)
+	}
+	if !bytes.Equal(data, bytes.Repeat([]byte{7}, 32<<10)) {
+		t.Errorf("Get returned %d wrong bytes", len(data))
+	}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("producer ran %d times, want 1 (no re-execution)", n)
 	}
 }
 

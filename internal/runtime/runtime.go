@@ -459,9 +459,7 @@ func New(spec ClusterSpec, opts Options) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt.migrator = migrate.New(migrate.Config{
-		Self: headNode.ID, Head: headNode.ID, Transport: c.Transport,
-	})
+	rt.migrator = migrate.New(migrate.Config{Self: headNode.ID, Transport: c.Transport})
 	if opts.Decentralized {
 		rt.startGossipPump(opts.GossipInterval)
 	}
@@ -497,8 +495,8 @@ func (rt *Runtime) addRaylet(node *cluster.Node, backend string, slots int, dpuP
 	rt.Sched.AddNode(scheduler.NodeInfo{ID: node.ID, Backend: backend, Slots: slots})
 	// Joining gossip makes the node's liveness tracked; a shard host's
 	// Alive event also joins the ring, pulling its key range over from the
-	// existing members (whole-entry handoff: waiters and forwards move with
-	// the records).
+	// existing members (whole-entry handoff: waiters and subscribers move
+	// with the records).
 	rt.noteNodeAlive(node.ID)
 	// The node's slots and store bytes join the capacity pool the
 	// fair-share controller divides among tenants.

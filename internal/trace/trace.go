@@ -58,7 +58,7 @@ const (
 	// → install → resume cutover.
 	KindMigrateActor = "migrate-actor"
 	// KindMigrateObject covers one resident-object migration: copy via the
-	// fabric, ownership location move, tombstone-forward on the source.
+	// fabric, retarget of the ownership record, drop at the source.
 	KindMigrateObject = "migrate-object"
 	// KindDecommission is the root span of a node drain: actor and object
 	// migrations appear as its children, so a drain's cost decomposes on
