@@ -7,18 +7,23 @@
 // erasure coding; the lineage-vs-reliable-cache trade-off of §2.1 is
 // exercised by experiment E6.
 //
+// The layer keeps no list of full copies: a node holds one exactly when its
+// store contains the key, so every read, delete and last-copy test asks the
+// stores. What no store can answer, which objects live in disaggregated
+// memory and where each erasure-coded object's shards are, sits in a
+// hash-sharded table.
+//
 // The data plane is parallel end to end (E15): redundancy writes fan out
 // concurrently over a bounded worker pool, remote hits stream over the
-// fabric in pipelined chunks, concurrent fetches of one hot key coalesce
-// into a single transfer, and the directory is hash-sharded so local hits
-// never contend on a global lock.
+// fabric in pipelined chunks, and concurrent fetches of one hot key
+// coalesce into a single transfer.
 package caching
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -84,7 +89,7 @@ var (
 // shard fetches when Config.FanOut is zero.
 const defaultFanOut = 8
 
-// numShards is the directory shard count. 32 shards keep per-shard lock
+// numShards is the DSM/EC table's shard count. 32 shards keep per-shard lock
 // contention negligible for any realistic core count while the fixed array
 // stays small.
 const numShards = 32
@@ -96,9 +101,6 @@ type Config struct {
 	Replicas int
 	// ECData/ECParity are the Reed–Solomon parameters for ModeEC.
 	ECData, ECParity int
-	// CacheOnRead keeps a local copy after a remote Get, so subsequent
-	// reads (and tasks migrated here) hit locally.
-	CacheOnRead bool
 	// FanOut bounds the worker pool that issues replica/shard transfers
 	// concurrently. 0 means defaultFanOut; 1 serializes the writes (the
 	// pre-parallel behaviour, kept measurable for E15).
@@ -152,15 +154,12 @@ type storeInfo struct {
 	tier  Tier
 }
 
-// dirShard is one hash shard of the object directory. Each shard has its
-// own lock so directory lookups scale with cores instead of serializing on
-// a layer-global mutex.
+// dirShard is one hash shard of what no store can answer. Full copies are
+// not listed here: a node holds one exactly when its store contains the key.
 type dirShard struct {
-	mu        sync.RWMutex
-	locations map[idgen.ObjectID]map[idgen.NodeID]bool
-	formats   map[idgen.ObjectID]string
-	inDSM     map[idgen.ObjectID]bool
-	ec        map[idgen.ObjectID]*ecInfo
+	mu  sync.RWMutex
+	dsm map[idgen.ObjectID]string // format of each object held in DSM
+	ec  map[idgen.ObjectID]*ecInfo
 }
 
 // flightKey identifies one in-flight non-local fetch: hot-key coalescing is
@@ -187,7 +186,7 @@ type flight struct {
 // tenancy dependency. Reserve is charged once per logical object on the
 // put path — before any bytes land — with the submitting tenant carried on
 // ctx; replicas and EC shards of the same object are not re-charged.
-// Release returns the bytes when the object's directory entry is deleted.
+// Release returns the bytes when the object is deleted.
 type Quota interface {
 	Reserve(ctx context.Context, id idgen.ObjectID, n int64) error
 	Release(id idgen.ObjectID)
@@ -203,7 +202,9 @@ type Layer struct {
 
 	// storeMu guards the store table and placement cursor. It is an
 	// RWMutex so the data plane's store lookups never contend with each
-	// other — only AddStore/DropNode take it exclusively.
+	// other — only AddStore/DropNode take it exclusively. A read hold may
+	// span store Contains/Keeps/Delete, never a store Put: a Put may spill,
+	// and the spill re-enters the layer.
 	storeMu sync.RWMutex
 	stores  map[idgen.NodeID]*storeInfo
 	order   []idgen.NodeID // registration order for deterministic placement
@@ -228,9 +229,7 @@ func NewLayer(f *fabric.Fabric, cfg Config) (*Layer, error) {
 	}
 	for i := range l.shards {
 		sh := &l.shards[i]
-		sh.locations = make(map[idgen.ObjectID]map[idgen.NodeID]bool)
-		sh.formats = make(map[idgen.ObjectID]string)
-		sh.inDSM = make(map[idgen.ObjectID]bool)
+		sh.dsm = make(map[idgen.ObjectID]string)
 		sh.ec = make(map[idgen.ObjectID]*ecInfo)
 	}
 	if cfg.Mode == ModeReplicate && cfg.Replicas < 2 {
@@ -260,7 +259,7 @@ func (l *Layer) getQuota() Quota {
 	return l.quota
 }
 
-// shardFor returns the directory shard owning id.
+// shardFor returns the DSM/EC table shard owning id.
 func (l *Layer) shardFor(id idgen.ObjectID) *dirShard {
 	return &l.shards[id.Seq()%numShards]
 }
@@ -290,12 +289,11 @@ func (l *Layer) dsmPool() *dsm.Pool {
 }
 
 // AddStore registers a node's object store at the given tier and wires its
-// eviction path into the layer: evicted objects spill to disaggregated
-// memory when a pool is attached, or are dropped (with their location
-// forgotten) otherwise.
+// eviction path into the layer: an evicted last copy spills to
+// disaggregated memory when a pool is attached, or is dropped otherwise.
 func (l *Layer) AddStore(node idgen.NodeID, tier Tier, store *objectstore.Store) {
 	store.SetSpill(func(id idgen.ObjectID, data []byte, format string) error {
-		return l.onEvict(node, id, data)
+		return l.onEvict(node, id, data, format)
 	})
 	l.storeMu.Lock()
 	defer l.storeMu.Unlock()
@@ -305,29 +303,24 @@ func (l *Layer) AddStore(node idgen.NodeID, tier Tier, store *objectstore.Store)
 	l.stores[node] = &storeInfo{store: store, tier: tier}
 }
 
-// onEvict handles one eviction from a node's store: forget the location
-// and, if this was the last full copy and a DSM pool exists, demote the
-// bytes to disaggregated memory instead of losing them.
-func (l *Layer) onEvict(node idgen.NodeID, id idgen.ObjectID, data []byte) error {
-	sh := l.shardFor(id)
-	sh.mu.Lock()
-	if set, ok := sh.locations[id]; ok {
-		delete(set, node)
-	}
-	lastCopy := len(sh.locations[id]) == 0 && !sh.inDSM[id]
-	sh.mu.Unlock()
+// onEvict handles one eviction from a node's store: if this was the last
+// full copy and a DSM pool exists, demote the bytes, with their format, to
+// disaggregated memory instead of losing them. A copy another store is
+// evicting at the same moment does not count as surviving (Keeps), so two
+// stores dropping the last two copies at once both demote rather than each
+// leaving it to the other.
+func (l *Layer) onEvict(node idgen.NodeID, id idgen.ObjectID, data []byte, format string) error {
 	pool := l.dsmPool()
-	if !lastCopy || pool == nil {
-		return nil // another copy survives, or nothing to demote to
+	if pool == nil || l.heldOutside(node, id, (*objectstore.Store).Keeps) {
+		return nil // nothing to demote to, or another copy survives
 	}
-	if err := pool.Write(node, id, data); err != nil {
-		if errors.Is(err, dsm.ErrExists) {
-			return nil
-		}
+	// ErrExists: an earlier eviction already demoted this object.
+	if err := pool.Write(node, id, data); err != nil && !errors.Is(err, dsm.ErrExists) {
 		return err
 	}
+	sh := l.shardFor(id)
 	sh.mu.Lock()
-	sh.inDSM[id] = true
+	sh.dsm[id] = format
 	sh.mu.Unlock()
 	return nil
 }
@@ -339,29 +332,32 @@ func (l *Layer) SetDSM(pool *dsm.Pool) {
 	l.storeMu.Unlock()
 }
 
-// NoteLocation records that node's store holds a full copy of id (used by
-// raylets after caching a fetched or pushed object locally), so the layer's
-// directory stays complete and Delete can reclaim every copy.
-func (l *Layer) NoteLocation(node idgen.NodeID, id idgen.ObjectID) {
-	if l.store(node) == nil {
-		return
-	}
-	l.recordLocation(id, node)
-}
-
-// ForgetLocation removes the record that node holds a full copy of id,
-// leaving other copies untouched. Live migration uses it when the source
-// drops its copy after transferring it to the destination.
-func (l *Layer) ForgetLocation(node idgen.NodeID, id idgen.ObjectID) {
-	sh := l.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if set, ok := sh.locations[id]; ok {
-		delete(set, node)
-		if len(set) == 0 {
-			delete(sh.locations, id)
+// heldOutside reports whether a store other than node's has id, as judged
+// by has: (*objectstore.Store).Contains, or Keeps to leave out a copy its
+// store is evicting.
+func (l *Layer) heldOutside(node idgen.NodeID, id idgen.ObjectID, has func(*objectstore.Store, idgen.ObjectID) bool) bool {
+	l.storeMu.RLock()
+	defer l.storeMu.RUnlock()
+	for n, si := range l.stores {
+		if n != node && has(si.store, id) {
+			return true
 		}
 	}
+	return false
+}
+
+// copies returns the nodes other than except whose store holds a full copy
+// of id, in registration order.
+func (l *Layer) copies(id idgen.ObjectID, except idgen.NodeID) []idgen.NodeID {
+	l.storeMu.RLock()
+	defer l.storeMu.RUnlock()
+	var out []idgen.NodeID
+	for _, n := range l.order {
+		if n != except && l.stores[n].store.Contains(id) {
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // Store returns the raw object store registered for a node, or nil. Raylets
@@ -371,31 +367,6 @@ func (l *Layer) Store(node idgen.NodeID) *objectstore.Store {
 		return si.store
 	}
 	return nil
-}
-
-// recordLocation notes that node holds a full copy of id.
-func (l *Layer) recordLocation(id idgen.ObjectID, node idgen.NodeID) {
-	sh := l.shardFor(id)
-	sh.mu.Lock()
-	set, ok := sh.locations[id]
-	if !ok {
-		set = make(map[idgen.NodeID]bool)
-		sh.locations[id] = set
-	}
-	set[node] = true
-	sh.mu.Unlock()
-}
-
-// holders returns a snapshot of the nodes recorded as holding id.
-func (l *Layer) holders(id idgen.ObjectID) map[idgen.NodeID]bool {
-	sh := l.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	out := make(map[idgen.NodeID]bool, len(sh.locations[id]))
-	for node := range sh.locations[id] {
-		out[node] = true
-	}
-	return out
 }
 
 // Put stores a value under key id from the given node. The primary copy
@@ -440,7 +411,6 @@ func (l *Layer) putCtx(ctx context.Context, from idgen.NodeID, id idgen.ObjectID
 	}
 
 	// Primary copy: local store, falling back to the DSM tier on pressure.
-	primaryLocal := true
 	tier := si.tier.String()
 	err := si.store.Put(id, data, format)
 	switch {
@@ -454,25 +424,16 @@ func (l *Layer) putCtx(ctx context.Context, from idgen.NodeID, id idgen.ObjectID
 			}
 			return tier, fmt.Errorf("caching: primary put failed: %v; dsm: %w", err, derr)
 		}
-		primaryLocal = false
 		tier = DisaggMem.String()
+		sh := l.shardFor(id)
+		sh.mu.Lock()
+		sh.dsm[id] = format
+		sh.mu.Unlock()
 	default:
 		if quota != nil {
 			quota.Release(id)
 		}
 		return tier, err
-	}
-
-	sh := l.shardFor(id)
-	sh.mu.Lock()
-	sh.formats[id] = format
-	sh.mu.Unlock()
-	if primaryLocal {
-		l.recordLocation(id, from)
-	} else {
-		sh.mu.Lock()
-		sh.inDSM[id] = true
-		sh.mu.Unlock()
 	}
 
 	switch l.cfg.Mode {
@@ -535,9 +496,9 @@ func (l *Layer) replicate(ctx context.Context, from idgen.NodeID, id idgen.Objec
 	})
 }
 
-// writeReplica moves one replica to node and records it. A target dropped
-// since placement (concurrent DropNode) is re-picked rather than
-// dereferenced — the regression the serial path crashed on.
+// writeReplica moves one replica to node's store. A target dropped since
+// placement (concurrent DropNode) is re-picked rather than dereferenced —
+// the regression the serial path crashed on.
 func (l *Layer) writeReplica(ctx context.Context, from, node idgen.NodeID, id idgen.ObjectID, data []byte, format string) error {
 	si := l.store(node)
 	if si == nil {
@@ -557,12 +518,9 @@ func (l *Layer) writeReplica(ctx context.Context, from, node idgen.NodeID, id id
 	if err := si.store.Put(id, data, format); err != nil && !errors.Is(err, objectstore.ErrExists) {
 		return fmt.Errorf("caching: replica on %s: %w", node.Short(), err)
 	}
-	l.recordLocation(id, node)
-	if l.store(node) == nil {
-		// The node was dropped while the replica was in flight: DropNode
-		// already scrubbed its locations, so take this one back out rather
-		// than leaving a stale entry pointing at a dead store.
-		l.ForgetLocation(node, id)
+	if l.store(node) != si {
+		// The node was dropped (or came back with a fresh store) while the
+		// replica was in flight: the copy sits in a store no read reaches.
 		l.stats.degradedPlacements.Add(1)
 		return nil
 	}
@@ -572,16 +530,12 @@ func (l *Layer) writeReplica(ctx context.Context, from, node idgen.NodeID, id id
 }
 
 // repick finds a substitute replica target: any registered node that is
-// neither the writer nor already recorded as holding id.
+// neither the writer nor already holding id.
 func (l *Layer) repick(exclude idgen.NodeID, id idgen.ObjectID) (idgen.NodeID, *storeInfo, bool) {
-	holders := l.holders(id)
 	l.storeMu.RLock()
 	defer l.storeMu.RUnlock()
 	for _, node := range l.order {
-		if node == exclude || holders[node] {
-			continue
-		}
-		if si := l.stores[node]; si != nil {
+		if si := l.stores[node]; node != exclude && !si.store.Contains(id) {
 			return node, si, true
 		}
 	}
@@ -714,9 +668,8 @@ func (l *Layer) getCtx(ctx context.Context, to idgen.NodeID, id idgen.ObjectID) 
 	}
 
 	// Non-local: singleflight. The first reader becomes the leader and
-	// performs the fetch (and the CacheOnRead local fill); concurrent
-	// readers on the same node share its result — one fabric transfer for
-	// a hot key, not N.
+	// performs the fetch; concurrent readers on the same node share its
+	// result — one fabric transfer for a hot key, not N.
 	key := flightKey{node: to, id: id}
 	l.flightMu.Lock()
 	if fl, inFlight := l.flights[key]; inFlight {
@@ -736,7 +689,7 @@ func (l *Layer) getCtx(ctx context.Context, to idgen.NodeID, id idgen.ObjectID) 
 	l.flights[key] = fl
 	l.flightMu.Unlock()
 
-	fl.data, fl.format, fl.tier, fl.src, fl.err = l.fetchMiss(ctx, to, id, si)
+	fl.data, fl.format, fl.tier, fl.src, fl.err = l.fetchMiss(ctx, to, id)
 
 	l.flightMu.Lock()
 	delete(l.flights, key)
@@ -747,24 +700,10 @@ func (l *Layer) getCtx(ctx context.Context, to idgen.NodeID, id idgen.ObjectID) 
 
 // fetchMiss resolves a local miss: remote replica (cheapest first, streamed
 // in pipelined chunks), disaggregated memory, then EC reconstruction.
-func (l *Layer) fetchMiss(ctx context.Context, to idgen.NodeID, id idgen.ObjectID, si *storeInfo) ([]byte, string, string, string, error) {
-	sh := l.shardFor(id)
-	sh.mu.RLock()
-	locs := make([]idgen.NodeID, 0, len(sh.locations[id]))
-	for node := range sh.locations[id] {
-		if node != to { // stale: local store said no
-			locs = append(locs, node)
-		}
-	}
-	format := sh.formats[id]
-	inDSM := sh.inDSM[id]
-	info := sh.ec[id]
-	sh.mu.RUnlock()
-	cacheOnRead := l.cfg.CacheOnRead
-	hasStore := si != nil
-
-	// 2. Remote replica: cheapest location by fabric cost first, falling
-	// through to the next on a stale entry.
+func (l *Layer) fetchMiss(ctx context.Context, to idgen.NodeID, id idgen.ObjectID) ([]byte, string, string, string, error) {
+	// 2. Remote copy: cheapest holder by fabric cost first, falling through
+	// to the next if its copy goes meanwhile.
+	locs := l.copies(id, to)
 	l.fabric.SortNearest(to, locs)
 	for _, node := range locs {
 		remote := l.store(node)
@@ -780,9 +719,14 @@ func (l *Layer) fetchMiss(ctx context.Context, to idgen.NodeID, id idgen.ObjectI
 		}
 		l.stats.remoteHits.Add(1)
 		l.stats.bytesTransferred.Add(int64(len(data)))
-		l.maybeCacheLocal(cacheOnRead, hasStore, si, to, id, data, f)
 		return data, f, remote.tier.String(), "remote", nil
 	}
+
+	sh := l.shardFor(id)
+	sh.mu.RLock()
+	format, inDSM := sh.dsm[id]
+	info := sh.ec[id]
+	sh.mu.RUnlock()
 
 	// 3. Disaggregated memory.
 	if inDSM {
@@ -790,7 +734,6 @@ func (l *Layer) fetchMiss(ctx context.Context, to idgen.NodeID, id idgen.ObjectI
 			if data, err := pool.Read(to, id); err == nil {
 				l.stats.dsmHits.Add(1)
 				l.stats.bytesTransferred.Add(int64(len(data)))
-				l.maybeCacheLocal(cacheOnRead, hasStore, si, to, id, data, format)
 				return data, format, DisaggMem.String(), "dsm", nil
 			}
 		}
@@ -801,22 +744,12 @@ func (l *Layer) fetchMiss(ctx context.Context, to idgen.NodeID, id idgen.ObjectI
 		data, err := l.reconstruct(ctx, to, info)
 		if err == nil {
 			l.stats.reconstructions.Add(1)
-			l.maybeCacheLocal(cacheOnRead, hasStore, si, to, id, data, info.format)
 			return data, info.format, "", "ec", nil
 		}
 	}
 
 	l.stats.misses.Add(1)
 	return nil, "", "", "", fmt.Errorf("%w: %s", ErrNotFound, id.Short())
-}
-
-func (l *Layer) maybeCacheLocal(enabled, hasStore bool, si *storeInfo, to idgen.NodeID, id idgen.ObjectID, data []byte, format string) {
-	if !enabled || !hasStore {
-		return
-	}
-	if err := si.store.Put(id, data, format); err == nil {
-		l.recordLocation(id, to)
-	}
 }
 
 // reconstruct rebuilds a value from its surviving EC shards, fetching the
@@ -867,96 +800,52 @@ func (l *Layer) reconstruct(ctx context.Context, to idgen.NodeID, info *ecInfo) 
 
 // Contains reports whether id is readable by some path, without moving data.
 func (l *Layer) Contains(id idgen.ObjectID) bool {
-	sh := l.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if set, ok := sh.locations[id]; ok && len(set) > 0 {
-		return true
-	}
-	if sh.inDSM[id] {
-		return true
-	}
-	_, ok := sh.ec[id]
-	return ok
+	return l.RecoverableWithout(idgen.Nil, id)
 }
 
 // RecoverableWithout reports whether id could still be materialized if
-// node's copy vanished: another location whose store REALLY holds the
-// bytes (verified against the store, not just this index — invariant
-// checkers use this to catch silently-lost copies), the DSM tier, or an
-// EC group.
+// node's copy vanished: another store holds the bytes, or the DSM tier or
+// an EC group does. Invariant checkers use it to catch silently lost
+// copies.
 func (l *Layer) RecoverableWithout(node idgen.NodeID, id idgen.ObjectID) bool {
 	sh := l.shardFor(id)
 	sh.mu.RLock()
-	others := make([]idgen.NodeID, 0, len(sh.locations[id]))
-	for loc := range sh.locations[id] {
-		if loc != node {
-			others = append(others, loc)
-		}
-	}
-	redundant := sh.inDSM[id]
-	if _, ok := sh.ec[id]; ok {
-		redundant = true
-	}
+	_, inDSM := sh.dsm[id]
+	_, coded := sh.ec[id]
 	sh.mu.RUnlock()
-	if redundant {
-		return true
-	}
-	for _, loc := range others {
-		if st := l.Store(loc); st != nil && st.Contains(id) {
-			return true
-		}
-	}
-	return false
+	return inDSM || coded || l.heldOutside(node, id, (*objectstore.Store).Contains)
 }
 
-// Locations returns the nodes currently recorded as holding a full copy,
-// sorted for determinism.
+// Locations returns the nodes whose store holds a full copy, in store
+// registration order.
 func (l *Layer) Locations(id idgen.ObjectID) []idgen.NodeID {
-	sh := l.shardFor(id)
-	sh.mu.RLock()
-	out := make([]idgen.NodeID, 0, len(sh.locations[id]))
-	for node := range sh.locations[id] {
-		out = append(out, node)
-	}
-	sh.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	return l.copies(id, idgen.Nil)
 }
 
-// Delete removes every copy, shard, and DSM entry for id. The stores to
-// touch are snapshotted under the locks, so a concurrent AddStore/DropNode
-// does not race the map iteration.
+// Delete removes every copy, shard, and DSM entry for id. The store table
+// is read under storeMu, so a concurrent AddStore/DropNode does not race
+// the iteration.
 func (l *Layer) Delete(id idgen.ObjectID) {
 	sh := l.shardFor(id)
 	sh.mu.Lock()
-	locs := make([]idgen.NodeID, 0, len(sh.locations[id]))
-	for node := range sh.locations[id] {
-		locs = append(locs, node)
-	}
 	info := sh.ec[id]
-	inDSM := sh.inDSM[id]
-	delete(sh.locations, id)
-	delete(sh.formats, id)
-	delete(sh.inDSM, id)
+	_, inDSM := sh.dsm[id]
+	delete(sh.dsm, id)
 	delete(sh.ec, id)
 	sh.mu.Unlock()
 
-	for _, node := range locs {
-		if si := l.store(node); si != nil {
-			_ = si.store.Delete(id)
-		}
+	l.storeMu.RLock()
+	for _, si := range l.stores {
+		_ = si.store.Delete(id)
 	}
 	if info != nil {
 		for i, shardID := range info.shardIDs {
-			if info.nodes[i].IsNil() {
-				continue
-			}
-			if si := l.store(info.nodes[i]); si != nil {
+			if si := l.stores[info.nodes[i]]; si != nil {
 				_ = si.store.Delete(shardID)
 			}
 		}
 	}
+	l.storeMu.RUnlock()
 	if inDSM {
 		if pool := l.dsmPool(); pool != nil {
 			_ = pool.Free(id)
@@ -967,27 +856,14 @@ func (l *Layer) Delete(id idgen.ObjectID) {
 	}
 }
 
-// DropNode removes a failed node's store and forgets every location on it.
-// Keys whose only copy lived there become reconstructable (EC), readable
-// from a replica, or lost (lineage's job).
+// DropNode removes a failed node's store. Keys whose only copy lived there
+// become reconstructable (EC), readable from a replica, or lost (lineage's
+// job).
 func (l *Layer) DropNode(node idgen.NodeID) {
 	l.storeMu.Lock()
+	defer l.storeMu.Unlock()
 	delete(l.stores, node)
-	for i, id := range l.order {
-		if id == node {
-			l.order = append(l.order[:i], l.order[i+1:]...)
-			break
-		}
-	}
-	l.storeMu.Unlock()
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		for _, set := range sh.locations {
-			delete(set, node)
-		}
-		sh.mu.Unlock()
-	}
+	l.order = slices.DeleteFunc(l.order, func(n idgen.NodeID) bool { return n == node })
 }
 
 // Stats returns a snapshot of activity counters.

@@ -66,31 +66,10 @@ func TestGetRemote(t *testing.T) {
 	if st.RemoteHits != 1 || st.BytesTransferred != 1000 {
 		t.Errorf("stats = %+v", st)
 	}
-	// Without CacheOnRead the remote read leaves no local copy.
+	// The layer caches nothing on read: the remote read leaves no local copy.
 	locs := r.layer.Locations(id)
 	if len(locs) != 1 || locs[0] != r.nodes[0] {
 		t.Errorf("locations = %v", locs)
-	}
-}
-
-func TestCacheOnRead(t *testing.T) {
-	r := newRig(t, Config{CacheOnRead: true}, 2, 1<<20)
-	id := idgen.Next()
-	if err := r.layer.Put(r.nodes[0], id, make([]byte, 100), "raw"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := r.layer.Get(r.nodes[1], id); err != nil {
-		t.Fatal(err)
-	}
-	if len(r.layer.Locations(id)) != 2 {
-		t.Errorf("locations = %v, want 2 after cached read", r.layer.Locations(id))
-	}
-	// Second read hits locally.
-	if _, _, err := r.layer.Get(r.nodes[1], id); err != nil {
-		t.Fatal(err)
-	}
-	if r.layer.Stats().LocalHits != 1 {
-		t.Errorf("stats = %+v, want a local hit on re-read", r.layer.Stats())
 	}
 }
 
@@ -132,6 +111,30 @@ func TestSpillToDSMOnPressure(t *testing.T) {
 		if _, _, err := r.layer.Get(r.nodes[0], id); err != nil {
 			t.Errorf("Get(%s) after pressure: %v", id.Short(), err)
 		}
+	}
+}
+
+// TestSpillKeepsFormatOfCopyPlacedOutsidePut: a copy that reached a store
+// without Layer.Put (a raylet's push or cached fetch) spills to DSM with
+// its own format, not an empty one.
+func TestSpillKeepsFormatOfCopyPlacedOutsidePut(t *testing.T) {
+	r := newRig(t, Config{}, 1, 100)
+	blade := idgen.Next()
+	r.fabric.Register(blade, fabric.Location{Rack: 0, Island: -1})
+	r.layer.SetDSM(dsm.New(r.fabric, blade, 1<<20))
+
+	id := idgen.Next()
+	if err := r.layer.Store(r.nodes[0]).Put(id, make([]byte, 80), "arrow"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.layer.Put(r.nodes[0], idgen.Next(), make([]byte, 80), "raw"); err != nil {
+		t.Fatal(err)
+	}
+	if r.layer.Store(r.nodes[0]).Contains(id) {
+		t.Fatal("the second put did not evict the first object")
+	}
+	if _, format, err := r.layer.Get(r.nodes[0], id); err != nil || format != "arrow" {
+		t.Errorf("Get after spill = format %q, %v; want arrow", format, err)
 	}
 }
 
@@ -204,6 +207,16 @@ func TestDelete(t *testing.T) {
 	id := idgen.Next()
 	if err := r.layer.Put(r.nodes[0], id, []byte("x"), "raw"); err != nil {
 		t.Fatal(err)
+	}
+	// A copy placed outside Put (a raylet's push or cached fetch) is listed
+	// and reclaimed like the others.
+	for _, n := range r.nodes {
+		if err := r.layer.Store(n).Put(id, []byte("x"), "raw"); err != nil && !errors.Is(err, objectstore.ErrExists) {
+			t.Fatal(err)
+		}
+	}
+	if locs := r.layer.Locations(id); len(locs) != 3 {
+		t.Errorf("Locations = %v, want all 3 nodes", locs)
 	}
 	r.layer.Delete(id)
 	if r.layer.Contains(id) {

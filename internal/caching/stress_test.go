@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"skadi/internal/dsm"
 	"skadi/internal/fabric"
 	"skadi/internal/idgen"
 	"skadi/internal/objectstore"
@@ -259,7 +260,7 @@ func TestReplicateSurvivesConcurrentDropNode(t *testing.T) {
 func TestConcurrentDataPlaneStress(t *testing.T) {
 	for _, cfg := range []Config{
 		{},
-		{Mode: ModeReplicate, Replicas: 2, CacheOnRead: true},
+		{Mode: ModeReplicate, Replicas: 2},
 		{Mode: ModeEC, ECData: 2, ECParity: 1},
 	} {
 		f := fabric.New(fabric.Config{})
@@ -359,4 +360,34 @@ func TestDeleteDoesNotRaceMembership(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestConcurrentEvictionOfLastTwoCopies evicts the only two copies of an
+// object from two stores at once: at least one of the evictions must
+// demote it to DSM, so it stays readable.
+func TestConcurrentEvictionOfLastTwoCopies(t *testing.T) {
+	r := newRig(t, Config{}, 2, 100)
+	blade := idgen.Next()
+	r.fabric.Register(blade, fabric.Location{Rack: 0, Island: -1})
+	r.layer.SetDSM(dsm.New(r.fabric, blade, 1<<30))
+	for i := 0; i < 2000; i++ {
+		id := idgen.Next()
+		for _, n := range r.nodes {
+			if err := r.layer.Store(n).Put(id, make([]byte, 80), "raw"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for _, n := range r.nodes {
+			wg.Add(1)
+			go func(st *objectstore.Store) {
+				defer wg.Done()
+				_ = st.Put(idgen.Next(), make([]byte, 80), "raw")
+			}(r.layer.Store(n))
+		}
+		wg.Wait()
+		if _, _, err := r.layer.Get(r.nodes[0], id); err != nil {
+			t.Fatalf("round %d: both copies evicted at once and the object is gone: %v", i, err)
+		}
+	}
 }

@@ -160,7 +160,6 @@ func e14Run(strategy string) (*e14Result, error) {
 	if store := rt.Layer.Store(victim); store != nil {
 		for _, id := range inters {
 			_ = store.Delete(id)
-			rt.Layer.ForgetLocation(victim, id)
 		}
 	}
 

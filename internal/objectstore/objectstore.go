@@ -60,6 +60,9 @@ type entry struct {
 	format string
 	pins   int
 	elem   *list.Element // position in LRU list; nil while pinned
+	// spilling is set while an eviction has handed the entry to the spill
+	// function; the entry still serves Get until the spill returns.
+	spilling bool
 }
 
 // Store is one node's object store. It is safe for concurrent use.
@@ -133,9 +136,11 @@ func (s *Store) makeRoomLocked(size int64) error {
 		victim := front.Value.(*entry)
 		if s.spill != nil {
 			// Release the lock during the spill: it may cross the fabric.
+			victim.spilling = true
 			s.mu.Unlock()
 			err := s.spill(victim.id, victim.data, victim.format)
 			s.mu.Lock()
+			victim.spilling = false
 			if err != nil {
 				return fmt.Errorf("%w: spill failed: %v", ErrOutOfMemory, err)
 			}
@@ -178,6 +183,16 @@ func (s *Store) Contains(id idgen.ObjectID) bool {
 	defer s.mu.Unlock()
 	_, ok := s.entries[id]
 	return ok
+}
+
+// Keeps reports whether the object is resident and not being evicted: an
+// entry handed to the spill function still serves Get and Contains, but
+// Keeps reports false for it until the spill returns.
+func (s *Store) Keeps(id idgen.ObjectID) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries[id]
+	return ok && !e.spilling
 }
 
 // Size returns the resident size of an object, or ErrNotFound.

@@ -186,6 +186,40 @@ func TestSpillOnEviction(t *testing.T) {
 	}
 }
 
+// TestKeepsIsFalseWhileSpilling: an entry handed to the spill function
+// still serves Get and Contains, but Keeps reports it as leaving; a spill
+// that fails leaves it kept.
+func TestKeepsIsFalseWhileSpilling(t *testing.T) {
+	var s *Store
+	var during [3]bool
+	fail := false
+	s = New(10, func(id idgen.ObjectID, _ []byte, _ string) error {
+		_, _, err := s.Get(id)
+		during = [3]bool{err == nil, s.Contains(id), s.Keeps(id)}
+		if fail {
+			return errors.New("spill refused")
+		}
+		return nil
+	})
+	a := idgen.Next()
+	if err := s.Put(a, []byte("0123456789"), "raw"); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Keeps(a) {
+		t.Fatal("Keeps = false before any eviction")
+	}
+	fail = true
+	if err := s.Put(idgen.Next(), []byte("x"), "raw"); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("Put with a failing spill = %v, want ErrOutOfMemory", err)
+	}
+	if during != [3]bool{true, true, false} {
+		t.Errorf("during spill: get, contains, keeps = %v, want [true true false]", during)
+	}
+	if !s.Keeps(a) {
+		t.Error("Keeps = false after a failed spill left the entry resident")
+	}
+}
+
 func TestSpillFailureMeansOOM(t *testing.T) {
 	s := New(10, func(idgen.ObjectID, []byte, string) error {
 		return errors.New("disagg memory full")

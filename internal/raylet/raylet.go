@@ -569,7 +569,6 @@ func (r *Raylet) migrateTransferObject(ctx context.Context, req *MigrateTransfer
 	if _, err := r.callOwner(ctx, req.Object, KindOwnMoveLoc, move); err != nil {
 		return nil, fmt.Errorf("raylet: migrate own.moveloc %s to %s: %w", req.Object.Short(), req.Dest.Short(), err)
 	}
-	r.cfg.Layer.ForgetLocation(r.cfg.Node, req.Object)
 	_ = r.store.Delete(req.Object)
 	r.bump(func(s *Stats) { s.ObjectsMigratedOut++ })
 	return transport.Encode(MigrateTransferResponse{Bytes: int64(len(data)), Found: true})
@@ -582,7 +581,6 @@ func (r *Raylet) receivePush(id idgen.ObjectID, data []byte, format string) {
 		// resolution will fetch it if the waiter needs it. Drop the push.
 		return
 	}
-	r.cfg.Layer.NoteLocation(r.cfg.Node, id)
 	r.bump(func(s *Stats) { s.PushesRecv++ })
 	r.wakeArrivals(id)
 }
@@ -1053,13 +1051,13 @@ func (r *Raylet) fetchFrom(ctx context.Context, sp *trace.Span, id idgen.ObjectI
 	return nil, false
 }
 
-// cacheLocal keeps a fetched copy in the local store and registers the
-// location, enabling future local hits and locality-aware scheduling.
+// cacheLocal keeps a fetched copy in the local store and adds it to the
+// object's record, enabling future local hits and locality-aware
+// scheduling.
 func (r *Raylet) cacheLocal(ctx context.Context, id idgen.ObjectID, data []byte, format string) {
 	if err := r.store.Put(id, data, format); err != nil {
 		return
 	}
-	r.cfg.Layer.NoteLocation(r.cfg.Node, id)
 	loc := transport.MustEncode(OwnAddLocRequest{ID: id, Node: r.cfg.Node})
 	_, _ = r.callOwner(ctx, id, KindOwnAddLoc, loc)
 }

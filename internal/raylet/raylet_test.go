@@ -576,8 +576,9 @@ func TestDeleteRPC(t *testing.T) {
 // TestFetchRereadsRecordAfterMigration: a reader holding a location the
 // object migrated away from finds the new holder by reading the record
 // again, whether the old holder answers "not here" or is gone. The caching
-// layer is never told about the new copy, so only the record can lead the
-// reader there.
+// layer's fallback would also find the new copy in its store, but it does
+// not count as a remote fetch, so RemoteFetches pins that the record led
+// the reader there.
 func TestFetchRereadsRecordAfterMigration(t *testing.T) {
 	for _, stopped := range []bool{false, true} {
 		name := "source running"

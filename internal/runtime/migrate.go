@@ -176,7 +176,10 @@ func (rt *Runtime) Decommission(ctx context.Context, node idgen.NodeID) (Decommi
 		}
 	}
 
-	// 4. Drain resident objects, round-robin across the remaining fleet.
+	// 4. Drain resident objects, round-robin across the remaining fleet. A
+	// target that refuses an object (its store has no room) keeps nothing,
+	// so the next target in turn is tried; the drain fails only when every
+	// target refuses.
 	targets := rt.drainTargets(node)
 	if store := rt.Layer.Store(node); store != nil && len(targets) > 0 {
 		ids := store.List()
@@ -186,7 +189,14 @@ func (rt *Runtime) Decommission(ctx context.Context, node idgen.NodeID) (Decommi
 			if _, err := rt.Head.Table.Get(id); err != nil {
 				continue // EC shard or untracked blob; redundancy covers it
 			}
-			orep, err := rt.migrator.MigrateObject(ctx, id, node, targets[i%len(targets)])
+			var orep migrate.ObjectReport
+			var err error
+			for k := range targets {
+				orep, err = rt.migrator.MigrateObject(ctx, id, node, targets[(i+k)%len(targets)])
+				if err == nil || ctx.Err() != nil {
+					break
+				}
+			}
 			i++
 			if err != nil {
 				return rep, fmt.Errorf("runtime: draining object %s: %w", id.Short(), err)

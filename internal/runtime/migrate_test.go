@@ -125,7 +125,6 @@ func TestConcurrentGetDuringObjectMigration(t *testing.T) {
 	// chase the migrating copy.
 	if store := rt.Layer.Store(rt.driver); store != nil {
 		_ = store.Delete(id)
-		rt.Layer.ForgetLocation(rt.driver, id)
 	}
 
 	stop := make(chan struct{})
@@ -154,7 +153,6 @@ func TestConcurrentGetDuringObjectMigration(t *testing.T) {
 				// iteration goes back over the fabric.
 				if store := rt.Layer.Store(rt.driver); store != nil {
 					_ = store.Delete(id)
-					rt.Layer.ForgetLocation(rt.driver, id)
 				}
 			}
 		}()
@@ -221,6 +219,50 @@ func TestMigrateObjectRefusedByDestinationKeepsSource(t *testing.T) {
 	}
 	if n := runs.Load(); n != 1 {
 		t.Errorf("producer ran %d times, want 1 (no re-execution)", n)
+	}
+}
+
+// TestDecommissionTriesNextTargetWhenOneRefuses: a drain target whose
+// store has no room refuses each object it is offered; the drain moves the
+// object to the next target instead of stopping, and the node is removed.
+func TestDecommissionTriesNextTargetWhenOneRefuses(t *testing.T) {
+	rt := newMigrateRuntime(t, 2)
+	var runs atomic.Int64
+	rt.Registry.Register("blob32k", func(_ *task.Context, args [][]byte) ([][]byte, error) {
+		runs.Add(1)
+		return [][]byte{bytes.Repeat(args[0], 32<<10)}, nil
+	})
+	victim := rt.workerServers()[0]
+	if _, err := rt.ScaleUp(1, 1<<10); err != nil {
+		t.Fatal(err)
+	}
+	var ids []idgen.ObjectID
+	for b := byte(1); b <= 4; b++ {
+		spec := task.NewSpec(rt.Job(), "blob32k", []task.Arg{task.ValueArg([]byte{b})}, 1)
+		ids = append(ids, rt.SubmitTo(victim, spec)[0])
+	}
+	rt.Drain() // the driver never reads the outputs: the victim holds the only copies
+
+	rep, err := rt.Decommission(context.Background(), victim)
+	if err != nil {
+		t.Fatalf("Decommission: %v", err)
+	}
+	if rep.ObjectsMoved != 4 {
+		t.Errorf("drain moved %d objects, want 4", rep.ObjectsMoved)
+	}
+	for _, rl := range rt.Raylets() {
+		if rl.Node() == victim {
+			t.Error("victim raylet still registered after Decommission")
+		}
+	}
+	for i, id := range ids {
+		data, err := rt.Get(context.Background(), id)
+		if err != nil || !bytes.Equal(data, bytes.Repeat([]byte{byte(i + 1)}, 32<<10)) {
+			t.Errorf("Get(output %d) after the drain = %d bytes, %v", i, len(data), err)
+		}
+	}
+	if n := runs.Load(); n != 4 {
+		t.Errorf("producers ran %d times, want 4 (no re-execution)", n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -304,11 +305,10 @@ func TestKillNodeRecoveryMixed(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.Drain()
-	// A second copy of a, in the caching layer only.
+	// A second copy of a, in another store only: its record never names it.
 	if err := rt.Layer.Store(other).Put(a, []byte("8"), "raw"); err != nil {
 		t.Fatal(err)
 	}
-	rt.Layer.NoteLocation(other, a)
 
 	replays := rt.Metrics.Counter(MetricLineageRecoveries)
 	if lost := rt.KillNode(victim); len(lost) != 0 {
@@ -336,6 +336,39 @@ func TestKillNodeRecoveryMixed(t *testing.T) {
 	}
 	if n := replays.Value(); n != 2 {
 		t.Errorf("lineage replays = %d, want 2", n)
+	}
+}
+
+// TestFreeAfterRestoreReclaimsEveryCopy: restore repairs an orphaned
+// object by copying the surviving replica into the driver's store; Free
+// must then reclaim that copy along with every other one.
+func TestFreeAfterRestoreReclaimsEveryCopy(t *testing.T) {
+	rt := newRuntime(t, Options{Recovery: Recover, Caching: caching.Config{Mode: caching.ModeReplicate, Replicas: 2}})
+	ctx := context.Background()
+	worker := rt.workerServers()[0]
+	var id idgen.ObjectID
+	for i := 0; ; i++ {
+		if i == 16 {
+			t.Fatal("every replica landed on the driver")
+		}
+		var err error
+		if id, err = rt.PutAt(worker, []byte("payload"), "raw"); err != nil {
+			t.Fatal(err)
+		}
+		if locs := rt.Layer.Locations(id); len(locs) == 2 && !slices.Contains(locs, rt.Driver()) {
+			break
+		}
+		rt.Free(id)
+	}
+	rt.KillNode(worker)
+	if data, err := rt.Get(ctx, id); err != nil || string(data) != "payload" {
+		t.Fatalf("Get after KillNode = %q, %v", data, err)
+	}
+	rt.Free(id)
+	for _, n := range rt.Cluster.Nodes() {
+		if st := rt.Layer.Store(n.ID); st != nil && st.Contains(id) {
+			t.Errorf("node %s still holds %s after Free", n.ID.Short(), id.Short())
+		}
 	}
 }
 
