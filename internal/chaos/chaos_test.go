@@ -284,23 +284,25 @@ func TestCheckerHygiene(t *testing.T) {
 	node := idgen.Next()
 	v := View{
 		Hygiene: func() []Hygiene {
-			return []Hygiene{{Node: node, FrozenActors: 1, HeldLocks: 2}}
+			return []Hygiene{{Node: node, Live: true, FrozenActors: 1, HeldLocks: 2}}
 		},
 	}
 	got := NewChecker(v, nil).Check()
 	if len(got) != 2 {
 		t.Fatalf("violations = %v, want frozen + locks", got)
 	}
-	// Live tombstones on an undrained node are fine; on a drained node not.
+	// A record naming a live raylet is fine; one naming a removed node or
+	// a dead raylet is not.
+	dead, removed := idgen.Next(), idgen.Next()
 	v.Hygiene = func() []Hygiene {
-		return []Hygiene{
-			{Node: node, LiveActorTombstones: 3},
-			{Node: node, LiveActorTombstones: 1, Drained: true},
-		}
+		return []Hygiene{{Node: node, Live: true}, {Node: dead}}
+	}
+	v.ActorHomes = func() map[idgen.ActorID]idgen.NodeID {
+		return map[idgen.ActorID]idgen.NodeID{idgen.Next(): node, idgen.Next(): removed, idgen.Next(): dead}
 	}
 	got = NewChecker(v, nil).Check()
-	if len(got) != 1 || got[0].Invariant != "I3-migration" {
-		t.Fatalf("violations = %v, want exactly one drained-tombstone I3", got)
+	if len(got) != 2 || got[0].Invariant != "I3-migration" || got[1].Invariant != "I3-migration" {
+		t.Fatalf("violations = %v, want two I3 records naming no live raylet", got)
 	}
 }
 

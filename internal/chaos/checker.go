@@ -10,23 +10,18 @@ import (
 	"skadi/internal/skaderr"
 )
 
-// Hygiene is one raylet's post-migration bookkeeping snapshot. Everything
-// here must be zero (or expired) once an episode quiesces: leaks in these
-// counters are the bugs migration stress is designed to catch.
+// Hygiene is one raylet's post-migration bookkeeping snapshot. The counts
+// must be zero once an episode quiesces: leaks in these counters are the
+// bugs migration stress is designed to catch.
 type Hygiene struct {
 	Node idgen.NodeID
+	// Live marks a raylet whose node is up; only a live raylet may be an
+	// actor's home.
+	Live bool
 	// FrozenActors counts actors still holding a migration freeze.
 	FrozenActors int
 	// HeldLocks counts actor locks still held.
 	HeldLocks int
-	// LiveActorTombstones counts actor cutover tombstones still inside
-	// their TTL. A bounded number is fine mid-episode; they must stop
-	// growing and eventually expire, so the checker only flags unexpired
-	// tombstones on nodes that finished draining (Drained true).
-	LiveActorTombstones int
-	// Drained marks a node that completed a drain (decommission) and so
-	// must hold no live forwarding state at all.
-	Drained bool
 }
 
 // TenantAccount is one tenant's accounting snapshot for invariant I6.
@@ -66,8 +61,10 @@ type View struct {
 	// another verified replica, a DSM copy, or an EC parity group. Such
 	// objects may legitimately list locations that re-fetch on demand.
 	Redundant func(node idgen.NodeID, id idgen.ObjectID) bool
-	// Hygiene snapshots every raylet's migration bookkeeping.
+	// Hygiene snapshots every registered raylet's migration bookkeeping.
 	Hygiene func() []Hygiene
+	// ActorHomes maps every actor to the node its record names as home.
+	ActorHomes func() map[idgen.ActorID]idgen.NodeID
 	// Tenants snapshots per-tenant admission/completion accounting at
 	// quiesce (nil when tenancy is inert).
 	Tenants func() []TenantAccount
@@ -208,14 +205,17 @@ func (c *Checker) checkOwnership() []Violation {
 	return out
 }
 
-// checkHygiene — I3: migration leaves nothing behind. No frozen actors, no
-// held locks anywhere; drained nodes additionally hold no live tombstones.
+// checkHygiene — I3: migration leaves nothing behind and every actor can
+// be found. No frozen actors and no held locks anywhere, and every actor's
+// record names a registered, live raylet.
 func (c *Checker) checkHygiene() []Violation {
 	if c.view.Hygiene == nil {
 		return nil
 	}
 	var out []Violation
+	live := make(map[idgen.NodeID]bool)
 	for _, h := range c.view.Hygiene() {
+		live[h.Node] = h.Live
 		if h.FrozenActors > 0 {
 			out = append(out, Violation{
 				Invariant: "I3-migration",
@@ -228,11 +228,16 @@ func (c *Checker) checkHygiene() []Violation {
 				Detail:    fmt.Sprintf("node %s: %d actor lock(s) still held", h.Node.Short(), h.HeldLocks),
 			})
 		}
-		if h.Drained && h.LiveActorTombstones > 0 {
+	}
+	if c.view.ActorHomes == nil {
+		return out
+	}
+	for actor, home := range c.view.ActorHomes() {
+		if !live[home] {
 			out = append(out, Violation{
 				Invariant: "I3-migration",
-				Detail: fmt.Sprintf("drained node %s: %d actor tombstone(s) still live",
-					h.Node.Short(), h.LiveActorTombstones),
+				Detail: fmt.Sprintf("actor %s: record names %s, not a registered live raylet",
+					actor.Short(), home.Short()),
 			})
 		}
 	}

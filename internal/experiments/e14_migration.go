@@ -31,9 +31,9 @@ const (
 // disaggregated pool (§1: the resource pool grows and shrinks while data
 // systems keep running):
 //
-//   - live-drain: Decommission — actors live-migrate (freeze → transfer →
-//     resume), resident objects are copied off (copy → retarget the
-//     record → drop), then the raylet actually stops. No state is lost, no task fails.
+//   - live-drain: Decommission — actors and resident objects move the
+//     same way (copy → retarget the record → drop, run by the source
+//     raylet), then the raylet actually stops. No state is lost, no task fails.
 //   - kill+lineage: the node dies and every object whose only copy it held
 //     is re-derived by replaying its producing tasks (Ray's answer; as in
 //     Ray, an actor task's result is not re-derived).

@@ -29,22 +29,26 @@ func init() { register("e20", E20Decentralized) }
 // Method: virtual-time stations over the REAL data structures. Every
 // control operation — Pick on the placement engine, CreatePending /
 // MarkReady / Get on the ownership directory — is executed for real and
-// its measured CPU cost is charged to the virtual clock of the station
-// that would serve it: the single head station in the centralized arm,
-// the owning node's station (ring owner for directory ops, placed node
-// for scheduling) in the sharded arm. Virtual throughput is tasks over
-// the slowest station's clock — i.e. the makespan under per-station
-// serialization, which is exactly what a single serialized head imposes
-// and a sharded plane avoids. Real wall ops/s of the (sequential) driver
-// is reported as a secondary column; it measures raw data-structure cost,
-// not the serialization bottleneck.
+// charged to the virtual clock of the station that would serve it: the
+// single head station in the centralized arm, the owning node's station
+// (ring owner for directory ops, placed node for scheduling) in the
+// sharded arm. The charge is the arm's calibrated cost of that op kind:
+// the median of its measured costs over one calibration run per process
+// (see e20Calibrated), the same at every sweep size, so the arms' ratios
+// are a property of the model rather than of the host's noise in one run.
+// Virtual throughput is tasks over the slowest station's clock — i.e. the
+// makespan under per-station serialization, which is exactly what a
+// single serialized head imposes and a sharded plane avoids. Real wall
+// ops/s of the (sequential) driver is reported as a secondary column; it
+// measures raw data-structure cost, not the serialization bottleneck.
 //
 // At the smallest sweep size two extra comparisons run:
 //   - sharded-tcp serves every directory op over real TCP sockets through
 //     the fixed-tag own.* frames (the cross-process deployment shape);
-//     the station charge is the server-side handler cost, so the row
-//     isolates the serve-path overhead of the wire format, not loopback
-//     RTT (which the sequential driver pays in wall ops/s instead).
+//     the station charge is the server-side handler cost (calibrated by
+//     running the handler in process), so the row isolates the serve-path
+//     overhead of the wire format, not loopback RTT (which the sequential
+//     driver pays in wall ops/s instead).
 //   - sharded-loc / sharded-rand chain tasks to recently produced objects
 //     via ref args and compare locality-aware steal ordering against
 //     random probing, reporting the arg bytes a thief had locally vs had
@@ -55,14 +59,6 @@ const (
 	// e20VNodes keeps ring construction cheap at 1000 members while still
 	// spreading keys well (the distribution test bounds imbalance).
 	e20VNodes = 8
-	// e20CostCeil clamps one op's measured cost before charging it, so an
-	// OS preemption or GC pause landing on a single op cannot distort a
-	// station's virtual clock (sharded stations serve few ops each). Every
-	// real control op here is well under a microsecond; samples beyond 2µs
-	// are scheduler artifacts, and on a small shared runner they are common
-	// enough to decide arm ratios if charged at face value.
-	e20CostCeil  = 2 * time.Microsecond
-	e20CostFloor = 20 * time.Nanosecond
 	// e20ArgBytes is the committed size of every produced object; in the
 	// chained arms it is also each ref arg's transfer cost on a miss.
 	e20ArgBytes = 1024
@@ -146,7 +142,8 @@ func E20Decentralized() (*Table, error) {
 	}
 	t.Notes = "Expected shape: centralized virtual throughput is flat in cluster size (every control op " +
 		"serializes on the head station) while sharded scales near-linearly (ops spread across per-node " +
-		"shard/scheduler stations); at >=500 nodes the sharded plane clears 5x. Steal rate is the fraction " +
+		"shard/scheduler stations); at >=500 nodes the sharded plane clears 5x. Every op is charged its arm's " +
+		"calibrated cost (the median of one timed run per process), the same at every size. Steal rate is the fraction " +
 		"of placements a peer accepted from a saturated home. Wall ops/s (sequential driver) is the raw " +
 		"structure cost: the sharded path pays ring routing per op — and the tcp arm a loopback RTT — which " +
 		"the parallelism buys back. sharded-tcp charges the server-side serve cost of the fixed-tag own.* " +
@@ -179,15 +176,61 @@ type e20Arm struct {
 	stealRemoteBytes int64
 }
 
-// e20Cost clamps a measured op duration into the chargeable band.
-func e20Cost(d time.Duration) time.Duration {
-	if d < e20CostFloor {
-		return e20CostFloor
+// The op kinds every task performs, in order.
+const (
+	e20Pick = iota
+	e20Create
+	e20Ready
+	e20Get
+	e20Kinds
+)
+
+// e20Costs is one arm's calibrated cost per op kind.
+type e20Costs [e20Kinds]time.Duration
+
+// e20Cal caches each arm's calibrated costs for the life of the process.
+var e20Cal = struct {
+	sync.Mutex
+	costs map[e20Config]e20Costs
+}{costs: make(map[e20Config]e20Costs)}
+
+// e20Calibrated returns the arm's cost per op kind, measuring it on first
+// use: one run of the arm at e20TCPNodes times every op (the TCP arm runs
+// its server-side handler in process), and each kind's cost is the median
+// of its samples — robust to the preemptions and GC pauses that land on
+// single sub-µs samples.
+func e20Calibrated(cfg e20Config) (e20Costs, error) {
+	cfg.n = e20TCPNodes
+	e20Cal.Lock()
+	defer e20Cal.Unlock()
+	if c, ok := e20Cal.costs[cfg]; ok {
+		return c, nil
 	}
-	if d > e20CostCeil {
-		return e20CostCeil
+	var samples [e20Kinds][]time.Duration
+	if _, err := e20Drive(cfg, e20Costs{}, &samples); err != nil {
+		return e20Costs{}, err
 	}
-	return d
+	var c e20Costs
+	for k, ds := range samples {
+		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+		c[k] = ds[len(ds)/2]
+	}
+	e20Cal.costs[cfg] = c
+	return c, nil
+}
+
+// e20Frame encodes one directory op as the own.* frame a shard host serves.
+func e20Frame(kind int, obj idgen.ObjectID, node idgen.NodeID, tid idgen.TaskID) (string, []byte) {
+	switch kind {
+	case e20Create:
+		return raylet.KindOwnCreate, transport.MustEncode(raylet.OwnCreateRequest{
+			IDs: []idgen.ObjectID{obj}, Owner: node, Task: tid})
+	case e20Ready:
+		return raylet.KindOwnReady, transport.MustEncode(raylet.OwnReadyRequest{
+			ID: obj, Size: e20ArgBytes, Location: node})
+	default:
+		return raylet.KindOwnGet, transport.MustEncode(raylet.OwnGetRequest{ID: obj})
+	}
 }
 
 // e20Config selects one arm: the one-member (centralized) baseline, the
@@ -216,12 +259,24 @@ func (l *e20Locator) Locations(id idgen.ObjectID) []idgen.NodeID {
 
 func (l *e20Locator) Size(idgen.ObjectID) int64 { return e20ArgBytes }
 
-// e20Run drives one arm at one cluster size: n*e20TasksPerNode tasks, all
+// e20Run drives one arm at one cluster size, charging its calibrated
+// costs.
+func e20Run(cfg e20Config) (*e20Arm, error) {
+	costs, err := e20Calibrated(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return e20Drive(cfg, costs, nil)
+}
+
+// e20Drive runs one arm at one cluster size: n*e20TasksPerNode tasks, all
 // offered at virtual time zero (closed-loop saturation — the regime where
 // the head bottleneck binds), each doing one real placement and three real
-// directory ops. Roughly half the fleet's slots stay occupied so the
-// sharded arm's steal path genuinely fires.
-func e20Run(cfg e20Config) (*e20Arm, error) {
+// directory ops, each charged costs[kind]. Roughly half the fleet's slots
+// stay occupied so the sharded arm's steal path genuinely fires. With
+// samples set it is a calibration run: every op is timed and its duration
+// appended to samples[kind], and the TCP arm serves its frames in process.
+func e20Drive(cfg e20Config, costs e20Costs, samples *[e20Kinds][]time.Duration) (*e20Arm, error) {
 	n := cfg.n
 	nodes := make([]idgen.NodeID, n)
 	for i := range nodes {
@@ -272,49 +327,22 @@ func e20Run(cfg e20Config) (*e20Arm, error) {
 		return owner
 	}
 
-	// Directory op costs charged to the owner's station: the op's own
-	// measured duration in process, or the server-side handler cost
-	// (decode, real directory op, encode) over TCP — the wire's serve cost
-	// without the loopback RTT, which the driver pays in wall ops/s
-	// instead.
+	// Over TCP every shard host serves the own.* frames with the same
+	// dispatch as a raylet; calibration runs that handler in process.
 	var (
 		tr      transport.Transport
-		served  sync.Map // object → serve cost ns, attributed post-measurement
 		client  idgen.NodeID
 		callCtx = context.Background()
 	)
-	if cfg.overTCP {
+	overTCP := cfg.overTCP && samples == nil
+	if overTCP {
 		tr = transport.NewTCP()
 		defer tr.Close()
 		handler := func(ctx context.Context, _ idgen.NodeID, kind string, payload []byte) ([]byte, error) {
-			t0 := time.Now()
 			resp, handled, err := raylet.ServeOwnership(ctx, sh, kind, payload)
-			d := int64(time.Since(t0))
 			if !handled {
 				return nil, fmt.Errorf("e20: unhandled kind %q", kind)
 			}
-			// Attribute the cost to its object outside the measured window.
-			// The driver keeps at most one op per object in flight, so the
-			// key cannot collide.
-			var obj idgen.ObjectID
-			switch kind {
-			case raylet.KindOwnCreate:
-				var r raylet.OwnCreateRequest
-				if derr := transport.Decode(payload, &r); derr == nil && len(r.IDs) > 0 {
-					obj = r.IDs[0]
-				}
-			case raylet.KindOwnReady:
-				var r raylet.OwnReadyRequest
-				if derr := transport.Decode(payload, &r); derr == nil {
-					obj = r.ID
-				}
-			case raylet.KindOwnGet:
-				var r raylet.OwnGetRequest
-				if derr := transport.Decode(payload, &r); derr == nil {
-					obj = r.ID
-				}
-			}
-			served.Store(obj, d)
 			return resp, err
 		}
 		for _, id := range nodes {
@@ -324,12 +352,38 @@ func e20Run(cfg e20Config) (*e20Arm, error) {
 		}
 		client = idgen.NodeID(idgen.Next())
 	}
-	tcpCost := func(obj idgen.ObjectID) (time.Duration, error) {
-		v, ok := served.LoadAndDelete(obj)
-		if !ok {
-			return 0, fmt.Errorf("e20: no serve cost recorded for %s", obj.Short())
+	// timed runs one op of the given kind, appending its duration to the
+	// samples when calibrating.
+	timed := func(kind int, op func() error) error {
+		t0 := time.Now()
+		err := op()
+		if samples != nil {
+			samples[kind] = append(samples[kind], time.Since(t0))
 		}
-		return time.Duration(v.(int64)), nil
+		return err
+	}
+	// dirOp runs one directory op against the structure, or through its
+	// own.* handler for the TCP arm's calibration.
+	dirOp := func(kind int, obj idgen.ObjectID, node idgen.NodeID, tid idgen.TaskID) error {
+		if cfg.overTCP {
+			k, payload := e20Frame(kind, obj, node, tid)
+			return timed(kind, func() error {
+				_, _, err := raylet.ServeOwnership(callCtx, sh, k, payload)
+				return err
+			})
+		}
+		return timed(kind, func() error {
+			var err error
+			switch kind {
+			case e20Create:
+				err = sh.CreatePending(obj, node, tid)
+			case e20Ready:
+				_, err = sh.MarkReady(obj, e20ArgBytes, node, idgen.Nil, "")
+			default:
+				_, err = sh.Get(obj)
+			}
+			return err
+		})
 	}
 
 	job := idgen.JobID(idgen.Next())
@@ -355,13 +409,12 @@ func e20Run(cfg e20Config) (*e20Arm, error) {
 			inflight = inflight[1:]
 		}
 	}
-	if cfg.overTCP {
+	if overTCP {
 		// Wave driver: e20Wave tasks advance phase-by-phase with their
 		// directory RPCs issued concurrently, so shard servers see
 		// back-to-back frames the way they would under the closed-loop
 		// saturation E20 models, instead of one cold wakeup per op from a
-		// lock-step driver. Each op's station charge is still the
-		// handler's own measurement of that op.
+		// lock-step driver.
 		waveNodes := make([]idgen.NodeID, e20Wave)
 		waveObjs := make([]idgen.ObjectID, e20Wave)
 		waveTask := make([]idgen.TaskID, e20Wave)
@@ -370,55 +423,31 @@ func e20Run(cfg e20Config) (*e20Arm, error) {
 			w := min(e20Wave, total-base)
 			for j := 0; j < w; j++ {
 				spec := task.NewSpec(job, "e20/noop", nil, 1)
-				t0 := time.Now()
 				node, err := mesh.Pick(spec)
-				cost := time.Since(t0)
 				if err != nil {
 					return nil, err
 				}
-				dones[j] = schedStation(node).serve(0, e20Cost(cost))
+				dones[j] = schedStation(node).serve(0, costs[e20Pick])
 				waveNodes[j], waveObjs[j], waveTask[j] = node, idgen.ObjectID(idgen.Next()), spec.ID
 			}
-			phase := func(payload func(j int) (string, []byte)) error {
+			for kind := e20Create; kind <= e20Get; kind++ {
 				errs := make([]error, w)
 				var wg sync.WaitGroup
 				for j := 0; j < w; j++ {
 					wg.Add(1)
 					go func(j int) {
 						defer wg.Done()
-						kind, p := payload(j)
-						_, errs[j] = tr.Call(callCtx, client, dirOwner(waveObjs[j]), kind, p)
+						k, p := e20Frame(kind, waveObjs[j], waveNodes[j], waveTask[j])
+						_, errs[j] = tr.Call(callCtx, client, dirOwner(waveObjs[j]), k, p)
 					}(j)
 				}
 				wg.Wait()
 				for j := 0; j < w; j++ {
 					if errs[j] != nil {
-						return errs[j]
+						return nil, errs[j]
 					}
-					cost, err := tcpCost(waveObjs[j])
-					if err != nil {
-						return err
-					}
-					dones[j] = stations[dirOwner(waveObjs[j])].serve(dones[j], e20Cost(cost))
+					dones[j] = stations[dirOwner(waveObjs[j])].serve(dones[j], costs[kind])
 				}
-				return nil
-			}
-			if err := phase(func(j int) (string, []byte) {
-				return raylet.KindOwnCreate, transport.MustEncode(raylet.OwnCreateRequest{
-					IDs: []idgen.ObjectID{waveObjs[j]}, Owner: waveNodes[j], Task: waveTask[j]})
-			}); err != nil {
-				return nil, err
-			}
-			if err := phase(func(j int) (string, []byte) {
-				return raylet.KindOwnReady, transport.MustEncode(raylet.OwnReadyRequest{
-					ID: waveObjs[j], Size: e20ArgBytes, Location: waveNodes[j]})
-			}); err != nil {
-				return nil, err
-			}
-			if err := phase(func(j int) (string, []byte) {
-				return raylet.KindOwnGet, transport.MustEncode(raylet.OwnGetRequest{ID: waveObjs[j]})
-			}); err != nil {
-				return nil, err
 			}
 			for j := 0; j < w; j++ {
 				finishOne(waveNodes[j], dones[j])
@@ -441,40 +470,23 @@ func e20Run(cfg e20Config) (*e20Arm, error) {
 			}
 			spec := task.NewSpec(job, "e20/noop", args, 1)
 
-			t0 := time.Now()
-			node, err := mesh.Pick(spec)
-			cost := time.Since(t0)
-			if err != nil {
+			var node idgen.NodeID
+			if err := timed(e20Pick, func() (err error) {
+				node, err = mesh.Pick(spec)
+				return err
+			}); err != nil {
 				return nil, err
 			}
-			done := schedStation(node).serve(0, e20Cost(cost))
+			done := schedStation(node).serve(0, costs[e20Pick])
 
 			obj := idgen.ObjectID(idgen.Next())
 			st := stations[dirOwner(obj)]
-
-			t0 = time.Now()
-			err = sh.CreatePending(obj, node, spec.ID)
-			cost = time.Since(t0)
-			if err != nil {
-				return nil, err
+			for kind := e20Create; kind <= e20Get; kind++ {
+				if err := dirOp(kind, obj, node, spec.ID); err != nil {
+					return nil, err
+				}
+				done = st.serve(done, costs[kind])
 			}
-			done = st.serve(done, e20Cost(cost))
-
-			t0 = time.Now()
-			_, err = sh.MarkReady(obj, e20ArgBytes, node, idgen.Nil, "")
-			cost = time.Since(t0)
-			if err != nil {
-				return nil, err
-			}
-			done = st.serve(done, e20Cost(cost))
-
-			t0 = time.Now()
-			_, err = sh.Get(obj)
-			cost = time.Since(t0)
-			if err != nil {
-				return nil, err
-			}
-			done = st.serve(done, e20Cost(cost))
 
 			if cfg.chained {
 				loc.home[obj] = node

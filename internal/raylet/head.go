@@ -3,19 +3,21 @@ package raylet
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 
 	"skadi/internal/idgen"
 	"skadi/internal/lineage"
 	"skadi/internal/ownership"
+	"skadi/internal/skaderr"
 	"skadi/internal/transport"
 )
 
 // Head is the cluster's control-plane service (the GCS of Fig. 2's
-// centralized scheduler): it hosts the lineage log and the actor-checkpoint
-// store, serves the actor.* RPCs raylets use for stateful-function
-// durability, and is the permanent member of the ownership directory's
-// ring, serving own.* RPCs for whatever share of it the ring assigns.
+// centralized scheduler): it hosts the lineage log and the actor records,
+// serves the actor.* RPCs raylets use to find an actor and keep its state
+// durable, and is the permanent member of the ownership directory's ring,
+// serving own.* RPCs for whatever share of it the ring assigns.
 type Head struct {
 	Node idgen.NodeID
 	// Table is the ownership directory this head serves: the runtime's
@@ -24,11 +26,22 @@ type Head struct {
 	Table   ownership.Directory
 	Lineage *lineage.Log
 
-	ckptMu sync.Mutex
-	ckpts  map[idgen.ActorID]*actorCkpt
+	actorsMu sync.Mutex
+	actors   map[idgen.ActorID]*actorRecord
 }
 
-type actorCkpt struct {
+// ActorRecord is the one place that says where an actor lives: its home
+// node, and the backend its tasks need.
+type ActorRecord struct {
+	Actor   idgen.ActorID
+	Home    idgen.NodeID
+	Backend string
+}
+
+// actorRecord is the head's entry for an actor: its record, beside its
+// checkpoint, the only durable copy of its state.
+type actorRecord struct {
+	ActorRecord
 	seq   uint64
 	state map[string][]byte
 }
@@ -39,38 +52,104 @@ func NewHead(node idgen.NodeID, dir ownership.Directory) *Head {
 		Node:    node,
 		Table:   dir,
 		Lineage: lineage.NewLog(),
-		ckpts:   make(map[idgen.ActorID]*actorCkpt),
+		actors:  make(map[idgen.ActorID]*actorRecord),
 	}
 }
 
+// CreateActor writes a new actor's record: it lives on home and its tasks
+// need backend.
+func (h *Head) CreateActor(actor idgen.ActorID, home idgen.NodeID, backend string) {
+	h.actorsMu.Lock()
+	h.actors[actor] = &actorRecord{ActorRecord: ActorRecord{Actor: actor, Home: home, Backend: backend}}
+	h.actorsMu.Unlock()
+}
+
+// Actor reads an actor's record.
+func (h *Head) Actor(actor idgen.ActorID) (ActorRecord, bool) {
+	h.actorsMu.Lock()
+	defer h.actorsMu.Unlock()
+	rec, ok := h.actors[actor]
+	if !ok {
+		return ActorRecord{}, false
+	}
+	return rec.ActorRecord, true
+}
+
+// Actors lists every actor's record in ID order.
+func (h *Head) Actors() []ActorRecord {
+	h.actorsMu.Lock()
+	out := make([]ActorRecord, 0, len(h.actors))
+	for _, rec := range h.actors {
+		out = append(out, rec.ActorRecord)
+	}
+	h.actorsMu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Actor.Less(out[j].Actor) })
+	return out
+}
+
+// MoveActor retargets an actor's record from one home to another, only if
+// it still names from. Every move goes through this compare-and-swap, so
+// of two moves that read the same home at most one commits. A record that
+// already names to is left as it is: a repeated move succeeds.
+func (h *Head) MoveActor(actor idgen.ActorID, from, to idgen.NodeID) error {
+	h.actorsMu.Lock()
+	defer h.actorsMu.Unlock()
+	rec, ok := h.actors[actor]
+	if !ok {
+		return skaderr.New(skaderr.NotFound, "head: unknown actor %s", actor.Short())
+	}
+	if rec.Home == to {
+		return nil
+	}
+	if rec.Home != from {
+		return skaderr.New(skaderr.FailedPrecondition, "head: actor %s lives on %s, not %s",
+			actor.Short(), rec.Home.Short(), from.Short())
+	}
+	rec.Home = to
+	return nil
+}
+
 // Checkpoint stores an actor snapshot if it is newer than the stored one.
+// An actor without a record has nowhere to keep it.
 func (h *Head) Checkpoint(actor idgen.ActorID, seq uint64, state map[string][]byte) {
-	h.ckptMu.Lock()
-	defer h.ckptMu.Unlock()
-	cur, ok := h.ckpts[actor]
-	if ok && cur.seq >= seq {
+	h.actorsMu.Lock()
+	defer h.actorsMu.Unlock()
+	rec, ok := h.actors[actor]
+	if !ok || (rec.state != nil && rec.seq >= seq) {
 		return
 	}
-	cp := make(map[string][]byte, len(state))
-	for k, v := range state {
-		cp[k] = append([]byte(nil), v...)
-	}
-	h.ckpts[actor] = &actorCkpt{seq: seq, state: cp}
+	rec.seq, rec.state = seq, copyState(state)
 }
 
 // Restore returns an actor's latest snapshot (nil if none).
 func (h *Head) Restore(actor idgen.ActorID) (uint64, map[string][]byte) {
-	h.ckptMu.Lock()
-	defer h.ckptMu.Unlock()
-	ck, ok := h.ckpts[actor]
+	resp := h.restore(actor)
+	return resp.Seq, resp.State
+}
+
+// restore answers actor.restore: the actor's home (nil without a record)
+// and its latest snapshot, read together.
+func (h *Head) restore(actor idgen.ActorID) ActorRestoreResponse {
+	h.actorsMu.Lock()
+	defer h.actorsMu.Unlock()
+	rec, ok := h.actors[actor]
 	if !ok {
-		return 0, nil
+		return ActorRestoreResponse{}
 	}
-	cp := make(map[string][]byte, len(ck.state))
-	for k, v := range ck.state {
+	resp := ActorRestoreResponse{Home: rec.Home, Seq: rec.seq}
+	if rec.state != nil {
+		resp.State = copyState(rec.state)
+	}
+	return resp
+}
+
+// copyState deep-copies an actor state map.
+func copyState(state map[string][]byte) map[string][]byte {
+	cp := make(map[string][]byte, len(state))
+	for k, v := range state {
 		cp[k] = append([]byte(nil), v...)
 	}
-	return ck.seq, cp
+	return cp
 }
 
 // Start registers the head's RPC handler on the transport.
@@ -206,8 +285,14 @@ func (h *Head) handle(ctx context.Context, from idgen.NodeID, kind string, paylo
 		if err := transport.Decode(payload, &req); err != nil {
 			return nil, err
 		}
-		seq, state := h.Restore(req.Actor)
-		return transport.Encode(ActorRestoreResponse{Seq: seq, State: state})
+		return transport.Encode(h.restore(req.Actor))
+
+	case KindActorMove:
+		var req ActorMoveRequest
+		if err := transport.Decode(payload, &req); err != nil {
+			return nil, err
+		}
+		return nil, h.MoveActor(req.Actor, req.From, req.To)
 
 	default:
 		return nil, fmt.Errorf("head: unknown RPC kind %q", kind)

@@ -22,28 +22,18 @@ const (
 	KindPing = "raylet.ping"
 )
 
-// RPC kinds of the live-migration subsystem (internal/migrate). A drain
-// is freeze → transfer → resume against the source raylet; transfer moves
-// state directly source → destination via migrate.install, so the bytes
-// cross the fabric once.
+// RPC kinds of the live-migration subsystem (internal/migrate). A move is
+// one migrate.transfer to the source raylet, which ships the state or bytes
+// directly to the destination, so they cross the fabric once.
 const (
-	// KindMigrateFreeze pauses an actor on its current raylet: the running
-	// task finishes, queued tasks park, and the response reports the
-	// checkpoint sequence the transfer will ship.
-	KindMigrateFreeze = "migrate.freeze"
-	// KindMigrateTransfer asks the source raylet to copy an actor's state
-	// or a resident object directly to the destination raylet
-	// (migrate.install / raylet.push). For an object the source then
-	// retargets the record (own.moveloc) and drops its copy only once the
-	// record names the destination.
+	// KindMigrateTransfer asks the source raylet to move an actor or a
+	// resident object to the destination raylet (migrate.install /
+	// raylet.push), retarget its record (actor.move / own.moveloc), and
+	// only then drop its own copy.
 	KindMigrateTransfer = "migrate.transfer"
 	// KindMigrateInstall delivers migrated actor state to the destination
 	// raylet (the receiving half of a transfer).
 	KindMigrateInstall = "migrate.install"
-	// KindMigrateResume finishes a migration on the source: commit points
-	// parked tasks at the destination (they bounce back to the caller with
-	// ActorMovedTo); rollback resumes local execution.
-	KindMigrateResume = "migrate.resume"
 )
 
 // RPC kinds served by the head (ownership/GCS) service.
@@ -63,8 +53,12 @@ const (
 	// KindActorCkpt persists an actor's state after a task (stateful
 	// serverless durability: function state outlives its node).
 	KindActorCkpt = "actor.ckpt"
-	// KindActorRestore fetches an actor's last checkpoint.
+	// KindActorRestore reads an actor's record: its home and its last
+	// checkpoint.
 	KindActorRestore = "actor.restore"
+	// KindActorMove retargets an actor's record from its current home to
+	// another node, only if it still names that home.
+	KindActorMove = "actor.move"
 	// KindOwnMoveLoc atomically retargets a copy from one node to another
 	// (live migration cutover). The destination must already hold the bytes.
 	KindOwnMoveLoc = "own.moveloc"
@@ -83,7 +77,7 @@ const (
 // place its fields are listed, and transport.Encode/Decode walk it in either
 // direction. The leading tag byte names the type, so a payload decoded as the
 // wrong kind is an error rather than garbage: 0xA1–0xA2 are the bulk get and
-// push, 0xB1–0xB7 the per-task ownership and gossip kinds, 0xC1–0xD4 the
+// push, 0xB1–0xB7 the per-task ownership and gossip kinds, 0xC1–0xD3 the
 // rest; the 0xA and 0xB layouts are pinned byte for byte by
 // TestCodecGoldenBytes. GetResponse.Data and PushRequest.Data decode as
 // views of the input buffer (the zero-copy bulk path: the transport hands
@@ -108,10 +102,6 @@ type ExecResponse struct {
 	// StallMicros is the time the task spent blocked waiting for its
 	// reference arguments to resolve — the metric of experiment E4.
 	StallMicros int64
-	// ActorMovedTo, when set, reports that the task was not executed
-	// because its actor live-migrated away; the caller re-dispatches to
-	// the named node. No submission is lost across a migration.
-	ActorMovedTo idgen.NodeID
 }
 
 // Wire implements transport.Message.
@@ -119,7 +109,6 @@ func (m *ExecResponse) Wire(c *wire.Coder) {
 	c.Tag(0xC2)
 	wire.Slice(c, &m.ResultSizes, 1, (*wire.Coder).Varint)
 	c.Varint(&m.StallMicros)
-	c.ID(&m.ActorMovedTo)
 }
 
 // GetRequest fetches object bytes.
@@ -323,8 +312,10 @@ func (m *ActorRestoreRequest) Wire(c *wire.Coder) {
 	c.ID(&m.Actor)
 }
 
-// ActorRestoreResponse returns the checkpoint (nil State if none).
+// ActorRestoreResponse returns the actor's home (nil without a record) and
+// its checkpoint (nil State if none).
 type ActorRestoreResponse struct {
+	Home  idgen.NodeID
 	Seq   uint64
 	State map[string][]byte
 }
@@ -332,8 +323,23 @@ type ActorRestoreResponse struct {
 // Wire implements transport.Message.
 func (m *ActorRestoreResponse) Wire(c *wire.Coder) {
 	c.Tag(0xCB)
+	c.ID(&m.Home)
 	c.Uvarint(&m.Seq)
 	wire.Map(c, &m.State, (*wire.Coder).LenBytes)
+}
+
+// ActorMoveRequest retargets an actor's record from From to To.
+type ActorMoveRequest struct {
+	Actor    idgen.ActorID
+	From, To idgen.NodeID
+}
+
+// Wire implements transport.Message.
+func (m *ActorMoveRequest) Wire(c *wire.Coder) {
+	c.Tag(0xCD)
+	c.ID(&m.Actor)
+	c.ID(&m.From)
+	c.ID(&m.To)
 }
 
 // OwnMoveLocRequest retargets one copy (live migration cutover).
@@ -379,31 +385,6 @@ func (m *GossipProbeAck) Wire(c *wire.Coder) {
 	c.Uvarint(&m.Nonce)
 }
 
-// MigrateFreezeRequest pauses an actor on the source raylet.
-type MigrateFreezeRequest struct {
-	Actor idgen.ActorID
-}
-
-// Wire implements transport.Message.
-func (m *MigrateFreezeRequest) Wire(c *wire.Coder) {
-	c.Tag(0xCF)
-	c.ID(&m.Actor)
-}
-
-// MigrateFreezeResponse reports the frozen actor's checkpoint sequence and
-// whether this raylet actually hosts state for it.
-type MigrateFreezeResponse struct {
-	Seq   uint64
-	Known bool
-}
-
-// Wire implements transport.Message.
-func (m *MigrateFreezeResponse) Wire(c *wire.Coder) {
-	c.Tag(0xD0)
-	c.Uvarint(&m.Seq)
-	c.Bool(&m.Known)
-}
-
 // MigrateTransferRequest asks the source raylet to ship an actor's state
 // (Actor set) or a resident object (Object set) to Dest.
 type MigrateTransferRequest struct {
@@ -436,15 +417,10 @@ func (m *MigrateTransferResponse) Wire(c *wire.Coder) {
 }
 
 // MigrateInstallRequest delivers actor state to the destination raylet.
-// Stateless marks a migration of an actor the source never executed: the
-// destination clears stale migration leftovers (tombstone, old lock/state
-// entries) but does NOT mark the actor known, so the actor's first task
-// there still restores the latest head checkpoint (first-arrival restore).
 type MigrateInstallRequest struct {
-	Actor     idgen.ActorID
-	Seq       uint64
-	State     map[string][]byte
-	Stateless bool
+	Actor idgen.ActorID
+	Seq   uint64
+	State map[string][]byte
 }
 
 // Wire implements transport.Message.
@@ -453,22 +429,4 @@ func (m *MigrateInstallRequest) Wire(c *wire.Coder) {
 	c.ID(&m.Actor)
 	c.Uvarint(&m.Seq)
 	wire.Map(c, &m.State, (*wire.Coder).LenBytes)
-	c.Bool(&m.Stateless)
-}
-
-// MigrateResumeRequest finishes a migration on the source raylet.
-type MigrateResumeRequest struct {
-	Actor idgen.ActorID
-	Dest  idgen.NodeID
-	// Commit true cuts over (parked tasks bounce to Dest); false rolls the
-	// freeze back and resumes local execution.
-	Commit bool
-}
-
-// Wire implements transport.Message.
-func (m *MigrateResumeRequest) Wire(c *wire.Coder) {
-	c.Tag(0xD4)
-	c.ID(&m.Actor)
-	c.ID(&m.Dest)
-	c.Bool(&m.Commit)
 }

@@ -58,20 +58,6 @@ func (r Resolution) String() string {
 // ErrNoLocation reports an object that is ready but has no reachable copy.
 var ErrNoLocation = errors.New("raylet: no reachable location for object")
 
-// ActorMigratedError reports that a task reached a raylet after its actor
-// live-migrated away; the submitter re-dispatches the task to To. It
-// travels as a clean ExecResponse (ActorMovedTo), not a wire error, so no
-// submission is lost across a migration.
-type ActorMigratedError struct {
-	Actor idgen.ActorID
-	To    idgen.NodeID
-}
-
-// Error implements the error interface.
-func (e *ActorMigratedError) Error() string {
-	return fmt.Sprintf("raylet: actor %s migrated to %s", e.Actor.Short(), e.To.Short())
-}
-
 // Config configures a Raylet.
 type Config struct {
 	// Node is this raylet's identity.
@@ -137,17 +123,13 @@ type Raylet struct {
 	arrivalsMu sync.Mutex
 	arrivals   map[idgen.ObjectID][]chan struct{}
 
-	actorsMu    sync.Mutex
-	actorStates map[idgen.ActorID]map[string][]byte
-	actorLocks  map[idgen.ActorID]*sync.Mutex
-	actorSeqs   map[idgen.ActorID]uint64
-	// frozenActors gates task admission during a live migration: queued
-	// tasks park on the channel (without holding the actor lock, so the
-	// freeze can drain) until resume closes it. movedActors are cutover
-	// tombstones: tasks arriving after commit bounce back with
-	// ExecResponse.ActorMovedTo instead of executing against dropped state.
+	actorsMu sync.Mutex
+	actors   map[idgen.ActorID]*actor
+	// frozenActors gates task admission while migrate.transfer moves an
+	// actor away: queued tasks park on the channel (without holding the
+	// actor lock, so the transfer can wait out the running task) until the
+	// transfer ends and closes it.
 	frozenActors map[idgen.ActorID]chan struct{}
-	movedActors  map[idgen.ActorID]forwardEntry
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -165,17 +147,13 @@ func New(cfg Config) (*Raylet, error) {
 		cfg.Slots = 1
 	}
 	r := &Raylet{
-		cfg:         cfg,
-		store:       store,
-		slots:       make(chan struct{}, cfg.Slots),
-		pushWait:    2 * time.Second,
-		arrivals:    make(map[idgen.ObjectID][]chan struct{}),
-		actorStates: make(map[idgen.ActorID]map[string][]byte),
-		actorLocks:  make(map[idgen.ActorID]*sync.Mutex),
-		actorSeqs:   make(map[idgen.ActorID]uint64),
-
+		cfg:          cfg,
+		store:        store,
+		slots:        make(chan struct{}, cfg.Slots),
+		pushWait:     2 * time.Second,
+		arrivals:     make(map[idgen.ObjectID][]chan struct{}),
+		actors:       make(map[idgen.ActorID]*actor),
 		frozenActors: make(map[idgen.ActorID]chan struct{}),
-		movedActors:  make(map[idgen.ActorID]forwardEntry),
 	}
 	for i := 0; i < cfg.Slots; i++ {
 		r.slots <- struct{}{}
@@ -321,13 +299,6 @@ func (r *Raylet) dispatch(ctx context.Context, from idgen.NodeID, kind string, p
 	case KindGossipProbe:
 		return ServeGossipProbe(r.cfg.Node, payload)
 
-	case KindMigrateFreeze:
-		var req MigrateFreezeRequest
-		if err := transport.Decode(payload, &req); err != nil {
-			return nil, err
-		}
-		return r.migrateFreeze(&req)
-
 	case KindMigrateTransfer:
 		var req MigrateTransferRequest
 		if err := transport.Decode(payload, &req); err != nil {
@@ -346,14 +317,6 @@ func (r *Raylet) dispatch(ctx context.Context, from idgen.NodeID, kind string, p
 		r.migrateInstall(&req)
 		return nil, nil
 
-	case KindMigrateResume:
-		var req MigrateResumeRequest
-		if err := transport.Decode(payload, &req); err != nil {
-			return nil, err
-		}
-		r.migrateResume(&req)
-		return nil, nil
-
 	default:
 		// Shard hosts serve own.* RPCs with the same dispatch the head uses.
 		if resp, handled, err := ServeOwnership(ctx, r.cfg.Directory, kind, payload); handled {
@@ -363,189 +326,131 @@ func (r *Raylet) dispatch(ctx context.Context, from idgen.NodeID, kind string, p
 	}
 }
 
-// forwardEntry is one actor cutover tombstone: where the actor went, and
-// when the entry may be dropped. Tombstones only serve tasks that were
-// already in flight at cutover (everything dispatched afterwards targets
-// the new node), so they expire after tombstoneTTL — far longer than any
-// RPC stays in flight — instead of accumulating one entry per migration for
-// the raylet's lifetime.
-type forwardEntry struct {
-	to      idgen.NodeID
-	expires time.Time
+// actor is one actor hosted by this raylet.
+type actor struct {
+	// mu serializes the actor's tasks. migrate.transfer holds it while the
+	// state ships and the record is retargeted.
+	mu sync.Mutex
+	// state is nil until the actor's state is adopted here.
+	state map[string][]byte
+	seq   uint64
+	// homed is set once the actor's record named this node after the state
+	// was adopted. Until then — shipped state whose retarget may not have
+	// happened, or state kept after a retarget that failed — the next task
+	// reads the record first (see admitActor).
+	homed bool
 }
-
-const tombstoneTTL = time.Minute
 
 // HygieneCounts is a snapshot of the raylet's migration bookkeeping for
 // invariant checkers: after a migration episode quiesces, frozen actors
-// and held locks must be zero, and tombstones must be bounded (live ones
-// expire; none may survive a full drain).
+// and held locks must be zero.
 type HygieneCounts struct {
-	FrozenActors                                int
-	HeldLocks                                   int
-	LiveActorTombstones, ExpiredActorTombstones int
+	FrozenActors int
+	HeldLocks    int
+	// Actors counts the actor entries this raylet holds.
+	Actors int
 }
 
 // MigrationHygiene counts leaked migration state. Lock-holding is probed
 // with TryLock, so the snapshot is advisory: call it only at quiesce, when
 // no task should legitimately hold an actor lock.
 func (r *Raylet) MigrationHygiene() HygieneCounts {
-	now := time.Now()
-	var h HygieneCounts
 	r.actorsMu.Lock()
-	h.FrozenActors = len(r.frozenActors)
-	for _, lock := range r.actorLocks {
-		if lock.TryLock() {
-			lock.Unlock()
+	defer r.actorsMu.Unlock()
+	h := HygieneCounts{FrozenActors: len(r.frozenActors), Actors: len(r.actors)}
+	for _, a := range r.actors {
+		if a.mu.TryLock() {
+			a.mu.Unlock()
 		} else {
 			h.HeldLocks++
 		}
 	}
-	for _, fwd := range r.movedActors {
-		if now.After(fwd.expires) {
-			h.ExpiredActorTombstones++
-		} else {
-			h.LiveActorTombstones++
-		}
-	}
-	r.actorsMu.Unlock()
 	return h
 }
 
-// movedActorTo returns the live cutover tombstone for an actor, dropping
-// it if expired. Caller holds actorsMu.
-func (r *Raylet) movedActorTo(a idgen.ActorID) (idgen.NodeID, bool) {
-	fwd, ok := r.movedActors[a]
-	if !ok {
-		return idgen.Nil, false
-	}
-	if time.Now().After(fwd.expires) {
-		delete(r.movedActors, a)
-		return idgen.Nil, false
-	}
-	return fwd.to, true
-}
-
-// migrateFreeze pauses an actor: admission is gated on a freeze channel,
-// then the handler acquires (and releases) the per-actor lock so the
-// currently running task, if any, completes before the response. Queued
-// tasks park on the channel — not the lock — so the freeze cannot deadlock
-// behind them.
-func (r *Raylet) migrateFreeze(req *MigrateFreezeRequest) ([]byte, error) {
-	r.actorsMu.Lock()
-	lock, known := r.actorLocks[req.Actor]
-	if _, frozen := r.frozenActors[req.Actor]; !frozen {
-		r.frozenActors[req.Actor] = make(chan struct{})
-	}
-	r.actorsMu.Unlock()
-	if !known {
-		// Never ran here (e.g. re-pinned after a node failure but not yet
-		// executed): only the admission gate goes up. Deliberately no lock
-		// or state entry — pre-registering the actor would make the
-		// transfer ship empty state as if it were real, and the install at
-		// the destination would then suppress the first-arrival checkpoint
-		// restore there, losing the actor's durable state.
-		return transport.Encode(MigrateFreezeResponse{Known: false})
-	}
-
-	// Wait out the running task; with the gate up nothing new gets in.
-	lock.Lock()
-	r.actorsMu.Lock()
-	seq := r.actorSeqs[req.Actor]
-	r.actorsMu.Unlock()
-	lock.Unlock()
-	return transport.Encode(MigrateFreezeResponse{Seq: seq, Known: true})
-}
-
-// migrateTransferActor ships a frozen actor's state directly to the
-// destination raylet (migrate.install), so the bytes cross the fabric once:
-// source → destination, not source → coordinator → destination.
+// migrateTransferActor moves an actor to req.Dest: raise the admission
+// gate and wait out the running task, ship the state to the destination
+// (migrate.install), retarget the record at the head (actor.move), and only
+// then drop the local entry and lift the gate. The bytes cross the fabric
+// once, source → destination. If the ship or the retarget fails the gate
+// lifts and the state stays here; no message is needed to roll back. After
+// a failed retarget the record may have moved anyway (the reply was lost),
+// so the kept state is no longer homed and the next task reads the record.
+// An actor that never ran here has no entry: nothing ships, and its first
+// task at the destination restores the head checkpoint.
 func (r *Raylet) migrateTransferActor(ctx context.Context, req *MigrateTransferRequest) ([]byte, error) {
+	id := req.Actor
 	r.actorsMu.Lock()
-	lock, known := r.actorLocks[req.Actor]
-	r.actorsMu.Unlock()
-	if !known {
-		return transport.Encode(MigrateTransferResponse{Found: false})
+	if _, frozen := r.frozenActors[id]; frozen {
+		r.actorsMu.Unlock()
+		return nil, skaderr.New(skaderr.FailedPrecondition, "raylet: actor %s is already migrating", id.Short())
 	}
-	// The actor should be frozen; take the lock anyway so a rolled-back or
-	// unfrozen transfer still snapshots a quiescent state.
-	lock.Lock()
-	r.actorsMu.Lock()
-	var bytes int64
-	state := make(map[string][]byte, len(r.actorStates[req.Actor]))
-	for k, v := range r.actorStates[req.Actor] {
-		state[k] = append([]byte(nil), v...)
-		bytes += int64(len(k) + len(v))
-	}
-	seq := r.actorSeqs[req.Actor]
+	gate := make(chan struct{})
+	r.frozenActors[id] = gate
+	a := r.actors[id]
 	r.actorsMu.Unlock()
-	lock.Unlock()
+	if a != nil {
+		a.mu.Lock() // wait out the running task; the gate keeps new ones out
+		defer a.mu.Unlock()
+	}
 
-	install := transport.MustEncode(MigrateInstallRequest{Actor: req.Actor, Seq: seq, State: state})
-	if _, err := r.call(ctx, req.Dest, KindMigrateInstall, install); err != nil {
-		return nil, fmt.Errorf("raylet: migrate.install at %s: %w", req.Dest.Short(), err)
+	resp, err := r.shipActor(ctx, id, a, req.Dest)
+
+	r.actorsMu.Lock()
+	if err == nil && r.actors[id] == a {
+		delete(r.actors, id)
 	}
-	r.bump(func(s *Stats) { s.ActorsMigratedOut++ })
-	return transport.Encode(MigrateTransferResponse{Bytes: bytes, Found: true})
+	delete(r.frozenActors, id)
+	close(gate)
+	r.actorsMu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	if resp.Found {
+		r.bump(func(s *Stats) { s.ActorsMigratedOut++ })
+	}
+	return transport.Encode(resp)
 }
 
-// migrateInstall adopts migrated actor state (the receiving half of an
-// actor transfer). Any cutover tombstone from an earlier migration away is
-// cleared: the actor lives here again.
+// shipActor runs the middle of an actor transfer with the gate up and a.mu
+// held (a is nil for an actor with no entry here): install the state at
+// dest, then retarget the record from this node to dest.
+func (r *Raylet) shipActor(ctx context.Context, id idgen.ActorID, a *actor, dest idgen.NodeID) (MigrateTransferResponse, error) {
+	var resp MigrateTransferResponse
+	if a != nil && a.state != nil {
+		for k, v := range a.state {
+			resp.Bytes += int64(len(k) + len(v))
+		}
+		install := transport.MustEncode(MigrateInstallRequest{Actor: id, Seq: a.seq, State: a.state})
+		if _, err := r.call(ctx, dest, KindMigrateInstall, install); err != nil {
+			return resp, fmt.Errorf("raylet: migrate.install at %s: %w", dest.Short(), err)
+		}
+		resp.Found = true
+	}
+	move := transport.MustEncode(ActorMoveRequest{Actor: id, From: r.cfg.Node, To: dest})
+	if _, err := r.call(ctx, r.cfg.Head, KindActorMove, move); err != nil {
+		if a != nil {
+			a.homed = false
+		}
+		return resp, fmt.Errorf("raylet: actor.move %s to %s: %w", id.Short(), dest.Short(), err)
+	}
+	return resp, nil
+}
+
+// migrateInstall stages shipped actor state (the receiving half of an
+// actor transfer). It replaces whatever entry this raylet held for the
+// actor: the record names the source while the state is in flight. The
+// staged state is not homed, so it runs only once the record names this
+// node (see admitActor).
 func (r *Raylet) migrateInstall(req *MigrateInstallRequest) {
+	state := req.State
+	if state == nil {
+		state = make(map[string][]byte)
+	}
 	r.actorsMu.Lock()
-	if req.Stateless {
-		// The source never executed the actor, so there is no state to
-		// adopt. Drop leftovers from an earlier residence (lock/state/seq
-		// entries and the tombstone) WITHOUT marking the actor known, so
-		// its next task here takes the first-arrival checkpoint-restore
-		// path instead of starting from empty state.
-		delete(r.actorLocks, req.Actor)
-		delete(r.actorStates, req.Actor)
-		delete(r.actorSeqs, req.Actor)
-		delete(r.movedActors, req.Actor)
-		r.actorsMu.Unlock()
-		return
-	}
-	if _, ok := r.actorLocks[req.Actor]; !ok {
-		r.actorLocks[req.Actor] = &sync.Mutex{}
-	}
-	state := make(map[string][]byte, len(req.State))
-	for k, v := range req.State {
-		state[k] = v
-	}
-	r.actorStates[req.Actor] = state
-	r.actorSeqs[req.Actor] = req.Seq
-	delete(r.movedActors, req.Actor)
+	r.actors[req.Actor] = &actor{state: state, seq: req.Seq}
 	r.actorsMu.Unlock()
 	r.bump(func(s *Stats) { s.ActorsMigratedIn++ })
-}
-
-// migrateResume finishes a migration on the source. Commit installs the
-// cutover tombstone and drops the shipped state — including the lock
-// entry, so the actor is fully forgotten here (a later migration back
-// re-creates it, and until then first-arrival restore would apply);
-// rollback just lifts the gate. Either way parked tasks wake: after
-// commit they bounce to the destination, after rollback they run locally.
-func (r *Raylet) migrateResume(req *MigrateResumeRequest) {
-	r.actorsMu.Lock()
-	if req.Commit {
-		now := time.Now()
-		for a, fwd := range r.movedActors {
-			if now.After(fwd.expires) {
-				delete(r.movedActors, a)
-			}
-		}
-		r.movedActors[req.Actor] = forwardEntry{to: req.Dest, expires: now.Add(tombstoneTTL)}
-		delete(r.actorStates, req.Actor)
-		delete(r.actorSeqs, req.Actor)
-		delete(r.actorLocks, req.Actor)
-	}
-	if gate, frozen := r.frozenActors[req.Actor]; frozen {
-		close(gate)
-		delete(r.frozenActors, req.Actor)
-	}
-	r.actorsMu.Unlock()
 }
 
 // migrateTransferObject moves one resident object to the destination:
@@ -713,13 +618,6 @@ func (r *Raylet) execTask(ctx context.Context, spec *task.Spec) ([]byte, error) 
 	}
 	execSp.End()
 	if err != nil {
-		var moved *ActorMigratedError
-		if errors.As(err, &moved) {
-			// Not a failure: the actor cut over mid-queue. Bounce the task
-			// back with the forward address; the submitter re-dispatches.
-			execSp.SetAttr("actor-moved-to", moved.To.Short())
-			return transport.Encode(ExecResponse{ActorMovedTo: moved.To})
-		}
 		return nil, err
 	}
 	if len(outs) != len(spec.Returns) {
@@ -751,81 +649,15 @@ func (r *Raylet) execTask(ctx context.Context, spec *task.Spec) ([]byte, error) 
 
 // execActorTask runs a task against its actor's private state, serialized
 // per actor. State is checkpointed to the head after every task, and an
-// actor arriving on this node for the first time restores the latest
-// checkpoint — so actor state survives node failures (§1: the caching
-// layer "can store states").
+// actor arriving on this node restores the latest checkpoint — so actor
+// state survives node failures (§1: the caching layer "can store states").
 func (r *Raylet) execActorTask(ctx context.Context, tctx *task.Context, fn task.Func, spec *task.Spec, args [][]byte) ([][]byte, error) {
-	var lock *sync.Mutex
-	var state map[string][]byte
-	var known bool
-	// Admission loop: a frozen actor (live migration in flight) parks the
-	// task on the freeze channel *without* holding the actor lock, so the
-	// freeze can drain the running task. After the gate lifts, re-check
-	// under the lock: a committed cutover bounces the task to the new node.
-	for {
-		r.actorsMu.Lock()
-		if to, moved := r.movedActorTo(spec.Actor); moved {
-			r.actorsMu.Unlock()
-			return nil, &ActorMigratedError{Actor: spec.Actor, To: to}
-		}
-		if gate, frozen := r.frozenActors[spec.Actor]; frozen {
-			r.actorsMu.Unlock()
-			select {
-			case <-gate:
-				continue
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		lock, known = r.actorLocks[spec.Actor]
-		if !known {
-			lock = &sync.Mutex{}
-			r.actorLocks[spec.Actor] = lock
-			r.actorStates[spec.Actor] = make(map[string][]byte)
-		}
-		state = r.actorStates[spec.Actor]
-		r.actorsMu.Unlock()
-
-		lock.Lock()
-		// The freeze/cutover may have slipped in between dropping actorsMu
-		// and acquiring the actor lock; re-validate before running.
-		r.actorsMu.Lock()
-		if to, moved := r.movedActorTo(spec.Actor); moved {
-			r.actorsMu.Unlock()
-			lock.Unlock()
-			return nil, &ActorMigratedError{Actor: spec.Actor, To: to}
-		}
-		_, frozen := r.frozenActors[spec.Actor]
-		// State may have been replaced by a migrate.install while we waited.
-		state = r.actorStates[spec.Actor]
-		r.actorsMu.Unlock()
-		if frozen {
-			lock.Unlock()
-			continue
-		}
-		break
+	a, err := r.admitActor(ctx, spec.Actor)
+	if err != nil {
+		return nil, err
 	}
-	defer lock.Unlock()
-
-	if !known {
-		// First task of this actor on this node: adopt the latest
-		// checkpoint, if any (the actor may have moved here after a
-		// failure).
-		req := transport.MustEncode(ActorRestoreRequest{Actor: spec.Actor})
-		if respB, err := r.call(context.Background(), r.cfg.Head, KindActorRestore, req); err == nil {
-			var resp ActorRestoreResponse
-			if err := transport.Decode(respB, &resp); err == nil && resp.State != nil {
-				for k, v := range resp.State {
-					state[k] = v
-				}
-				r.actorsMu.Lock()
-				r.actorSeqs[spec.Actor] = resp.Seq
-				r.actorsMu.Unlock()
-			}
-		}
-	}
-
-	tctx.ActorState = state
+	defer a.mu.Unlock()
+	tctx.ActorState = a.state
 	if spec.Duration > 0 {
 		tctx.Compute(spec.Duration)
 	}
@@ -836,13 +668,106 @@ func (r *Raylet) execActorTask(ctx context.Context, tctx *task.Context, fn task.
 	// Checkpoint the post-task state (best effort: a missed checkpoint
 	// only widens the failure window, it does not affect correctness of
 	// the healthy path).
-	r.actorsMu.Lock()
-	r.actorSeqs[spec.Actor]++
-	seq := r.actorSeqs[spec.Actor]
-	r.actorsMu.Unlock()
-	ckpt := transport.MustEncode(ActorCkptRequest{Actor: spec.Actor, Seq: seq, State: state})
+	a.seq++
+	ckpt := transport.MustEncode(ActorCkptRequest{Actor: spec.Actor, Seq: a.seq, State: a.state})
 	_, _ = r.call(context.Background(), r.cfg.Head, KindActorCkpt, ckpt)
 	return outs, nil
+}
+
+// admitActor returns the actor's entry with its lock held, once no
+// migration holds the actor and its record names this node. A task parks
+// on a frozen actor's gate without holding the actor lock, so the transfer
+// can wait out the running task. An entry that is not homed reads the
+// record first (see adoptRecord).
+func (r *Raylet) admitActor(ctx context.Context, id idgen.ActorID) (*actor, error) {
+	for {
+		r.actorsMu.Lock()
+		if gate, frozen := r.frozenActors[id]; frozen {
+			r.actorsMu.Unlock()
+			select {
+			case <-gate:
+				continue
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		a := r.actors[id]
+		if a == nil {
+			a = &actor{}
+			r.actors[id] = a
+		}
+		r.actorsMu.Unlock()
+
+		a.mu.Lock()
+		// A transfer may have frozen the actor, or taken or replaced its
+		// entry, between dropping actorsMu and taking the actor lock.
+		if !r.admits(id, a) {
+			a.mu.Unlock()
+			continue
+		}
+		if !a.homed {
+			if err := r.adoptRecord(ctx, id, a); err != nil {
+				a.mu.Unlock()
+				return nil, err
+			}
+			// The same may have happened during the record read: an
+			// install that replaced this entry while the record moved here
+			// serves the actor's next tasks under its own lock, so a task
+			// that ran on this entry would run beside them.
+			if !r.admits(id, a) {
+				a.mu.Unlock()
+				continue
+			}
+		}
+		return a, nil
+	}
+}
+
+// admits reports whether a task holding a.mu may run on a: no transfer
+// holds the actor and a is still its entry here.
+func (r *Raylet) admits(id idgen.ActorID, a *actor) bool {
+	r.actorsMu.Lock()
+	defer r.actorsMu.Unlock()
+	_, frozen := r.frozenActors[id]
+	return !frozen && r.actors[id] == a
+}
+
+// adoptRecord reads the record of an actor whose entry is not homed — its
+// first task here, or state shipped in or kept after a failed retarget;
+// the caller holds a.mu. If the record names this node the entry takes the
+// newer of its own state and the head checkpoint by Seq, and is homed.
+// Otherwise the task fails with a typed NotFound before its kernel runs, so
+// the submitter reads the record and follows it; an entry this arrival
+// created is dropped, and shipped state stays staged.
+func (r *Raylet) adoptRecord(ctx context.Context, id idgen.ActorID, a *actor) error {
+	respB, err := r.call(ctx, r.cfg.Head, KindActorRestore, transport.MustEncode(ActorRestoreRequest{Actor: id}))
+	if err != nil {
+		// Aborted, not the transport's Unavailable: the kernel did not run,
+		// so the submitter may send the task again.
+		return skaderr.Mark(skaderr.Aborted, fmt.Errorf("raylet: actor.restore %s: %w", id.Short(), err))
+	}
+	var rec ActorRestoreResponse
+	if err := transport.Decode(respB, &rec); err != nil {
+		return err
+	}
+	if rec.Home != r.cfg.Node {
+		if a.state == nil {
+			r.actorsMu.Lock()
+			if r.actors[id] == a {
+				delete(r.actors, id)
+			}
+			r.actorsMu.Unlock()
+		}
+		return skaderr.New(skaderr.NotFound, "raylet: actor %s does not live on %s", id.Short(), r.cfg.Node.Short())
+	}
+	if a.state == nil || rec.Seq > a.seq {
+		a.state, a.seq = rec.State, rec.Seq
+		if a.state == nil {
+			a.state = make(map[string][]byte)
+		}
+	}
+	a.homed = true
+	return nil
 }
 
 // commit stores one result and publishes it: caching-layer put (local copy,

@@ -14,6 +14,7 @@ import (
 	"skadi/internal/idgen"
 	"skadi/internal/objectstore"
 	"skadi/internal/ownership"
+	"skadi/internal/skaderr"
 	"skadi/internal/task"
 	"skadi/internal/transport"
 )
@@ -101,6 +102,14 @@ func registerTestFns(reg *task.Registry) {
 		time.Sleep(30 * time.Millisecond)
 		return [][]byte{args[0]}, nil
 	})
+}
+
+// newActor writes the record of a new actor living on the raylet at index
+// idx.
+func (r *rig) newActor(idx int) idgen.ActorID {
+	actor := idgen.Next()
+	r.head.CreateActor(actor, r.raylets[idx].Node(), "cpu")
+	return actor
 }
 
 // submit registers the spec's returns as pending and executes it on the
@@ -385,7 +394,7 @@ func TestGen1DPUHopsCharged(t *testing.T) {
 
 func TestActorStatePersistsAcrossTasks(t *testing.T) {
 	r := newRig(t, 1, Pull)
-	actor := idgen.Next()
+	actor := r.newActor(0)
 	var last []byte
 	for i := 1; i <= 3; i++ {
 		spec := task.NewSpec(idgen.Next(), "counter", nil, 1)
@@ -406,7 +415,7 @@ func TestActorStatePersistsAcrossTasks(t *testing.T) {
 
 func TestActorsIsolated(t *testing.T) {
 	r := newRig(t, 1, Pull)
-	a, b := idgen.Next(), idgen.Next()
+	a, b := r.newActor(0), r.newActor(0)
 	for _, actor := range []idgen.ActorID{a, a, b} {
 		spec := task.NewSpec(idgen.Next(), "counter", nil, 1)
 		spec.Actor = actor
@@ -427,7 +436,7 @@ func TestActorsIsolated(t *testing.T) {
 
 func TestActorCheckpointRPCs(t *testing.T) {
 	r := newRig(t, 1, Pull)
-	actor := idgen.Next()
+	actor := r.newActor(0)
 
 	// No checkpoint yet.
 	restore := transport.MustEncode(ActorRestoreRequest{Actor: actor})
@@ -466,7 +475,7 @@ func TestActorCheckpointRPCs(t *testing.T) {
 
 func TestActorTasksCheckpointAutomatically(t *testing.T) {
 	r := newRig(t, 1, Pull)
-	actor := idgen.Next()
+	actor := r.newActor(0)
 	spec := task.NewSpec(idgen.Next(), "counter", nil, 1)
 	spec.Actor = actor
 	if _, err := r.submit(0, spec); err != nil {
@@ -475,6 +484,65 @@ func TestActorTasksCheckpointAutomatically(t *testing.T) {
 	seq, state := r.head.Restore(actor)
 	if seq != 1 || len(state) == 0 {
 		t.Errorf("checkpoint after task = seq %d, state %v", seq, state)
+	}
+}
+
+// TestActorRunsOnlyWhereRecordNamesIt: a raylet runs an actor's kernel
+// only once the actor's record names it. Elsewhere the task fails with a
+// typed NotFound before the kernel runs and leaves no entry behind; state
+// shipped in by a transfer whose retarget has not happened stays staged,
+// and runs as soon as the record names this raylet.
+func TestActorRunsOnlyWhereRecordNamesIt(t *testing.T) {
+	r := newRig(t, 2, Pull)
+	actor := r.newActor(0)
+	call := func(idx int) (uint64, error) {
+		spec := task.NewSpec(idgen.Next(), "counter", nil, 1)
+		spec.Actor = actor
+		if _, err := r.submit(idx, spec); err != nil {
+			return 0, err
+		}
+		data, err := r.fetch(idx, spec.Returns[0])
+		if err != nil {
+			return 0, err
+		}
+		return binary.BigEndian.Uint64(data), nil
+	}
+	if _, err := call(1); !errors.Is(err, skaderr.NotFound) {
+		t.Fatalf("call on a raylet the record does not name = %v, want NotFound", err)
+	}
+	if h := r.raylets[1].MigrationHygiene(); h.Actors != 0 || r.raylets[1].Stats().TasksExecuted != 0 {
+		t.Fatalf("refused call left %d entries and ran %d tasks", h.Actors, r.raylets[1].Stats().TasksExecuted)
+	}
+
+	// Stage state newer than the checkpoint at raylet 1; the record still
+	// names raylet 0.
+	install := transport.MustEncode(MigrateInstallRequest{Actor: actor, Seq: 41, State: map[string][]byte{"n": {0, 0, 0, 0, 0, 0, 0, 41}}})
+	if _, err := r.cluster.Transport.Call(context.Background(), r.driver, r.raylets[1].Node(), KindMigrateInstall, install); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := call(1); !errors.Is(err, skaderr.NotFound) {
+		t.Fatalf("call on staged state before the retarget = %v, want NotFound", err)
+	}
+	if err := r.head.MoveActor(actor, r.raylets[0].Node(), r.raylets[1].Node()); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := call(1); err != nil || n != 42 {
+		t.Fatalf("call after the retarget = %d, %v; want 42 from the staged state", n, err)
+	}
+	// A repeated move (a duplicate delivery, or a retry after a lost
+	// reply) succeeds and changes nothing; a move from the old home to
+	// anywhere else fails.
+	if err := r.head.MoveActor(actor, r.raylets[0].Node(), r.raylets[1].Node()); err != nil {
+		t.Errorf("a repeated move = %v, want nil", err)
+	}
+	if err := r.head.MoveActor(actor, r.raylets[1].Node(), r.raylets[0].Node()); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.head.MoveActor(actor, r.raylets[1].Node(), r.head.Node); err == nil {
+		t.Error("a second move from the old home committed")
+	}
+	if rec, _ := r.head.Actor(actor); rec.Home != r.raylets[0].Node() {
+		t.Errorf("record names %s after a refused move, want %s", rec.Home.Short(), r.raylets[0].Node().Short())
 	}
 }
 

@@ -9,11 +9,9 @@ import (
 
 	"skadi/internal/chaos"
 	"skadi/internal/idgen"
-	"skadi/internal/raylet"
 	"skadi/internal/scheduler"
 	"skadi/internal/skaderr"
 	"skadi/internal/task"
-	"skadi/internal/transport"
 )
 
 // chaosEpisodes is how many randomized episodes the property test runs.
@@ -175,8 +173,9 @@ func TestCheckerCatchesGhostLocation(t *testing.T) {
 	}
 }
 
-// TestCheckerCatchesLeakedFreeze — I3: an actor frozen by a migration that
-// never resumed (lost coordinator) must be flagged.
+// TestCheckerCatchesLeakedFreeze — I3: an actor a migration holds frozen
+// must be flagged, and the flag must clear once the migration ends. A
+// running actor call keeps the migration waiting with the gate up.
 func TestCheckerCatchesLeakedFreeze(t *testing.T) {
 	rt, err := New(ClusterSpec{Servers: 2, ServerSlots: 2, ServerMemBytes: 32 << 20}, Options{})
 	if err != nil {
@@ -184,48 +183,55 @@ func TestCheckerCatchesLeakedFreeze(t *testing.T) {
 	}
 	defer rt.Shutdown()
 	registerCounter(rt)
+	started, release := make(chan struct{}), make(chan struct{})
+	registerBlocker(rt, "block", started, release)
 	checker := rt.ChaosChecker()
 
-	node := rt.workerServers()[0]
-	actor, err := rt.CreateActorOn(node, "cpu")
+	workers := rt.workerServers()
+	actor, err := rt.CreateActorOn(workers[0], "cpu")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := count(t, rt, actor); got != 1 {
 		t.Fatalf("count = %d", got)
 	}
-	rt.Drain()
+	spec := task.NewSpec(rt.Job(), "block", nil, 1)
+	spec.Actor = actor
+	ref := rt.Submit(spec)[0]
+	<-started
 
-	// Freeze without ever resuming: a migration whose coordinator died.
 	ctx := context.Background()
-	payload, err := transport.Encode(raylet.MigrateFreezeRequest{Actor: actor})
-	if err != nil {
-		t.Fatal(err)
+	migrated := make(chan error, 1)
+	go func() {
+		_, err := rt.MigrateActor(ctx, actor, workers[1])
+		migrated <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); rt.Raylet(workers[0]).MigrationHygiene().FrozenActors == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the migration never raised the source's gate")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if _, err := rt.Cluster.Transport.Call(ctx, rt.Driver(), node, raylet.KindMigrateFreeze, payload); err != nil {
-		t.Fatal(err)
-	}
-	vs := checker.Check()
 	found := false
-	for _, v := range vs {
+	for _, v := range checker.Check() {
 		if v.Invariant == "I3-migration" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("violations = %v, want an I3 frozen-actor leak", vs)
+		t.Fatal("a frozen actor was not flagged as an I3 violation")
 	}
 
-	// Roll the freeze back so shutdown doesn't wedge behind the gate.
-	payload, err = transport.Encode(raylet.MigrateResumeRequest{Actor: actor, Commit: false})
-	if err != nil {
+	close(release)
+	if err := <-migrated; err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.Cluster.Transport.Call(ctx, rt.Driver(), node, raylet.KindMigrateResume, payload); err != nil {
+	if _, err := rt.Get(ctx, ref); err != nil {
 		t.Fatal(err)
 	}
+	rt.Drain()
 	if vs := checker.Check(); len(vs) != 0 {
-		t.Fatalf("rolled-back freeze still flagged: %v", vs)
+		t.Fatalf("finished migration still flagged: %v", vs)
 	}
 }
 

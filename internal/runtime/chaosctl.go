@@ -178,13 +178,20 @@ func (rt *Runtime) ChaosChecker() *chaos.Checker {
 			for _, rl := range rt.Raylets() {
 				h := rl.MigrationHygiene()
 				out = append(out, chaos.Hygiene{
-					Node:                rl.Node(),
-					FrozenActors:        h.FrozenActors,
-					HeldLocks:           h.HeldLocks,
-					LiveActorTombstones: h.LiveActorTombstones,
+					Node:         rl.Node(),
+					Live:         rt.nodeAlive(rl.Node()),
+					FrozenActors: h.FrozenActors,
+					HeldLocks:    h.HeldLocks,
 				})
 			}
 			return out
+		},
+		ActorHomes: func() map[idgen.ActorID]idgen.NodeID {
+			homes := make(map[idgen.ActorID]idgen.NodeID)
+			for _, rec := range rt.Head.Actors() {
+				homes[rec.Actor] = rec.Home
+			}
+			return homes
 		},
 		Tenants: func() []chaos.TenantAccount {
 			if !rt.Tenancy.Enabled() {

@@ -20,60 +20,35 @@ const (
 	GaugeResidentBytes = "node_resident_bytes"
 	// GaugeQueueDepth is each node's in-flight task count.
 	GaugeQueueDepth = "node_queue_depth"
-	// GaugeActorCount is the number of actors pinned to each node.
+	// GaugeActorCount is the number of actors whose record names each node.
 	GaugeActorCount = "node_actor_count"
 )
 
-// MigrateActor live-migrates an actor to an explicit destination node,
-// pausing dispatch for it (no submission is lost) and updating its pin.
+// MigrateActor live-migrates an actor from the node its record names to an
+// explicit destination (see migrate.Migrator.MigrateActor). Calls keep
+// flowing meanwhile: they park at the source and follow the record after
+// it moves. Of two migrations that read the same home, at most one
+// commits.
 func (rt *Runtime) MigrateActor(ctx context.Context, actor idgen.ActorID, to idgen.NodeID) (migrate.ActorReport, error) {
-	// The placement read, the gate check, and the gate install must share
-	// one critical section: a concurrent MigrateActor completing in between
-	// would leave the placement stale, and the freeze would then target a
-	// raylet the actor no longer lives on (phantom state, bogus tombstone).
-	rt.mu.Lock()
-	p, known := rt.actorLoc[actor]
-	if !known {
-		rt.mu.Unlock()
+	rec, ok := rt.Head.Actor(actor)
+	if !ok {
 		return migrate.ActorReport{}, fmt.Errorf("runtime: unknown actor %s", actor.Short())
 	}
-	if p.node == to {
-		rt.mu.Unlock()
-		return migrate.ActorReport{Actor: actor, From: p.node, To: to}, nil
+	if rec.Home == to {
+		return migrate.ActorReport{Actor: actor, From: to, To: to}, nil
 	}
-	if _, ok := rt.raylets[to]; !ok {
-		rt.mu.Unlock()
+	rt.mu.Lock()
+	_, ok = rt.raylets[to]
+	rt.mu.Unlock()
+	if !ok {
 		return migrate.ActorReport{}, fmt.Errorf("runtime: no raylet on destination %s", to.Short())
 	}
-	// Raise the dispatch gate: tasks submitted during the migration park
-	// instead of racing the cutover.
-	if _, inFlight := rt.actorGate[actor]; inFlight {
-		rt.mu.Unlock()
-		return migrate.ActorReport{}, fmt.Errorf("runtime: actor %s is already migrating", actor.Short())
-	}
-	gate := make(chan struct{})
-	rt.actorGate[actor] = gate
-	rt.mu.Unlock()
-	defer func() {
-		rt.mu.Lock()
-		delete(rt.actorGate, actor)
-		rt.mu.Unlock()
-		close(gate)
-	}()
-
 	if _, traced := trace.FromContext(ctx); !traced {
 		var sp *trace.Span
 		ctx, sp = rt.tracer.StartRoot(ctx, idgen.Next(), trace.KindMigrateActor, rt.driver)
 		defer sp.End()
 	}
-	rep, err := rt.migrator.MigrateActor(ctx, actor, p.node, to)
-	if err != nil {
-		return rep, err
-	}
-	rt.mu.Lock()
-	rt.actorLoc[actor] = actorPlacement{node: to, backend: p.backend}
-	rt.mu.Unlock()
-	return rep, nil
+	return rt.migrator.MigrateActor(ctx, actor, rec.Home, to)
 }
 
 // MigrateObject moves one resident object's copy between nodes via the
@@ -136,38 +111,29 @@ func (rt *Runtime) Decommission(ctx context.Context, node idgen.NodeID) (Decommi
 	// drain).
 	rt.Sched.SetAlive(node, false)
 
-	// 2. Live-migrate every actor pinned here. Destinations come from the
-	// scheduler, which no longer offers this node.
-	rt.mu.Lock()
-	var actors []idgen.ActorID
-	for a, p := range rt.actorLoc {
-		if p.node == node {
-			actors = append(actors, a)
+	// 2. Live-migrate every actor whose record names this node.
+	// Destinations come from the scheduler, which no longer offers it.
+	for _, rec := range rt.Head.Actors() {
+		if rec.Home != node {
+			continue
 		}
-	}
-	sort.Slice(actors, func(i, j int) bool { return actors[i].Less(actors[j]) })
-	rt.mu.Unlock()
-	for _, actor := range actors {
-		rt.mu.Lock()
-		backend := rt.actorLoc[actor].backend
-		rt.mu.Unlock()
 		probe := task.NewSpec(rt.job, "", nil, 0)
-		probe.Backend = backend
+		probe.Backend = rec.Backend
 		dest, err := rt.Sched.Pick(probe)
 		if err != nil {
-			return rep, fmt.Errorf("runtime: no destination for actor %s (%s): %w", actor.Short(), backend, err)
+			return rep, fmt.Errorf("runtime: no destination for actor %s (%s): %w", rec.Actor.Short(), rec.Backend, err)
 		}
 		rt.Sched.Finished(dest)
-		arep, err := rt.MigrateActor(ctx, actor, dest)
+		arep, err := rt.MigrateActor(ctx, rec.Actor, dest)
 		if err != nil {
-			return rep, fmt.Errorf("runtime: draining actor %s: %w", actor.Short(), err)
+			return rep, fmt.Errorf("runtime: draining actor %s: %w", rec.Actor.Short(), err)
 		}
 		rep.ActorsMoved++
 		rep.BytesMoved += arep.Bytes
 	}
 
 	// 3. Wait out in-flight tasks (non-actor tasks already placed here,
-	// plus actor tasks bouncing through their redirects).
+	// plus actor tasks on their way to the actor's new home).
 	for rt.Sched.Inflight(node) != 0 {
 		select {
 		case <-ctx.Done():
@@ -266,11 +232,11 @@ func (rt *Runtime) drainTargets(src idgen.NodeID) []idgen.NodeID {
 // queue depth, actor count) and returns the matching load sample for the
 // rebalance planner.
 func (rt *Runtime) SampleNodeGauges() []scheduler.NodeLoad {
-	rt.mu.Lock()
 	actorCount := make(map[idgen.NodeID]int)
-	for _, p := range rt.actorLoc {
-		actorCount[p.node]++
+	for _, rec := range rt.Head.Actors() {
+		actorCount[rec.Home]++
 	}
+	rt.mu.Lock()
 	cfgs := make(map[idgen.NodeID]struct {
 		backend string
 		proxied bool
@@ -376,8 +342,6 @@ func (rt *Runtime) CreateActorOn(node idgen.NodeID, backend string) (idgen.Actor
 		return idgen.Nil, fmt.Errorf("runtime: no raylet on node %s", node.Short())
 	}
 	actor := idgen.Next()
-	rt.mu.Lock()
-	rt.actorLoc[actor] = actorPlacement{node: node, backend: backend}
-	rt.mu.Unlock()
+	rt.Head.CreateActor(actor, node, backend)
 	return actor, nil
 }

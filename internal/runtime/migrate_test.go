@@ -3,14 +3,19 @@ package runtime
 import (
 	"bytes"
 	"context"
+	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"skadi/internal/chaos"
 	"skadi/internal/idgen"
+	"skadi/internal/raylet"
 	"skadi/internal/scheduler"
 	"skadi/internal/task"
+	"skadi/internal/transport"
 )
 
 // newMigrateRuntime boots a worker-only cluster (no GPUs, no mem blade) so
@@ -65,9 +70,9 @@ func TestMigrateActorStateContinuity(t *testing.T) {
 	}
 }
 
-// TestMigrateActorRedirectsStaleDispatch drives a submission through the
-// source raylet's tombstone after cutover: the dispatch layer must follow
-// the redirect rather than fail the task.
+// TestMigrateActorRedirectsStaleDispatch bounces the actor around the
+// fleet: every call must land on the home its record names, and no node it
+// left may still serve it.
 func TestMigrateActorRedirectsStaleDispatch(t *testing.T) {
 	rt := newMigrateRuntime(t, 3)
 	registerCounter(rt)
@@ -77,8 +82,8 @@ func TestMigrateActorRedirectsStaleDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bounce the actor around the fleet; every hop leaves a tombstone and
-	// every count() must land on the current home.
+	// Bounce the actor around the fleet; every count() must land on the
+	// current home.
 	n := 0
 	for hop := 0; hop < 6; hop++ {
 		n++
@@ -526,6 +531,348 @@ func TestRebalanceSkipsPartitionedNode(t *testing.T) {
 	for _, mv := range moves {
 		if mv.To == parted || mv.From == parted {
 			t.Errorf("plan touches partitioned node: %v", mv)
+		}
+	}
+}
+
+// scriptedFaults is a transport interposer that scripts two faults: it
+// drops the first message of kind drop, and holds the first message of kind
+// hold until release is closed, closing held when that message arrives.
+// Every other message passes.
+type scriptedFaults struct {
+	drop, hold      string
+	held, release   chan struct{}
+	dropped, caught atomic.Bool
+}
+
+func (s *scriptedFaults) Intercept(_, _ idgen.NodeID, kind string, _ int) transport.Verdict {
+	if kind == s.drop && s.dropped.CompareAndSwap(false, true) {
+		return transport.Verdict{Drop: true}
+	}
+	if kind == s.hold && s.caught.CompareAndSwap(false, true) {
+		close(s.held)
+		<-s.release
+	}
+	return transport.Verdict{}
+}
+
+func (*scriptedFaults) Delivered(transport.Verdict, idgen.NodeID, idgen.NodeID, string, int)     {}
+func (*scriptedFaults) Undeliverable(transport.Verdict, idgen.NodeID, idgen.NodeID, string, int) {}
+
+// TestLostMigrationMessageNeverWedgesActor drops the first message of one
+// RPC kind the actor protocol sends, from the moment MigrateActor starts.
+// A migration sends migrate.transfer, migrate.install and actor.move once
+// each, so their drop fails that step; actor.restore is the record read of
+// the first call after the move. Whether or not the migration committed,
+// the actor keeps serving: the next call returns the next value within
+// 2 s, the one after it the value after that (no call ran twice), and
+// Shutdown returns.
+func TestLostMigrationMessageNeverWedgesActor(t *testing.T) {
+	for _, kind := range []string{raylet.KindMigrateTransfer, raylet.KindMigrateInstall, raylet.KindActorMove, raylet.KindActorRestore} {
+		t.Run(kind, func(t *testing.T) {
+			rt, err := New(ClusterSpec{Servers: 3, ServerSlots: 2, ServerMemBytes: 32 << 20},
+				Options{Policy: scheduler.RoundRobin})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A wedged runtime can hang Shutdown; fail instead of hanging.
+			defer func() {
+				done := make(chan struct{})
+				go func() { rt.Shutdown(); close(done) }()
+				select {
+				case <-done:
+				case <-time.After(5 * time.Second):
+					t.Error("Shutdown did not return")
+				}
+			}()
+			registerCounter(rt)
+			workers := rt.workerServers()
+			actor, err := rt.CreateActorOn(workers[0], "cpu")
+			if err != nil {
+				t.Fatal(err)
+			}
+			call := func() (int, error) {
+				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+				defer cancel()
+				spec := task.NewSpec(rt.Job(), "counter", nil, 1)
+				spec.Actor = actor
+				data, err := rt.Get(ctx, rt.Submit(spec)[0])
+				if err != nil {
+					return 0, err
+				}
+				return strconv.Atoi(string(data))
+			}
+			for want := 1; want <= 2; want++ {
+				if n, err := call(); err != nil || n != want {
+					t.Fatalf("call %d before the migration = %d, %v", want, n, err)
+				}
+			}
+
+			faults := &scriptedFaults{drop: kind}
+			rt.Cluster.Transport.SetInterposer(faults)
+			_, merr := rt.MigrateActor(context.Background(), actor, workers[1])
+			t.Logf("MigrateActor with the first %s dropped: %v", kind, merr)
+
+			for want := 3; want <= 4; want++ {
+				if n, err := call(); err != nil || n != want {
+					t.Fatalf("call %d after the migration = %d, %v; want %d within 2 s", want, n, err, want)
+				}
+			}
+			if !faults.dropped.Load() {
+				t.Errorf("no %s was sent", kind)
+			}
+		})
+	}
+}
+
+// TestParkedCallAcrossMoveAndBackRunsAlone: the actor moves X→Y and back
+// to X while a call that parked at X's gate is held inside its record read
+// (actor.restore). The move back installs a new entry at X, and a second
+// call starts on it. The held call, whose read then names X, must not run
+// on the entry it made before the move back, beside the second call under
+// another lock: the two calls return distinct counter values.
+func TestParkedCallAcrossMoveAndBackRunsAlone(t *testing.T) {
+	rt := newMigrateRuntime(t, 2)
+	registerCounter(rt)
+	started, release := make(chan struct{}, 4), make(chan struct{}, 4)
+	rt.Registry.Register("hold", func(tctx *task.Context, _ [][]byte) ([][]byte, error) {
+		n, _ := strconv.Atoi(string(tctx.ActorState["n"]))
+		n++
+		tctx.ActorState["n"] = []byte(strconv.Itoa(n))
+		started <- struct{}{}
+		<-release
+		return [][]byte{[]byte(strconv.Itoa(n))}, nil
+	})
+	faults := &scriptedFaults{hold: raylet.KindActorRestore, held: make(chan struct{}), release: make(chan struct{})}
+	var unhold sync.Once
+	t.Cleanup(func() {
+		unhold.Do(func() { close(faults.release) })
+		close(release)
+	})
+	w := rt.workerServers()
+	x, y := w[0], w[1]
+	actor, err := rt.CreateActorOn(x, "cpu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(fn string) idgen.ObjectID {
+		spec := task.NewSpec(rt.Job(), fn, nil, 1)
+		spec.Actor = actor
+		return rt.Submit(spec)[0]
+	}
+	value := func(ctx context.Context, ref idgen.ObjectID) (int, error) {
+		data, err := rt.Get(ctx, ref)
+		if err != nil {
+			return 0, err
+		}
+		return strconv.Atoi(string(data))
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	ctx := context.Background()
+
+	// Call A runs at X and holds the actor while the move X→Y raises X's
+	// gate; call B is sent to X behind it.
+	first := submit("hold")
+	<-started
+	rt.Cluster.Transport.SetInterposer(faults)
+	moved := make(chan error, 1)
+	go func() {
+		_, err := rt.MigrateActor(ctx, actor, y)
+		moved <- err
+	}()
+	waitFor("X's gate", func() bool { return rt.Raylet(x).MigrationHygiene().FrozenActors == 1 })
+	parked := submit("counter")
+	waitFor("call B placed on X", func() bool { return rt.Sched.Inflight(x) == 2 })
+	release <- struct{}{}
+	if n, err := value(ctx, first); err != nil || n != 1 {
+		t.Fatalf("call A = %d, %v; want 1", n, err)
+	}
+	if err := <-moved; err != nil {
+		t.Fatalf("move X→Y: %v", err)
+	}
+
+	// B woke at X after the move and now waits on its record read.
+	select {
+	case <-faults.held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("call B never read the actor's record at X")
+	}
+	if _, err := rt.MigrateActor(ctx, actor, x); err != nil {
+		t.Fatalf("move Y→X: %v", err)
+	}
+	second := submit("hold")
+	<-started
+	unhold.Do(func() { close(faults.release) })
+	// B's record read now names X. Give B time to finish if it runs beside
+	// the second call; it must not.
+	bctx, cancel := context.WithTimeout(ctx, 300*time.Millisecond)
+	nb, errB := value(bctx, parked)
+	cancel()
+	release <- struct{}{}
+	nc, err := value(ctx, second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errB != nil {
+		if nb, errB = value(ctx, parked); errB != nil {
+			t.Fatal(errB)
+		}
+	}
+	if nb == nc || nb+nc != 5 {
+		t.Fatalf("calls B and C returned %d and %d, want 2 and 3 in some order", nb, nc)
+	}
+	if got := count(t, rt, actor); got != 4 {
+		t.Errorf("count after the moves = %d, want 4", got)
+	}
+}
+
+// TestActorCallsRunOnceAcrossMoves: calls flow without pause while the
+// actor moves a→b→c and while two migrations race to different targets.
+// Every call runs exactly once and sees every earlier update — the counter
+// values are 1..N, none missing or repeated — at most one of the racing
+// migrations commits, and no node the actor left keeps an entry for it.
+func TestActorCallsRunOnceAcrossMoves(t *testing.T) {
+	rt := newMigrateRuntime(t, 5)
+	registerCounter(rt)
+	started, release := make(chan struct{}), make(chan struct{})
+	rt.Registry.Register("slowcount", func(tctx *task.Context, _ [][]byte) ([][]byte, error) {
+		n, _ := strconv.Atoi(string(tctx.ActorState["n"]))
+		n++
+		tctx.ActorState["n"] = []byte(strconv.Itoa(n))
+		close(started)
+		<-release
+		return [][]byte{[]byte(strconv.Itoa(n))}, nil
+	})
+	w := rt.workerServers()
+	actor, err := rt.CreateActorOn(w[0], "cpu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+
+	var mu sync.Mutex
+	var values []int
+	record := func(data []byte) {
+		n, _ := strconv.Atoi(string(data))
+		mu.Lock()
+		values = append(values, n)
+		mu.Unlock()
+	}
+	seen := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(values)
+	}
+	// Two submitters keep a window of four calls each in flight.
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var refs []idgen.ObjectID
+				for i := 0; i < 4; i++ {
+					spec := task.NewSpec(rt.Job(), "counter", nil, 1)
+					spec.Actor = actor
+					refs = append(refs, rt.Submit(spec)[0])
+				}
+				for _, ref := range refs {
+					data, err := rt.Get(ctx, ref)
+					if err != nil {
+						errs <- err
+						return
+					}
+					record(data)
+				}
+			}
+		}()
+	}
+	waitCalls := func(n int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); seen() < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("calls stalled at %d, want %d", seen(), n)
+			}
+		}
+	}
+
+	// a→b→c, with calls in flight across each move.
+	for i, to := range []idgen.NodeID{w[1], w[2]} {
+		waitCalls(8 * (i + 1))
+		if _, err := rt.MigrateActor(ctx, actor, to); err != nil {
+			t.Fatalf("move to %s: %v", to.Short(), err)
+		}
+	}
+
+	// Two migrations race from c. A running call holds the actor, so
+	// neither can commit before it ends: the loser fails while the winner
+	// still waits.
+	waitCalls(24)
+	slow := task.NewSpec(rt.Job(), "slowcount", nil, 1)
+	slow.Actor = actor
+	slowRef := rt.Submit(slow)[0]
+	<-started
+	results := make(chan error, 2)
+	for _, to := range []idgen.NodeID{w[3], w[4]} {
+		go func() {
+			_, err := rt.MigrateActor(ctx, actor, to)
+			results <- err
+		}()
+	}
+	select {
+	case err := <-results:
+		if err == nil {
+			t.Error("a racing migration committed while the actor was busy")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("neither racing migration returned while the actor was busy")
+	}
+	close(release)
+	if err := <-results; err != nil {
+		t.Errorf("the other racing migration failed too: %v", err)
+	}
+	data, err := rt.Get(ctx, slowRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record(data)
+	waitCalls(seen() + 8)
+	close(stop)
+	wg.Wait()
+	rt.Drain()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("a call failed across the moves: %v", err)
+	}
+
+	sort.Ints(values)
+	for i, n := range values {
+		if n != i+1 {
+			t.Fatalf("counter values %v…: value %d at position %d, want 1..%d with none missing or repeated",
+				values[max(0, i-3):i+1], n, i, len(values))
+		}
+	}
+	if got := count(t, rt, actor); got != len(values)+1 {
+		t.Errorf("count after the moves = %d, want %d", got, len(values)+1)
+	}
+	home, _ := rt.ActorNode(actor)
+	for _, rl := range rt.Raylets() {
+		if h := rl.MigrationHygiene(); rl.Node() != home && h.Actors != 0 {
+			t.Errorf("node %s keeps %d actor entries after the actor left", rl.Node().Short(), h.Actors)
 		}
 	}
 }

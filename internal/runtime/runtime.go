@@ -169,10 +169,6 @@ type Runtime struct {
 	// producers indexes the registered tasks a Get/Wait may run itself
 	// (taskCtl.helpable) by return ID; see help.
 	producers map[idgen.ObjectID]*taskCtl
-	actorLoc  map[idgen.ActorID]actorPlacement
-	// actorGate pauses task dispatch for an actor mid-migration: submissions
-	// park on the channel until the cutover lands, so none are lost.
-	actorGate map[idgen.ActorID]chan struct{}
 	inflight  sync.WaitGroup
 	autoscale autoscaleState
 	// retiredExecuted accumulates TasksExecuted from raylets discarded by
@@ -285,13 +281,6 @@ func (rt *Runtime) finish(ctl *taskCtl) {
 	}
 }
 
-// actorPlacement records where an actor lives and what backend it needs,
-// so a failed actor can be re-placed on a compatible node.
-type actorPlacement struct {
-	node    idgen.NodeID
-	backend string
-}
-
 // locator adapts the caching layer + ownership directory to the
 // scheduler's ObjectLocator.
 type locator struct {
@@ -326,8 +315,6 @@ func New(spec ClusterSpec, opts Options) (*Runtime, error) {
 		errs:      make(map[idgen.ObjectID]error),
 		tasks:     make(map[idgen.TaskID]*taskCtl),
 		producers: make(map[idgen.ObjectID]*taskCtl),
-		actorLoc:  make(map[idgen.ActorID]actorPlacement),
-		actorGate: make(map[idgen.ActorID]chan struct{}),
 		job:       idgen.Next(),
 
 		decentralized: opts.Decentralized,
@@ -793,7 +780,7 @@ func (rt *Runtime) prepare(spec *task.Spec) {
 // transient exec errors: the task ran on a live node and failed with a
 // retryable code. maxReplaces bounds the runs that never had
 // a fair chance — the node or an argument's last holder died under it, its
-// actor migrated away, or the fair-share controller preempted it. A
+// actor's record moved away, or the fair-share controller preempted it. A
 // recovery run skips the tenancy slot gate. dispatch reports whether the
 // task left the tenancy pending queue (took a slot grant it did not give
 // back) and whether it succeeded; the caller concludes per-tenant
@@ -848,10 +835,10 @@ func (rt *Runtime) dispatch(ctx context.Context, ctl *taskCtl, pinned idgen.Node
 		}
 		node := pinned
 		if node.IsNil() && !spec.Actor.IsNil() {
-			rt.waitActorGate(attemptCtx, spec.Actor)
-			rt.mu.Lock()
-			node = rt.actorLoc[spec.Actor].node
-			rt.mu.Unlock()
+			// An actor without a record gets no home here; the raylet it is
+			// placed on refuses it with NotFound.
+			rec, _ := rt.Head.Actor(spec.Actor)
+			node = rec.Home
 		}
 		if !node.IsNil() {
 			rt.Sched.Started(node)
@@ -883,7 +870,6 @@ func (rt *Runtime) dispatch(ctx context.Context, ctl *taskCtl, pinned idgen.Node
 			return dequeued, true
 		}
 		lastErr = err
-		var moved *raylet.ActorMigratedError
 		undelivered, dead := errors.Is(err, transport.ErrUnreachable), !rt.nodeAlive(node)
 		switch {
 		case preempted:
@@ -892,15 +878,15 @@ func (rt *Runtime) dispatch(ctx context.Context, ctl *taskCtl, pinned idgen.Node
 			// kernel's partial work is discarded, its inputs are intact, and
 			// the next grant re-executes from the spec.
 			replaces++
-		case errors.As(err, &moved) && pinned.IsNil():
-			// The actor live-migrated while this task was queued; follow
-			// the forward and re-dispatch.
-			rt.mu.Lock()
-			p := rt.actorLoc[spec.Actor]
-			p.node = moved.To
-			rt.actorLoc[spec.Actor] = p
-			rt.mu.Unlock()
+		case pinned.IsNil() && rt.actorMoved(spec.Actor, node, err):
+			// The actor's record named another node by the time the task
+			// reached this one (a migration committed meanwhile), and the
+			// kernel did not run: follow the record.
 			replaces++
+		case skaderr.CodeOf(err) == skaderr.Aborted:
+			// The raylet turned the task back before its kernel ran: it
+			// could not read the actor's record. Running it again is safe.
+			attempts++
 		case pinned.IsNil() && (undelivered ||
 			spec.Actor.IsNil() && (dead || skaderr.CodeOf(err) == skaderr.Unavailable)):
 			// The node died under the attempt — the exec RPC never arrived,
@@ -908,8 +894,8 @@ func (rt *Runtime) dispatch(ctx context.Context, ctl *taskCtl, pinned idgen.Node
 			// away mid-task — or every holder of an argument did (typed
 			// Unavailable): re-place. An actor task, which may have mutated
 			// state, is re-placed only when undelivered: replaceActors
-			// re-pins the actor onto a healthy node (a no-op if KillNode
-			// already did) and the next attempt re-resolves its location.
+			// re-homes the actor's record onto a healthy node (a no-op if
+			// KillNode already did) and the next attempt reads the record.
 			if undelivered || dead {
 				rt.Sched.SetAlive(node, false)
 			}
@@ -970,35 +956,19 @@ func (rt *Runtime) awaitArgs(ctx context.Context, spec *task.Spec, pinned idgen.
 // execOn performs the exec RPC against one raylet.
 func (rt *Runtime) execOn(ctx context.Context, node idgen.NodeID, spec *task.Spec) error {
 	payload := transport.MustEncode(raylet.ExecRequest{Spec: *spec})
-	respB, err := rt.Cluster.Transport.Call(ctx, rt.driver, node, raylet.KindExec, payload)
-	if err != nil {
-		return err
-	}
-	if !spec.Actor.IsNil() && len(respB) > 0 {
-		var resp raylet.ExecResponse
-		if derr := transport.Decode(respB, &resp); derr == nil && !resp.ActorMovedTo.IsNil() {
-			return &raylet.ActorMigratedError{Actor: spec.Actor, To: resp.ActorMovedTo}
-		}
-	}
-	return nil
+	_, err := rt.Cluster.Transport.Call(ctx, rt.driver, node, raylet.KindExec, payload)
+	return err
 }
 
-// waitActorGate blocks while the actor has a migration gate up, so no
-// submission races a cutover.
-func (rt *Runtime) waitActorGate(ctx context.Context, actor idgen.ActorID) {
-	for {
-		rt.mu.Lock()
-		gate := rt.actorGate[actor]
-		rt.mu.Unlock()
-		if gate == nil {
-			return
-		}
-		select {
-		case <-gate:
-		case <-ctx.Done():
-			return
-		}
+// actorMoved reports whether an actor task sent to node failed with the
+// raylet's typed NotFound and the actor's record now names another node.
+// The same answer with the record unchanged is a failure, not a move.
+func (rt *Runtime) actorMoved(actor idgen.ActorID, node idgen.NodeID, err error) bool {
+	if actor.IsNil() || skaderr.CodeOf(err) != skaderr.NotFound {
+		return false
 	}
+	rec, ok := rt.Head.Actor(actor)
+	return ok && rec.Home != node
 }
 
 // failTask marks every return of a failed task lost and records the error.
@@ -1160,44 +1130,34 @@ func (rt *Runtime) CreateActor(backend string) (idgen.ActorID, error) {
 	}
 	rt.Sched.Finished(node)
 	actor := idgen.Next()
-	rt.mu.Lock()
-	rt.actorLoc[actor] = actorPlacement{node: node, backend: backend}
-	rt.mu.Unlock()
+	rt.Head.CreateActor(actor, node, backend)
 	return actor, nil
 }
 
-// replaceActors re-pins actors from a dead node onto healthy nodes. Their
-// next task restores the last checkpoint from the head, so state survives
-// up to the failure window of one task.
+// replaceActors re-homes the actors whose record names a dead node onto
+// healthy nodes, each with a compare-and-swap on the record. Their next
+// task restores the last checkpoint from the head, so state survives up to
+// the failure window of one task.
 func (rt *Runtime) replaceActors(dead idgen.NodeID) {
-	rt.mu.Lock()
-	orphans := make(map[idgen.ActorID]string)
-	for actor, p := range rt.actorLoc {
-		if p.node == dead {
-			orphans[actor] = p.backend
+	for _, rec := range rt.Head.Actors() {
+		if rec.Home != dead {
+			continue
 		}
-	}
-	rt.mu.Unlock()
-	for actor, backend := range orphans {
 		probe := task.NewSpec(rt.job, "", nil, 0)
-		probe.Backend = backend
+		probe.Backend = rec.Backend
 		node, err := rt.Sched.Pick(probe)
 		if err != nil {
 			continue // no compatible node; the actor stays orphaned
 		}
 		rt.Sched.Finished(node)
-		rt.mu.Lock()
-		rt.actorLoc[actor] = actorPlacement{node: node, backend: backend}
-		rt.mu.Unlock()
+		_ = rt.Head.MoveActor(rec.Actor, dead, node) // a concurrent move already re-homed it
 	}
 }
 
-// ActorNode returns the node an actor is pinned to.
+// ActorNode returns the node an actor's record names as its home.
 func (rt *Runtime) ActorNode(actor idgen.ActorID) (idgen.NodeID, bool) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	p, ok := rt.actorLoc[actor]
-	return p.node, ok
+	rec, ok := rt.Head.Actor(actor)
+	return rec.Home, ok
 }
 
 // KillNode simulates a node failure: the node drops off the transport, its

@@ -47,6 +47,10 @@ const (
 	// DataLoss: every copy of an object is gone; recovery needs lineage or
 	// a reliable cache, not a retry.
 	DataLoss
+	// Aborted: the request was turned back before it took effect (a raylet
+	// could not read an actor's record before running its kernel); the same
+	// request may be sent again.
+	Aborted
 	// Internal: unclassified failure.
 	Internal
 )
@@ -74,6 +78,8 @@ func (c Code) String() string {
 		return "preempted"
 	case DataLoss:
 		return "data-loss"
+	case Aborted:
+		return "aborted"
 	default:
 		return "internal"
 	}
@@ -183,7 +189,7 @@ func CodeOf(err error) Code {
 // change the outcome.
 func Retryable(err error) bool {
 	switch CodeOf(err) {
-	case Unavailable, ResourceExhausted, Preempted:
+	case Unavailable, ResourceExhausted, Preempted, Aborted:
 		return true
 	default:
 		return false

@@ -74,7 +74,7 @@ func TestCoerce(t *testing.T) {
 }
 
 func TestRetryable(t *testing.T) {
-	retryable := []Code{Unavailable, ResourceExhausted, Preempted}
+	retryable := []Code{Unavailable, ResourceExhausted, Preempted, Aborted}
 	terminal := []Code{Cancelled, DeadlineExceeded, NotFound, AlreadyExists, FailedPrecondition, DataLoss, Internal}
 	for _, c := range retryable {
 		if !Retryable(New(c, "x")) {

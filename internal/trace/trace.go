@@ -54,8 +54,9 @@ const (
 	KindDPUHop = "dpu-hop"
 	// KindDurable is a fabric transfer bouncing through durable storage.
 	KindDurable = "durable-bounce"
-	// KindMigrateActor covers one live actor migration: freeze → transfer
-	// → install → resume cutover.
+	// KindMigrateActor covers one live actor migration: the source raylet
+	// freezes the actor, ships its state (install), retargets the actor's
+	// record and only then drops its own copy.
 	KindMigrateActor = "migrate-actor"
 	// KindMigrateObject covers one resident-object migration: copy via the
 	// fabric, retarget of the ownership record, drop at the source.
