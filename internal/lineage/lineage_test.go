@@ -25,36 +25,27 @@ func chainSpecs(n int) []*task.Spec {
 	return specs
 }
 
-func TestRecordAndProducer(t *testing.T) {
-	l := NewLog()
-	spec := task.NewSpec(idgen.Next(), "f", nil, 2)
-	l.Record(spec)
-	for _, ret := range spec.Returns {
-		got, ok := l.Producer(ret)
-		if !ok || got != spec {
-			t.Errorf("Producer(%s) = %v, %v", ret.Short(), got, ok)
+// producers indexes specs by return, the way ownership records do.
+type producers map[idgen.ObjectID]*task.Spec
+
+func record(specs ...*task.Spec) producers {
+	p := make(producers)
+	for _, s := range specs {
+		for _, ret := range s.Returns {
+			p[ret] = s
 		}
 	}
-	if l.Len() != 2 {
-		t.Errorf("Len = %d", l.Len())
-	}
+	return p
 }
 
-func TestForget(t *testing.T) {
-	l := NewLog()
-	spec := task.NewSpec(idgen.Next(), "f", nil, 1)
-	l.Record(spec)
-	l.Forget(spec.Returns[0])
-	if _, ok := l.Producer(spec.Returns[0]); ok {
-		t.Error("Producer after Forget")
-	}
+func (p producers) of(id idgen.ObjectID) (*task.Spec, bool) {
+	s, ok := p[id]
+	return s, ok
 }
 
 func TestRecoveryPlanSingleTask(t *testing.T) {
-	l := NewLog()
 	spec := task.NewSpec(idgen.Next(), "f", nil, 1)
-	l.Record(spec)
-	plan, err := l.RecoveryPlan([]idgen.ObjectID{spec.Returns[0]}, func(idgen.ObjectID) bool { return false })
+	plan, err := RecoveryPlan([]idgen.ObjectID{spec.Returns[0]}, record(spec).of, func(idgen.ObjectID) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,13 +56,10 @@ func TestRecoveryPlanSingleTask(t *testing.T) {
 
 func TestRecoveryPlanChainTransitive(t *testing.T) {
 	specs := chainSpecs(4)
-	l := NewLog()
-	for _, s := range specs {
-		l.Record(s)
-	}
+	l := record(specs...)
 	// Everything is lost: the plan must replay the whole chain in order.
-	plan, err := l.RecoveryPlan(
-		[]idgen.ObjectID{specs[3].Returns[0]},
+	plan, err := RecoveryPlan(
+		[]idgen.ObjectID{specs[3].Returns[0]}, l.of,
 		func(idgen.ObjectID) bool { return false },
 	)
 	if err != nil {
@@ -89,17 +77,14 @@ func TestRecoveryPlanChainTransitive(t *testing.T) {
 
 func TestRecoveryPlanStopsAtAvailableInputs(t *testing.T) {
 	specs := chainSpecs(4)
-	l := NewLog()
-	for _, s := range specs {
-		l.Record(s)
-	}
+	l := record(specs...)
 	// Outputs of tasks 0 and 1 survive; only 2 and 3 must replay.
 	available := map[idgen.ObjectID]bool{
 		specs[0].Returns[0]: true,
 		specs[1].Returns[0]: true,
 	}
-	plan, err := l.RecoveryPlan(
-		[]idgen.ObjectID{specs[3].Returns[0]},
+	plan, err := RecoveryPlan(
+		[]idgen.ObjectID{specs[3].Returns[0]}, l.of,
 		func(id idgen.ObjectID) bool { return available[id] },
 	)
 	if err != nil {
@@ -117,12 +102,9 @@ func TestRecoveryPlanDiamondDedup(t *testing.T) {
 	b := task.NewSpec(job, "b", []task.Arg{task.RefArg(a.Returns[0])}, 1)
 	c := task.NewSpec(job, "c", []task.Arg{task.RefArg(a.Returns[0])}, 1)
 	d := task.NewSpec(job, "d", []task.Arg{task.RefArg(b.Returns[0]), task.RefArg(c.Returns[0])}, 1)
-	l := NewLog()
-	for _, s := range []*task.Spec{a, b, c, d} {
-		l.Record(s)
-	}
-	plan, err := l.RecoveryPlan(
-		[]idgen.ObjectID{d.Returns[0], b.Returns[0]},
+	l := record(a, b, c, d)
+	plan, err := RecoveryPlan(
+		[]idgen.ObjectID{d.Returns[0], b.Returns[0]}, l.of,
 		func(idgen.ObjectID) bool { return false },
 	)
 	if err != nil {
@@ -149,8 +131,7 @@ func TestRecoveryPlanDiamondDedup(t *testing.T) {
 }
 
 func TestRecoveryPlanNoProducer(t *testing.T) {
-	l := NewLog()
-	_, err := l.RecoveryPlan([]idgen.ObjectID{idgen.Next()}, func(idgen.ObjectID) bool { return false })
+	_, err := RecoveryPlan([]idgen.ObjectID{idgen.Next()}, record().of, func(idgen.ObjectID) bool { return false })
 	if !errors.Is(err, ErrNoProducer) {
 		t.Errorf("err = %v, want ErrNoProducer", err)
 	}
@@ -161,10 +142,9 @@ func TestRecoveryPlanExternalInputAvailable(t *testing.T) {
 	// as that object is still available.
 	external := idgen.Next()
 	spec := task.NewSpec(idgen.Next(), "f", []task.Arg{task.RefArg(external)}, 1)
-	l := NewLog()
-	l.Record(spec)
-	plan, err := l.RecoveryPlan(
-		[]idgen.ObjectID{spec.Returns[0]},
+	l := record(spec)
+	plan, err := RecoveryPlan(
+		[]idgen.ObjectID{spec.Returns[0]}, l.of,
 		func(id idgen.ObjectID) bool { return id == external },
 	)
 	if err != nil {
@@ -176,71 +156,14 @@ func TestRecoveryPlanExternalInputAvailable(t *testing.T) {
 }
 
 func TestRecoveryPlanCycleDetected(t *testing.T) {
-	// Hand-corrupt the log with a cycle: a consumes b's output and
+	// Hand-corrupt the records with a cycle: a consumes b's output and
 	// produces b's input.
 	job := idgen.Next()
 	x, y := idgen.Next(), idgen.Next()
 	a := &task.Spec{ID: idgen.Next(), Job: job, Fn: "a", Args: []task.Arg{task.RefArg(x)}, Returns: []idgen.ObjectID{y}}
 	b := &task.Spec{ID: idgen.Next(), Job: job, Fn: "b", Args: []task.Arg{task.RefArg(y)}, Returns: []idgen.ObjectID{x}}
-	l := NewLog()
-	l.Record(a)
-	l.Record(b)
-	_, err := l.RecoveryPlan([]idgen.ObjectID{y}, func(idgen.ObjectID) bool { return false })
+	_, err := RecoveryPlan([]idgen.ObjectID{y}, record(a, b).of, func(idgen.ObjectID) bool { return false })
 	if !errors.Is(err, ErrCycle) {
 		t.Errorf("err = %v, want ErrCycle", err)
-	}
-}
-
-func TestConsumersReverseIndex(t *testing.T) {
-	log := NewLog()
-	specs := chainSpecs(3)
-	for _, s := range specs {
-		log.Record(s)
-	}
-	// t1's output is consumed by t2 only; t2's by t3; t3's by nobody.
-	c := log.Consumers(specs[0].Returns[0])
-	if len(c) != 1 || c[0].ID != specs[1].ID {
-		t.Fatalf("Consumers(t1.out) = %v, want exactly t2", c)
-	}
-	c = log.Consumers(specs[1].Returns[0])
-	if len(c) != 1 || c[0].ID != specs[2].ID {
-		t.Fatalf("Consumers(t2.out) = %v, want exactly t3", c)
-	}
-	if c = log.Consumers(specs[2].Returns[0]); c != nil {
-		t.Fatalf("Consumers(t3.out) = %v, want nil", c)
-	}
-}
-
-func TestConsumersFanOut(t *testing.T) {
-	log := NewLog()
-	job := idgen.Next()
-	root := task.NewSpec(job, "src", nil, 1)
-	log.Record(root)
-	var want []idgen.TaskID
-	for i := 0; i < 3; i++ {
-		c := task.NewSpec(job, "sink", []task.Arg{task.RefArg(root.Returns[0])}, 1)
-		log.Record(c)
-		want = append(want, c.ID)
-	}
-	got := log.Consumers(root.Returns[0])
-	if len(got) != len(want) {
-		t.Fatalf("Consumers = %d specs, want %d", len(got), len(want))
-	}
-	for i, spec := range got {
-		if spec.ID != want[i] {
-			t.Errorf("consumer %d = %s, want %s", i, spec.ID.Short(), want[i].Short())
-		}
-	}
-}
-
-func TestForgetDropsConsumerEdges(t *testing.T) {
-	log := NewLog()
-	specs := chainSpecs(2)
-	for _, s := range specs {
-		log.Record(s)
-	}
-	log.Forget(specs[0].Returns[0])
-	if c := log.Consumers(specs[0].Returns[0]); c != nil {
-		t.Fatalf("Consumers after Forget = %v, want nil", c)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"skadi/internal/idgen"
+	"skadi/internal/task"
 )
 
 // Directory is the ownership-table contract shared by the centralized
@@ -18,6 +19,10 @@ type Directory interface {
 	SetCommitGuard(g CommitGuard)
 
 	CreatePending(id idgen.ObjectID, owner idgen.NodeID, task idgen.TaskID) error
+	// CreateTask creates a Pending record for each of spec's returns with
+	// spec as its producer; Producer reads it back.
+	CreateTask(spec *task.Spec, owner idgen.NodeID) error
+	Producer(id idgen.ObjectID) (*task.Spec, bool)
 	MarkReady(id idgen.ObjectID, size int64, location idgen.NodeID, deviceID idgen.NodeID, deviceHandle string) ([]idgen.NodeID, error)
 	AddLocation(id idgen.ObjectID, node idgen.NodeID) error
 	MoveLocation(id idgen.ObjectID, from, to idgen.NodeID) error
@@ -26,9 +31,9 @@ type Directory interface {
 	Records() []Record
 	WaitReady(ctx context.Context, id idgen.ObjectID) error
 	PendingIDs() []idgen.ObjectID
-	AbortPending() []idgen.ObjectID
+	AbortPending(cause error) []idgen.ObjectID
 	RemoveNodeLocations(node idgen.NodeID) []idgen.ObjectID
-	MarkLost(id idgen.ObjectID) error
+	MarkLost(id idgen.ObjectID, cause error) error
 	Settle(id idgen.ObjectID, to State) bool
 	Delete(id idgen.ObjectID)
 	Len() int

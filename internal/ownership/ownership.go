@@ -22,6 +22,7 @@ import (
 
 	"skadi/internal/idgen"
 	"skadi/internal/skaderr"
+	"skadi/internal/task"
 	"skadi/internal/wire"
 )
 
@@ -111,8 +112,13 @@ type Record struct {
 	Owner idgen.NodeID
 	State State
 	Size  int64
-	// Task is the producing task, the hook lineage recovery starts from.
+	// Task is the producing task's ID; the producer itself stays on the
+	// table's entry (see Table.Producer).
 	Task idgen.TaskID
+	// Cause is why the object is Lost: the failure its task recorded, or
+	// why it will not be produced. A Lost record keeps the first cause it
+	// is given; Settle to Pending clears it.
+	Cause error
 
 	// Locations holds the nodes with a full copy, sorted.
 	Locations []idgen.NodeID
@@ -136,10 +142,28 @@ func (r *Record) Wire(c *wire.Coder) {
 	wire.Slice(c, &r.Locations, 16, (*wire.Coder).ID)
 	c.ID(&r.DeviceID)
 	c.String(&r.DeviceHandle)
+	// The cause crosses the wire as its code and message: one zero byte
+	// when there is none.
+	code, msg := skaderr.EncodeWire(r.Cause)
+	wcode := uint64(code)
+	c.Uvarint(&wcode)
+	if wcode != 0 {
+		c.String(&msg)
+	}
+	if c.Decoding() {
+		r.Cause = nil
+		if wcode != 0 {
+			r.Cause = skaderr.DecodeWire(byte(wcode), msg)
+		}
+	}
 }
 
 type entry struct {
-	rec         Record
+	rec Record
+	// producer is the task that makes the object, nil for a Put. Lineage
+	// recovery re-runs it. It stays in process: a spec can carry megabytes
+	// of value arguments, so only its ID rides Record.Wire.
+	producer    *task.Spec
 	locations   map[idgen.NodeID]bool
 	waiters     []chan State
 	subscribers map[idgen.NodeID]bool
@@ -190,20 +214,61 @@ func (t *Table) logOp(op repOp) {
 	}
 }
 
-// CreatePending registers a new object in Pending state.
+// CreatePending registers a new object in Pending state with no recorded
+// producer (a Put, or a record created over the wire).
 func (t *Table) CreatePending(id idgen.ObjectID, owner idgen.NodeID, task idgen.TaskID) error {
+	return t.create(id, owner, task, nil)
+}
+
+// CreateTask registers a Pending record for each of spec's returns, each
+// naming spec as its producer.
+func (t *Table) CreateTask(spec *task.Spec, owner idgen.NodeID) error {
+	return createTask(spec, func(id idgen.ObjectID) error { return t.create(id, owner, spec.ID, spec) })
+}
+
+// createTask creates each of spec's returns. A return already registered
+// keeps its record; the rest are still created and ErrExists is reported.
+func createTask(spec *task.Spec, create func(idgen.ObjectID) error) error {
+	var err error
+	for _, ret := range spec.Returns {
+		if cerr := create(ret); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// create registers one Pending record.
+func (t *Table) create(id idgen.ObjectID, owner idgen.NodeID, taskID idgen.TaskID, spec *task.Spec) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, ok := t.entries[id]; ok {
 		return skaderr.Mark(skaderr.AlreadyExists, ErrExists)
 	}
-	t.entries[id] = &entry{
-		rec:         Record{ID: id, Owner: owner, State: Pending, Task: task},
+	t.entries[id] = newEntry(id, owner, taskID, spec)
+	t.logOp(repOp{kind: opCreate, id: id, owner: owner, task: taskID, spec: spec})
+	return nil
+}
+
+// newEntry returns a Pending entry.
+func newEntry(id idgen.ObjectID, owner idgen.NodeID, taskID idgen.TaskID, spec *task.Spec) *entry {
+	return &entry{
+		rec:         Record{ID: id, Owner: owner, State: Pending, Task: taskID},
+		producer:    spec,
 		locations:   make(map[idgen.NodeID]bool),
 		subscribers: make(map[idgen.NodeID]bool),
 	}
-	t.logOp(repOp{kind: opCreate, id: id, owner: owner, task: task})
-	return nil
+}
+
+// Producer returns the task recorded as id's producer.
+func (t *Table) Producer(id idgen.ObjectID) (*task.Spec, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e, ok := t.entries[id]
+	if !ok || e.producer == nil {
+		return nil, false
+	}
+	return e.producer, true
 }
 
 // MarkReady commits the object at the given location, with optional device
@@ -394,9 +459,7 @@ func awaitState(ctx context.Context, id idgen.ObjectID, ch chan State) error {
 }
 
 // PendingIDs returns the IDs of every unresolved (Pending or orphaned)
-// object, sorted. Shutdown uses it to record failure causes BEFORE
-// AbortPending wakes the waiters, so a released Get never observes a bare
-// loss.
+// object, sorted.
 func (t *Table) PendingIDs() []idgen.ObjectID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -416,18 +479,18 @@ func (t *Table) unresolvedLocked() []idgen.ObjectID {
 	return out
 }
 
-// AbortPending marks every unresolved object Lost, releasing its waiters,
-// and returns the aborted IDs. Shutdown uses this so no Get/Wait caller stays
-// blocked on an object that will never be produced.
-func (t *Table) AbortPending() []idgen.ObjectID {
+// AbortPending marks every unresolved object Lost with cause, releasing
+// its waiters, and returns the aborted IDs. Shutdown uses this so no
+// Get/Wait caller stays blocked on an object that will never be produced.
+func (t *Table) AbortPending(cause error) []idgen.ObjectID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	aborted := t.unresolvedLocked()
 	for _, id := range aborted {
-		t.entries[id].lose()
+		t.entries[id].lose(cause)
 	}
 	if len(aborted) > 0 {
-		t.logOp(repOp{kind: opAbort})
+		t.logOp(repOp{kind: opAbort, cause: cause})
 	}
 	return aborted
 }
@@ -464,23 +527,27 @@ func (e *entry) dropLocation(node idgen.NodeID) bool {
 	return true
 }
 
-// MarkLost forces an object into the Lost state, releasing waiters with an
-// error.
-func (t *Table) MarkLost(id idgen.ObjectID) error {
+// MarkLost forces an object into the Lost state with cause, releasing
+// waiters with an error. The cause is on the record before any waiter
+// wakes, so a released reader finds it.
+func (t *Table) MarkLost(id idgen.ObjectID, cause error) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e, ok := t.entries[id]
 	if !ok {
 		return errUnknown(id)
 	}
-	e.lose()
-	t.logOp(repOp{kind: opMarkLost, id: id})
+	e.lose(cause)
+	t.logOp(repOp{kind: opMarkLost, id: id, cause: cause})
 	return nil
 }
 
-// lose moves the entry to Lost and releases its waiters. Caller holds the
-// table lock.
-func (e *entry) lose() {
+// lose moves the entry to Lost with cause and releases its waiters. An
+// entry already Lost keeps the cause it has. Caller holds the table lock.
+func (e *entry) lose(cause error) {
+	if e.rec.State != Lost || e.rec.Cause == nil {
+		e.rec.Cause = cause
+	}
 	e.rec.State = Lost
 	e.locations = make(map[idgen.NodeID]bool)
 	e.syncLocations()
@@ -491,7 +558,8 @@ func (e *entry) lose() {
 }
 
 // Settle judges a failed (orphaned or Lost) object: to Pending, its producer
-// being re-submitted and its waiters kept, or to Lost, its waiters released.
+// being re-submitted, its waiters kept and its cause cleared, or to Lost,
+// its waiters released.
 // It reports false and changes nothing for an unknown, Pending or Ready
 // object — a compare-and-set, so concurrent recoveries judge it once.
 func (t *Table) Settle(id idgen.ObjectID, to State) bool {
@@ -502,7 +570,7 @@ func (t *Table) Settle(id idgen.ObjectID, to State) bool {
 		return false
 	}
 	if to == Lost {
-		e.lose()
+		e.lose(nil)
 		t.logOp(repOp{kind: opMarkLost, id: id})
 	} else {
 		e.reset()
@@ -511,10 +579,11 @@ func (t *Table) Settle(id idgen.ObjectID, to State) bool {
 	return true
 }
 
-// reset returns the entry to Pending with no locations. Caller holds the
-// table lock.
+// reset returns the entry to Pending with no locations and no cause.
+// Caller holds the table lock.
 func (e *entry) reset() {
 	e.rec.State = Pending
+	e.rec.Cause = nil
 	e.locations = make(map[idgen.NodeID]bool)
 	e.syncLocations()
 }

@@ -181,7 +181,7 @@ func TestWaitReadyOnLost(t *testing.T) {
 	if err := tbl.CreatePending(id, idgen.Next(), idgen.Next()); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.MarkLost(id); err != nil {
+	if err := tbl.MarkLost(id, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.WaitReady(context.Background(), id); !errors.Is(err, ErrObjectLost) {
@@ -301,7 +301,7 @@ func TestOrphanedTransitions(t *testing.T) {
 			}
 		}, Ready, false, false},
 		{"MarkLost", func(tbl *Table, id idgen.ObjectID) {
-			if err := tbl.MarkLost(id); err != nil {
+			if err := tbl.MarkLost(id, nil); err != nil {
 				t.Fatal(err)
 			}
 		}, Lost, false, true},
@@ -356,7 +356,7 @@ func TestSettleOnlyJudgesFailedObjects(t *testing.T) {
 	if _, err := tbl.MarkReady(ready, 1, idgen.Next(), idgen.Nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.MarkLost(lost); err != nil {
+	if err := tbl.MarkLost(lost, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, to := range []State{Pending, Lost} {
@@ -387,7 +387,7 @@ func TestNodeFailureWakesWaitersWithLost(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- tbl.WaitReady(context.Background(), id) }()
 	time.Sleep(10 * time.Millisecond)
-	if err := tbl.MarkLost(id); err != nil {
+	if err := tbl.MarkLost(id, nil); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -410,7 +410,7 @@ func TestResetAllowsRecommit(t *testing.T) {
 	if _, err := tbl.MarkReady(id, 1, nodeA, idgen.Nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.MarkLost(id); err != nil {
+	if err := tbl.MarkLost(id, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !tbl.Settle(id, Pending) {

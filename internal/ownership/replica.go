@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"skadi/internal/idgen"
+	"skadi/internal/task"
 )
 
 // Shard replication (PR 10). Each primary shard streams its mutations —
@@ -45,6 +46,8 @@ type repOp struct {
 	id     idgen.ObjectID
 	owner  idgen.NodeID
 	task   idgen.TaskID
+	spec   *task.Spec // opCreate: the producer
+	cause  error      // opMarkLost, opAbort
 	size   int64
 	node   idgen.NodeID // location / subscriber / from / purged node
 	node2  idgen.NodeID // MoveLocation destination
@@ -62,11 +65,7 @@ func (t *Table) applyRep(op repOp) {
 	switch op.kind {
 	case opCreate:
 		if _, ok := t.entries[op.id]; !ok {
-			t.entries[op.id] = &entry{
-				rec:         Record{ID: op.id, Owner: op.owner, State: Pending, Task: op.task},
-				locations:   make(map[idgen.NodeID]bool),
-				subscribers: make(map[idgen.NodeID]bool),
-			}
+			t.entries[op.id] = newEntry(op.id, op.owner, op.task, op.spec)
 		}
 	case opReady:
 		if e, ok := t.entries[op.id]; ok {
@@ -101,7 +100,7 @@ func (t *Table) applyRep(op repOp) {
 	case opMarkLost:
 		if e, ok := t.entries[op.id]; ok {
 			e.waiters = nil // primary released them
-			e.lose()
+			e.lose(op.cause)
 		}
 	case opReset:
 		if e, ok := t.entries[op.id]; ok {
@@ -118,14 +117,15 @@ func (t *Table) applyRep(op repOp) {
 		for _, e := range t.entries {
 			if e.rec.State.unresolved() {
 				e.waiters = nil
-				e.lose()
+				e.lose(op.cause)
 			}
 		}
 	}
 }
 
-// cloneForReplica deep-copies the table into a fresh replica: records,
-// location sets and subscriber sets are copied; waiter
+// cloneForReplica deep-copies the table into a fresh replica: records
+// (cause included), location sets and subscriber sets are copied, and the
+// producer spec, immutable once submitted, is shared; waiter
 // CHANNELS are shared (they are the rendezvous with the parked caller —
 // sharing is the point). Membership churn uses this to (re)seed a replica
 // wholesale, since handoff moves bypass the op-log.
@@ -136,6 +136,7 @@ func (t *Table) cloneForReplica() *Table {
 	for id, e := range t.entries {
 		ne := &entry{
 			rec:         e.rec,
+			producer:    e.producer,
 			locations:   make(map[idgen.NodeID]bool, len(e.locations)),
 			subscribers: make(map[idgen.NodeID]bool, len(e.subscribers)),
 		}
@@ -154,9 +155,9 @@ func (t *Table) cloneForReplica() *Table {
 
 // diffReplica reports human-readable mismatches between a primary table
 // and its (fully drained) replica: entries present on one side only, or
-// records/waiters/subscribers that diverge. Both tables are
-// locked primary-first; callers must quiesce mutations (the sharded table
-// holds its write lock).
+// records (producer and cause included), waiters or subscribers that
+// diverge. Both tables are locked primary-first; callers must quiesce
+// mutations (the sharded table holds its write lock).
 func diffReplica(primary, replica *Table) []string {
 	primary.mu.Lock()
 	defer primary.mu.Unlock()
@@ -193,6 +194,12 @@ func diffEntry(p, r *entry) string {
 		p.rec.DeviceID != r.rec.DeviceID || p.rec.DeviceHandle != r.rec.DeviceHandle {
 		return fmt.Sprintf("record diverges: primary %v/%d, replica %v/%d",
 			p.rec.State, p.rec.Size, r.rec.State, r.rec.Size)
+	}
+	if p.producer != r.producer {
+		return "producer diverges"
+	}
+	if pc, rc := fmt.Sprint(p.rec.Cause), fmt.Sprint(r.rec.Cause); pc != rc {
+		return fmt.Sprintf("cause diverges: primary %q, replica %q", pc, rc)
 	}
 	if len(p.locations) != len(r.locations) {
 		return fmt.Sprintf("locations diverge: %d vs %d", len(p.locations), len(r.locations))

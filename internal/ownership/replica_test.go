@@ -101,7 +101,7 @@ func TestShardReplicationMirrorsPrimary(t *testing.T) {
 				t.Fatal(err)
 			}
 		case 3: // lost
-			if err := s.MarkLost(id); err != nil {
+			if err := s.MarkLost(id, nil); err != nil {
 				t.Fatal(err)
 			}
 		case 4: // ready then deleted

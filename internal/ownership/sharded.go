@@ -10,6 +10,7 @@ import (
 
 	"skadi/internal/idgen"
 	"skadi/internal/skaderr"
+	"skadi/internal/task"
 )
 
 // ErrNoShards reports an ownership op against a sharded directory with no
@@ -227,70 +228,72 @@ func (s *ShardedTable) SetCommitGuard(g CommitGuard) {
 	}
 }
 
-// CreatePending registers a new object on its owning shard.
-func (s *ShardedTable) CreatePending(id idgen.ObjectID, owner idgen.NodeID, task idgen.TaskID) error {
+// route runs fn on id's owning shard under the routing read lock, so a
+// handoff cannot move the entry mid-call.
+func (s *ShardedTable) route(id idgen.ObjectID, fn func(*Table) error) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	t, err := s.shardFor(id)
 	if err != nil {
 		return err
 	}
-	return t.CreatePending(id, owner, task)
+	return fn(t)
+}
+
+// CreatePending registers a new object on its owning shard.
+func (s *ShardedTable) CreatePending(id idgen.ObjectID, owner idgen.NodeID, task idgen.TaskID) error {
+	return s.route(id, func(t *Table) error { return t.create(id, owner, task, nil) })
+}
+
+// CreateTask registers each of spec's returns, naming spec as its
+// producer, on the return's owning shard.
+func (s *ShardedTable) CreateTask(spec *task.Spec, owner idgen.NodeID) error {
+	return createTask(spec, func(id idgen.ObjectID) error {
+		return s.route(id, func(t *Table) error { return t.create(id, owner, spec.ID, spec) })
+	})
+}
+
+// Producer returns id's recorded producer from its owning shard.
+func (s *ShardedTable) Producer(id idgen.ObjectID) (spec *task.Spec, ok bool) {
+	_ = s.route(id, func(t *Table) error { spec, ok = t.Producer(id); return nil })
+	return spec, ok
 }
 
 // MarkReady commits the object on its owning shard.
-func (s *ShardedTable) MarkReady(id idgen.ObjectID, size int64, location idgen.NodeID, deviceID idgen.NodeID, deviceHandle string) ([]idgen.NodeID, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, err := s.shardFor(id)
-	if err != nil {
-		return nil, err
-	}
-	return t.MarkReady(id, size, location, deviceID, deviceHandle)
+func (s *ShardedTable) MarkReady(id idgen.ObjectID, size int64, location idgen.NodeID, deviceID idgen.NodeID, deviceHandle string) (subs []idgen.NodeID, err error) {
+	err = s.route(id, func(t *Table) (err error) {
+		subs, err = t.MarkReady(id, size, location, deviceID, deviceHandle)
+		return err
+	})
+	return subs, err
 }
 
 // AddLocation records an additional copy on the owning shard.
 func (s *ShardedTable) AddLocation(id idgen.ObjectID, node idgen.NodeID) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, err := s.shardFor(id)
-	if err != nil {
-		return err
-	}
-	return t.AddLocation(id, node)
+	return s.route(id, func(t *Table) error { return t.AddLocation(id, node) })
 }
 
 // MoveLocation retargets a copy on the owning shard.
 func (s *ShardedTable) MoveLocation(id idgen.ObjectID, from, to idgen.NodeID) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, err := s.shardFor(id)
-	if err != nil {
-		return err
-	}
-	return t.MoveLocation(id, from, to)
+	return s.route(id, func(t *Table) error { return t.MoveLocation(id, from, to) })
 }
 
 // Subscribe registers a push subscription on the owning shard.
-func (s *ShardedTable) Subscribe(id idgen.ObjectID, node idgen.NodeID) (bool, Record, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, err := s.shardFor(id)
-	if err != nil {
-		return false, Record{}, err
-	}
-	return t.Subscribe(id, node)
+func (s *ShardedTable) Subscribe(id idgen.ObjectID, node idgen.NodeID) (ready bool, rec Record, err error) {
+	err = s.route(id, func(t *Table) (err error) {
+		ready, rec, err = t.Subscribe(id, node)
+		return err
+	})
+	return ready, rec, err
 }
 
 // Get returns the record from the owning shard.
-func (s *ShardedTable) Get(id idgen.ObjectID) (Record, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, err := s.shardFor(id)
-	if err != nil {
-		return Record{}, err
-	}
-	return t.Get(id)
+func (s *ShardedTable) Get(id idgen.ObjectID) (rec Record, err error) {
+	err = s.route(id, func(t *Table) (err error) {
+		rec, err = t.Get(id)
+		return err
+	})
+	return rec, err
 }
 
 // Records snapshots every shard, merged and sorted by ID — same semantics
@@ -339,15 +342,16 @@ func (s *ShardedTable) PendingIDs() []idgen.ObjectID {
 	return out
 }
 
-// AbortPending aborts unresolved objects on every shard, sorted.
-func (s *ShardedTable) AbortPending() []idgen.ObjectID {
+// AbortPending aborts unresolved objects on every shard with cause,
+// sorted.
+func (s *ShardedTable) AbortPending(cause error) []idgen.ObjectID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []idgen.ObjectID
 	for _, shard := range s.shards {
-		out = append(out, shard.AbortPending()...)
+		out = append(out, shard.AbortPending(cause)...)
 	}
-	out = append(out, s.stranded.AbortPending()...)
+	out = append(out, s.stranded.AbortPending(cause)...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
@@ -365,37 +369,20 @@ func (s *ShardedTable) RemoveNodeLocations(node idgen.NodeID) []idgen.ObjectID {
 	return out
 }
 
-// MarkLost forces an object Lost on its owning shard.
-func (s *ShardedTable) MarkLost(id idgen.ObjectID) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, err := s.shardFor(id)
-	if err != nil {
-		return err
-	}
-	return t.MarkLost(id)
+// MarkLost forces an object Lost with cause on its owning shard.
+func (s *ShardedTable) MarkLost(id idgen.ObjectID, cause error) error {
+	return s.route(id, func(t *Table) error { return t.MarkLost(id, cause) })
 }
 
 // Settle judges a failed object on its owning shard.
-func (s *ShardedTable) Settle(id idgen.ObjectID, to State) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, err := s.shardFor(id)
-	if err != nil {
-		return false
-	}
-	return t.Settle(id, to)
+func (s *ShardedTable) Settle(id idgen.ObjectID, to State) (settled bool) {
+	_ = s.route(id, func(t *Table) error { settled = t.Settle(id, to); return nil })
+	return settled
 }
 
 // Delete removes an object's entry from its owning shard.
 func (s *ShardedTable) Delete(id idgen.ObjectID) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, err := s.shardFor(id)
-	if err != nil {
-		return
-	}
-	t.Delete(id)
+	_ = s.route(id, func(t *Table) error { t.Delete(id); return nil })
 }
 
 // Len returns the total entry count across shards.

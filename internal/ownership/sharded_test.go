@@ -12,6 +12,7 @@ import (
 
 	"skadi/internal/idgen"
 	"skadi/internal/skaderr"
+	"skadi/internal/task"
 )
 
 func newShardedWith(members int) (*ShardedTable, []idgen.NodeID) {
@@ -347,12 +348,15 @@ func TestOneMemberRingMatchesTable(t *testing.T) {
 		}
 		return skaderr.CodeOf(err).String() + ": " + err.Error()
 	}
+	causes := []error{nil, skaderr.New(skaderr.Cancelled, "cancelled"), skaderr.New(skaderr.Internal, "kernel failed")}
 	for step := 0; step < 6000; step++ {
-		op := rng.Intn(17)
+		op := rng.Intn(19)
 		obj := objs[rng.Intn(len(objs))]
 		n1, n2 := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
 		size := int64(rng.Intn(1 << 20))
 		armed := rng.Intn(2) == 0
+		cause := causes[rng.Intn(len(causes))]
+		spec := &task.Spec{ID: idgen.Next(), Returns: []idgen.ObjectID{obj, objs[rng.Intn(len(objs))]}}
 		var got [2]any
 		for i, d := range dirs {
 			switch op {
@@ -387,11 +391,11 @@ func TestOneMemberRingMatchesTable(t *testing.T) {
 			case 9:
 				got[i] = d.PendingIDs()
 			case 10:
-				got[i] = d.AbortPending()
+				got[i] = d.AbortPending(cause)
 			case 11:
 				got[i] = d.RemoveNodeLocations(n1)
 			case 12:
-				got[i] = errText(d.MarkLost(obj))
+				got[i] = errText(d.MarkLost(obj, cause))
 			case 13:
 				// Out of orphaned (or Lost) only; a no-op on anything else.
 				got[i] = d.Settle(obj, Pending)
@@ -401,6 +405,15 @@ func TestOneMemberRingMatchesTable(t *testing.T) {
 				got[i] = d.Len()
 			case 16:
 				got[i] = d.Settle(obj, Lost)
+			case 17:
+				got[i] = errText(d.CreateTask(spec, n1))
+			case 18:
+				var producer idgen.TaskID
+				p, ok := d.Producer(obj)
+				if ok {
+					producer = p.ID
+				}
+				got[i] = []any{producer, ok}
 			}
 		}
 		// Rendered, so a nil and an empty slice compare equal.

@@ -11,6 +11,7 @@ import (
 
 	"skadi/internal/idgen"
 	"skadi/internal/ownership"
+	"skadi/internal/skaderr"
 	"skadi/internal/task"
 	"skadi/internal/transport"
 	"skadi/internal/wire"
@@ -62,13 +63,18 @@ var (
 		Owner: gid(0x06), Gang: "g", Actor: gid(0x07), Meta: map[string]string{"shard": "3", "": ""}, Tenant: "acme",
 	}
 	testState = map[string][]byte{"counter": {0, 0, 0, 9}, "empty": nil}
+	// causeRecord is a Lost record with a cause in its decoded form.
+	causeRecord = ownership.Record{
+		ID: gid(0x30), Owner: gid(0x50), State: ownership.Lost, Task: gid(0x60),
+		Cause: skaderr.DecodeWire(byte(skaderr.Cancelled), "task 01 (f): cancelled"),
+	}
 )
 
 // populatedCases holds one fully populated value of each of the 25 message
 // types, in protocol.go order.
 func populatedCases() []codecCase {
 	return []codecCase{
-		mk("ExecRequest", ExecRequest{Spec: testSpec}),
+		mk("ExecRequest", ExecRequest{Spec: testSpec, Epoch: 3}),
 		mk("ExecResponse", ExecResponse{ResultSizes: []int64{0, -1, 1 << 40}, StallMicros: 1234}),
 		mk("GetRequest", GetRequest{ID: gid(0x12)}),
 		mk("GetResponse", GetResponse{Data: []byte("hello"), Format: "raw"}),
@@ -85,7 +91,7 @@ func populatedCases() []codecCase {
 		mk("OwnAddLocRequest", OwnAddLocRequest{ID: gid(0x17), Node: gid(0x18)}),
 		mk("ActorCkptRequest", ActorCkptRequest{Actor: gid(0x19), Seq: 1 << 50, State: testState}),
 		mk("ActorRestoreRequest", ActorRestoreRequest{Actor: gid(0x19)}),
-		mk("ActorRestoreResponse", ActorRestoreResponse{Home: gid(0x1d), Seq: 7, State: testState}),
+		mk("ActorRestoreResponse", ActorRestoreResponse{Home: gid(0x1d), Epoch: 2, Seq: 7, State: testState}),
 		mk("ActorMoveRequest", ActorMoveRequest{Actor: gid(0x19), From: gid(0x1b), To: gid(0x1c)}),
 		mk("OwnMoveLocRequest", OwnMoveLocRequest{ID: gid(0x1a), From: gid(0x1b), To: gid(0x1c)}),
 		mk("GossipProbeRequest", GossipProbeRequest{From: gid(0x50), Nonce: 300}),
@@ -125,6 +131,8 @@ func allCases() []codecCase {
 		mkWant("OwnCreateRequest/empty", OwnCreateRequest{IDs: []idgen.ObjectID{}}, OwnCreateRequest{}),
 		mkWant("OwnReadyResponse/empty", OwnReadyResponse{Subscribers: []idgen.NodeID{}}, OwnReadyResponse{}),
 		mkWant("OwnGetResponse/empty", OwnGetResponse{Rec: ownership.Record{Locations: []idgen.NodeID{}}}, OwnGetResponse{}),
+		// A failed object's record carries its cause as code and message.
+		mk("OwnGetResponse/cause", OwnGetResponse{Rec: causeRecord}),
 		mk("ActorCkptRequest/empty", ActorCkptRequest{State: map[string][]byte{}}),
 		mk("ActorRestoreResponse/empty", ActorRestoreResponse{Seq: 1, State: map[string][]byte{}}),
 		mk("MigrateInstallRequest/empty", MigrateInstallRequest{State: map[string][]byte{}}),
@@ -179,18 +187,23 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 // TestCodecGoldenBytes pins the nine layouts that predate the single codec
-// (bulk get/push, own.create/ready/get, gossip probe/ack) byte for byte.
+// (bulk get/push, own.create/ready/get, gossip probe/ack), the record's
+// cause in own.get and own.subscribe replies, and the exec request with its
+// actor epoch byte for byte.
 func TestCodecGoldenBytes(t *testing.T) {
 	golden := map[string]string{
-		"GetResponse":        "a103726177010568656c6c6f",
-		"PushRequest":        "a2202122232425262728292a2b2c2d2e2f096172726f776c6974650568656c6c6f",
-		"OwnCreateRequest":   "b102303132333435363738393a3b3c3d3e3f404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f606162636465666768696a6b6c6d6e6f",
-		"OwnReadyRequest":    "b2303132333435363738393a3b3c3d3e3f80808001505152535455565758595a5b5c5d5e5f707172737475767778797a7b7c7d7e7f096770753a302f6f626a",
-		"OwnReadyResponse":   "b302505152535455565758595a5b5c5d5e5f5152535455565758595a5b5c5d5e5f60",
-		"OwnGetRequest":      "b4303132333435363738393a3b3c3d3e3f",
-		"OwnGetResponse":     "b5303132333435363738393a3b3c3d3e3f505152535455565758595a5b5c5d5e5f020d606162636465666768696a6b6c6d6e6f02505152535455565758595a5b5c5d5e5f52535455565758595a5b5c5d5e5f6061707172737475767778797a7b7c7d7e7f0168",
-		"GossipProbeRequest": "b6505152535455565758595a5b5c5d5e5fac02",
-		"GossipProbeAck":     "b75152535455565758595a5b5c5d5e5f60ac02",
+		"ExecRequest":          "c10102030405060708090a0b0c0d0e0f1002030405060708090a0b0c0d0e0f1011067265647563650306696e6c696e65000000000000000000000000000000000000030405060708090a0b0c0d0e0f10111201000000000000000000000000000000000000020405060708090a0b0c0d0e0f1011121305060708090a0b0c0d0e0f101112131403677075809bee02060708090a0b0c0d0e0f10111213141501670708090a0b0c0d0e0f101112131415160102057368617264013300000461636d6503",
+		"OwnSubscribeResponse": "c701303132333435363738393a3b3c3d3e3f505152535455565758595a5b5c5d5e5f020d606162636465666768696a6b6c6d6e6f02505152535455565758595a5b5c5d5e5f52535455565758595a5b5c5d5e5f6061707172737475767778797a7b7c7d7e7f016800",
+		"OwnGetResponse/cause": "b5303132333435363738393a3b3c3d3e3f505152535455565758595a5b5c5d5e5f0400606162636465666768696a6b6c6d6e6f00000000000000000000000000000000000001167461736b203031202866293a2063616e63656c6c6564",
+		"GetResponse":          "a103726177010568656c6c6f",
+		"PushRequest":          "a2202122232425262728292a2b2c2d2e2f096172726f776c6974650568656c6c6f",
+		"OwnCreateRequest":     "b102303132333435363738393a3b3c3d3e3f404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f606162636465666768696a6b6c6d6e6f",
+		"OwnReadyRequest":      "b2303132333435363738393a3b3c3d3e3f80808001505152535455565758595a5b5c5d5e5f707172737475767778797a7b7c7d7e7f096770753a302f6f626a",
+		"OwnReadyResponse":     "b302505152535455565758595a5b5c5d5e5f5152535455565758595a5b5c5d5e5f60",
+		"OwnGetRequest":        "b4303132333435363738393a3b3c3d3e3f",
+		"OwnGetResponse":       "b5303132333435363738393a3b3c3d3e3f505152535455565758595a5b5c5d5e5f020d606162636465666768696a6b6c6d6e6f02505152535455565758595a5b5c5d5e5f52535455565758595a5b5c5d5e5f6061707172737475767778797a7b7c7d7e7f016800",
+		"GossipProbeRequest":   "b6505152535455565758595a5b5c5d5e5fac02",
+		"GossipProbeAck":       "b75152535455565758595a5b5c5d5e5f60ac02",
 	}
 	seen := 0
 	for _, cc := range allCases() {

@@ -7,35 +7,37 @@ import (
 	"sync"
 
 	"skadi/internal/idgen"
-	"skadi/internal/lineage"
 	"skadi/internal/ownership"
 	"skadi/internal/skaderr"
 	"skadi/internal/transport"
 )
 
 // Head is the cluster's control-plane service (the GCS of Fig. 2's
-// centralized scheduler): it hosts the lineage log and the actor records,
-// serves the actor.* RPCs raylets use to find an actor and keep its state
-// durable, and is the permanent member of the ownership directory's ring,
-// serving own.* RPCs for whatever share of it the ring assigns.
+// centralized scheduler): it hosts the actor records, serves the actor.*
+// RPCs raylets use to find an actor and keep its state durable, and is the
+// permanent member of the ownership directory's ring, serving own.* RPCs
+// for whatever share of it the ring assigns. What an object is, where it
+// is, how it was made and why it failed all live on its ownership record.
 type Head struct {
 	Node idgen.NodeID
 	// Table is the ownership directory this head serves: the runtime's
 	// *ownership.ShardedTable, which worker raylets serve their own shards
 	// of through the same Directory.
-	Table   ownership.Directory
-	Lineage *lineage.Log
+	Table ownership.Directory
 
 	actorsMu sync.Mutex
 	actors   map[idgen.ActorID]*actorRecord
 }
 
 // ActorRecord is the one place that says where an actor lives: its home
-// node, and the backend its tasks need.
+// node, and the backend its tasks need. Epoch counts the committed moves:
+// a raylet runs a task only on state adopted at the epoch the task was
+// sent with.
 type ActorRecord struct {
 	Actor   idgen.ActorID
 	Home    idgen.NodeID
 	Backend string
+	Epoch   uint64
 }
 
 // actorRecord is the head's entry for an actor: its record, beside its
@@ -49,18 +51,17 @@ type actorRecord struct {
 // NewHead returns a head service identified by the given node, serving dir.
 func NewHead(node idgen.NodeID, dir ownership.Directory) *Head {
 	return &Head{
-		Node:    node,
-		Table:   dir,
-		Lineage: lineage.NewLog(),
-		actors:  make(map[idgen.ActorID]*actorRecord),
+		Node:   node,
+		Table:  dir,
+		actors: make(map[idgen.ActorID]*actorRecord),
 	}
 }
 
-// CreateActor writes a new actor's record: it lives on home and its tasks
-// need backend.
+// CreateActor writes a new actor's record: it lives on home, at epoch 1,
+// and its tasks need backend.
 func (h *Head) CreateActor(actor idgen.ActorID, home idgen.NodeID, backend string) {
 	h.actorsMu.Lock()
-	h.actors[actor] = &actorRecord{ActorRecord: ActorRecord{Actor: actor, Home: home, Backend: backend}}
+	h.actors[actor] = &actorRecord{ActorRecord: ActorRecord{Actor: actor, Home: home, Backend: backend, Epoch: 1}}
 	h.actorsMu.Unlock()
 }
 
@@ -88,9 +89,10 @@ func (h *Head) Actors() []ActorRecord {
 }
 
 // MoveActor retargets an actor's record from one home to another, only if
-// it still names from. Every move goes through this compare-and-swap, so
-// of two moves that read the same home at most one commits. A record that
-// already names to is left as it is: a repeated move succeeds.
+// it still names from, and bumps its epoch. Every move goes through this
+// compare-and-swap, so of two moves that read the same home at most one
+// commits. A record that already names to is left as it is: a repeated
+// move succeeds.
 func (h *Head) MoveActor(actor idgen.ActorID, from, to idgen.NodeID) error {
 	h.actorsMu.Lock()
 	defer h.actorsMu.Unlock()
@@ -106,6 +108,7 @@ func (h *Head) MoveActor(actor idgen.ActorID, from, to idgen.NodeID) error {
 			actor.Short(), rec.Home.Short(), from.Short())
 	}
 	rec.Home = to
+	rec.Epoch++
 	return nil
 }
 
@@ -127,8 +130,8 @@ func (h *Head) Restore(actor idgen.ActorID) (uint64, map[string][]byte) {
 	return resp.Seq, resp.State
 }
 
-// restore answers actor.restore: the actor's home (nil without a record)
-// and its latest snapshot, read together.
+// restore answers actor.restore: the actor's home (nil without a record),
+// its epoch and its latest snapshot, read together.
 func (h *Head) restore(actor idgen.ActorID) ActorRestoreResponse {
 	h.actorsMu.Lock()
 	defer h.actorsMu.Unlock()
@@ -136,7 +139,7 @@ func (h *Head) restore(actor idgen.ActorID) ActorRestoreResponse {
 	if !ok {
 		return ActorRestoreResponse{}
 	}
-	resp := ActorRestoreResponse{Home: rec.Home, Seq: rec.seq}
+	resp := ActorRestoreResponse{Home: rec.Home, Epoch: rec.Epoch, Seq: rec.seq}
 	if rec.state != nil {
 		resp.State = copyState(rec.state)
 	}

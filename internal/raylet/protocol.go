@@ -83,15 +83,18 @@ const (
 // views of the input buffer (the zero-copy bulk path: the transport hands
 // each payload to exactly one consumer); every other decoded field is a copy.
 
-// ExecRequest asks for one task execution.
+// ExecRequest asks for one task execution. An actor task carries the
+// epoch of the actor record its home was read from.
 type ExecRequest struct {
-	Spec task.Spec
+	Spec  task.Spec
+	Epoch uint64
 }
 
 // Wire implements transport.Message.
 func (m *ExecRequest) Wire(c *wire.Coder) {
 	c.Tag(0xC1)
 	m.Spec.Wire(c)
+	c.Uvarint(&m.Epoch)
 }
 
 // ExecResponse reports a completed task.
@@ -312,10 +315,11 @@ func (m *ActorRestoreRequest) Wire(c *wire.Coder) {
 	c.ID(&m.Actor)
 }
 
-// ActorRestoreResponse returns the actor's home (nil without a record) and
-// its checkpoint (nil State if none).
+// ActorRestoreResponse returns the actor's home (nil without a record), the
+// record's epoch and its checkpoint (nil State if none).
 type ActorRestoreResponse struct {
 	Home  idgen.NodeID
+	Epoch uint64
 	Seq   uint64
 	State map[string][]byte
 }
@@ -324,6 +328,7 @@ type ActorRestoreResponse struct {
 func (m *ActorRestoreResponse) Wire(c *wire.Coder) {
 	c.Tag(0xCB)
 	c.ID(&m.Home)
+	c.Uvarint(&m.Epoch)
 	c.Uvarint(&m.Seq)
 	wire.Map(c, &m.State, (*wire.Coder).LenBytes)
 }

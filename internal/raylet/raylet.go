@@ -262,7 +262,7 @@ func (r *Raylet) dispatch(ctx context.Context, from idgen.NodeID, kind string, p
 		if err := transport.Decode(payload, &req); err != nil {
 			return nil, err
 		}
-		return r.execTask(ctx, &req.Spec)
+		return r.execTask(ctx, &req.Spec, req.Epoch)
 
 	case KindGet:
 		var req GetRequest
@@ -334,11 +334,12 @@ type actor struct {
 	// state is nil until the actor's state is adopted here.
 	state map[string][]byte
 	seq   uint64
-	// homed is set once the actor's record named this node after the state
-	// was adopted. Until then — shipped state whose retarget may not have
-	// happened, or state kept after a retarget that failed — the next task
-	// reads the record first (see admitActor).
-	homed bool
+	// epoch is the actor record's epoch when it last named this node and
+	// the state was adopted here; 0 until then — shipped state whose
+	// retarget may not have happened, or state kept after a retarget that
+	// failed. A task sent at another epoch reads the record first (see
+	// admitActor).
+	epoch uint64
 }
 
 // HygieneCounts is a snapshot of the raylet's migration bookkeeping for
@@ -375,7 +376,7 @@ func (r *Raylet) MigrationHygiene() HygieneCounts {
 // once, source → destination. If the ship or the retarget fails the gate
 // lifts and the state stays here; no message is needed to roll back. After
 // a failed retarget the record may have moved anyway (the reply was lost),
-// so the kept state is no longer homed and the next task reads the record.
+// so the kept state is no longer adopted and the next task reads the record.
 // An actor that never ran here has no entry: nothing ships, and its first
 // task at the destination restores the head checkpoint.
 func (r *Raylet) migrateTransferActor(ctx context.Context, req *MigrateTransferRequest) ([]byte, error) {
@@ -430,7 +431,7 @@ func (r *Raylet) shipActor(ctx context.Context, id idgen.ActorID, a *actor, dest
 	move := transport.MustEncode(ActorMoveRequest{Actor: id, From: r.cfg.Node, To: dest})
 	if _, err := r.call(ctx, r.cfg.Head, KindActorMove, move); err != nil {
 		if a != nil {
-			a.homed = false
+			a.epoch = 0
 		}
 		return resp, fmt.Errorf("raylet: actor.move %s to %s: %w", id.Short(), dest.Short(), err)
 	}
@@ -440,7 +441,7 @@ func (r *Raylet) shipActor(ctx context.Context, id idgen.ActorID, a *actor, dest
 // migrateInstall stages shipped actor state (the receiving half of an
 // actor transfer). It replaces whatever entry this raylet held for the
 // actor: the record names the source while the state is in flight. The
-// staged state is not homed, so it runs only once the record names this
+// staged state is not adopted, so it runs only once the record names this
 // node (see admitActor).
 func (r *Raylet) migrateInstall(req *MigrateInstallRequest) {
 	state := req.State
@@ -536,7 +537,7 @@ func (r *Raylet) waitArrival(ctx context.Context, id idgen.ObjectID) error {
 // execTask resolves arguments, runs the function, and commits results.
 // Argument resolution happens *before* a worker slot is taken, so tasks
 // waiting on inputs do not hold compute — the "wait mode" of §2.1.
-func (r *Raylet) execTask(ctx context.Context, spec *task.Spec) ([]byte, error) {
+func (r *Raylet) execTask(ctx context.Context, spec *task.Spec, epoch uint64) ([]byte, error) {
 	// Cancellation checkpoint before any work: a task revoked while queued
 	// on the wire costs nothing here.
 	if err := ctx.Err(); err != nil {
@@ -614,7 +615,7 @@ func (r *Raylet) execTask(ctx context.Context, spec *task.Spec) ([]byte, error) 
 		}
 		outs, err = fn(tctx, args)
 	} else {
-		outs, err = r.execActorTask(ctx, tctx, fn, spec, args)
+		outs, err = r.execActorTask(ctx, tctx, fn, spec, epoch, args)
 	}
 	execSp.End()
 	if err != nil {
@@ -651,8 +652,8 @@ func (r *Raylet) execTask(ctx context.Context, spec *task.Spec) ([]byte, error) 
 // per actor. State is checkpointed to the head after every task, and an
 // actor arriving on this node restores the latest checkpoint — so actor
 // state survives node failures (§1: the caching layer "can store states").
-func (r *Raylet) execActorTask(ctx context.Context, tctx *task.Context, fn task.Func, spec *task.Spec, args [][]byte) ([][]byte, error) {
-	a, err := r.admitActor(ctx, spec.Actor)
+func (r *Raylet) execActorTask(ctx context.Context, tctx *task.Context, fn task.Func, spec *task.Spec, epoch uint64, args [][]byte) ([][]byte, error) {
+	a, err := r.admitActor(ctx, spec.Actor, epoch)
 	if err != nil {
 		return nil, err
 	}
@@ -677,9 +678,11 @@ func (r *Raylet) execActorTask(ctx context.Context, tctx *task.Context, fn task.
 // admitActor returns the actor's entry with its lock held, once no
 // migration holds the actor and its record names this node. A task parks
 // on a frozen actor's gate without holding the actor lock, so the transfer
-// can wait out the running task. An entry that is not homed reads the
-// record first (see adoptRecord).
-func (r *Raylet) admitActor(ctx context.Context, id idgen.ActorID) (*actor, error) {
+// can wait out the running task. An entry adopted at another epoch than
+// the task's (0: unknown) reads the record first (see adoptRecord), so
+// state left here by a move away never runs once the record names this
+// node again.
+func (r *Raylet) admitActor(ctx context.Context, id idgen.ActorID, epoch uint64) (*actor, error) {
 	for {
 		r.actorsMu.Lock()
 		if gate, frozen := r.frozenActors[id]; frozen {
@@ -705,7 +708,7 @@ func (r *Raylet) admitActor(ctx context.Context, id idgen.ActorID) (*actor, erro
 			a.mu.Unlock()
 			continue
 		}
-		if !a.homed {
+		if epoch == 0 || a.epoch != epoch {
 			if err := r.adoptRecord(ctx, id, a); err != nil {
 				a.mu.Unlock()
 				return nil, err
@@ -732,10 +735,12 @@ func (r *Raylet) admits(id idgen.ActorID, a *actor) bool {
 	return !frozen && r.actors[id] == a
 }
 
-// adoptRecord reads the record of an actor whose entry is not homed — its
-// first task here, or state shipped in or kept after a failed retarget;
-// the caller holds a.mu. If the record names this node the entry takes the
-// newer of its own state and the head checkpoint by Seq, and is homed.
+// adoptRecord reads the record of an actor whose entry is not adopted at
+// the task's epoch — its first task here, state shipped in or kept after a
+// failed retarget, or state left from before a move away and back; the
+// caller holds a.mu. If the record names this node the entry takes the
+// newer of its own state and the head checkpoint by Seq, and the record's
+// epoch.
 // Otherwise the task fails with a typed NotFound before its kernel runs, so
 // the submitter reads the record and follows it; an entry this arrival
 // created is dropped, and shipped state stays staged.
@@ -766,7 +771,7 @@ func (r *Raylet) adoptRecord(ctx context.Context, id idgen.ActorID, a *actor) er
 			a.state = make(map[string][]byte)
 		}
 	}
-	a.homed = true
+	a.epoch = rec.Epoch
 	return nil
 }
 

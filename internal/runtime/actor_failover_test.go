@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"testing"
 
+	"skadi/internal/chaos"
 	"skadi/internal/idgen"
 	"skadi/internal/ownership"
 	"skadi/internal/task"
@@ -150,5 +151,51 @@ func TestActorFailoverIsolation(t *testing.T) {
 	}
 	if got := count(t, rt, b); got != 2 {
 		t.Errorf("actor b (undisturbed) = %d, want 2", got)
+	}
+}
+
+// TestStaleHomeRereadsRecord: an actor re-homed off a partitioned node,
+// which keeps its entry, and later sent back there (its new home died) must
+// not run on the state that node kept. The entry was adopted at an older
+// epoch of the actor's record, so the node reads the record again and takes
+// the newer checkpoint.
+func TestStaleHomeRereadsRecord(t *testing.T) {
+	rt, err := New(ClusterSpec{Servers: 2, ServerSlots: 2, ServerMemBytes: 64 << 20}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown()
+	registerCounter(rt)
+	workers := rt.workerServers()
+	w0, w1 := workers[0], workers[1]
+	actor, err := rt.CreateActorOn(w0, "cpu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		if got := count(t, rt, actor); got != i {
+			t.Fatalf("count %d = %d", i, got)
+		}
+	}
+
+	rt.InstallPlan(&chaos.Plan{Seed: 1})
+	rt.Chaos().Partition([]idgen.NodeID{w0})
+	if got := count(t, rt, actor); got != 4 {
+		t.Fatalf("count on the re-homed actor = %d, want 4", got)
+	}
+	if home, _ := rt.ActorNode(actor); home != w1 {
+		t.Fatalf("home after the partition = %s, want %s", home.Short(), w1.Short())
+	}
+	rt.HealChaos()
+	if got := count(t, rt, actor); got != 5 {
+		t.Fatalf("count after heal = %d, want 5", got)
+	}
+
+	rt.KillNode(w1)
+	if home, _ := rt.ActorNode(actor); home != w0 {
+		t.Fatalf("home after its new home died = %s, want %s", home.Short(), w0.Short())
+	}
+	if got := count(t, rt, actor); got != 6 {
+		t.Fatalf("count back on the old home = %d, want 6 (it ran on the state it kept)", got)
 	}
 }

@@ -490,3 +490,62 @@ func TestSubmitGangHonorsContext(t *testing.T) {
 		t.Fatal("SubmitGang ignored context cancellation while parked")
 	}
 }
+
+// TestCancelReachesThroughFinishedIntermediate: A and B finished, C runs on
+// B's output. Cancelling A dooms C through B, which is freed too.
+func TestCancelReachesThroughFinishedIntermediate(t *testing.T) {
+	rt := newRuntime(t, Options{})
+	started := make(chan struct{})
+	release := make(chan struct{})
+	defer close(release)
+	registerBlocker(rt, "block", started, release)
+
+	ctx := context.Background()
+	payload := make([]byte, 4096)
+	a := rt.Submit(task.NewSpec(rt.Job(), "echo", []task.Arg{task.ValueArg(payload)}, 1))
+	b := rt.Submit(task.NewSpec(rt.Job(), "echo", []task.Arg{task.RefArg(a[0])}, 1))
+	if _, err := rt.Get(ctx, b[0]); err != nil {
+		t.Fatal(err)
+	}
+	c := rt.Submit(task.NewSpec(rt.Job(), "block", []task.Arg{task.RefArg(b[0])}, 1))
+	<-started
+
+	rep := rt.Cancel(a[0])
+	// B's exec RPC may still be returning, so it can count as reclaimed too.
+	if rep.TasksCancelled != 3 || rep.WorkersReclaimed < 1 {
+		t.Errorf("report = %+v, want 3 tasks cancelled and a worker reclaimed", rep)
+	}
+	if rep.BytesReclaimed < 2*int64(len(payload)) {
+		t.Errorf("BytesReclaimed = %d, want >= %d (A's and B's outputs)", rep.BytesReclaimed, 2*len(payload))
+	}
+	if rt.Layer.Contains(b[0]) {
+		t.Error("the finished intermediate's bytes are still resident")
+	}
+	for name, ref := range map[string]idgen.ObjectID{"B": b[0], "C": c[0]} {
+		if _, err := rt.Get(ctx, ref); !errors.Is(err, skaderr.Cancelled) {
+			t.Errorf("Get(%s) = %v, want skaderr.Cancelled", name, err)
+		}
+	}
+}
+
+// TestCancelKeepsFinishedDescendant: a finished descendant that nothing
+// unfinished depends on keeps its value when its ancestor is cancelled.
+func TestCancelKeepsFinishedDescendant(t *testing.T) {
+	rt := newRuntime(t, Options{})
+	ctx := context.Background()
+	a := rt.Submit(task.NewSpec(rt.Job(), "echo", []task.Arg{task.ValueArg([]byte("a"))}, 1))
+	b := rt.Submit(task.NewSpec(rt.Job(), "echo", []task.Arg{task.RefArg(a[0])}, 1))
+	if _, err := rt.Get(ctx, b[0]); err != nil {
+		t.Fatal(err)
+	}
+	rt.Drain()
+	if rep := rt.Cancel(a[0]); rep.TasksCancelled != 1 {
+		t.Errorf("TasksCancelled = %d, want 1 (A only)", rep.TasksCancelled)
+	}
+	if _, err := rt.Get(ctx, a[0]); !errors.Is(err, skaderr.Cancelled) {
+		t.Errorf("Get(A) = %v, want skaderr.Cancelled", err)
+	}
+	if data, err := rt.Get(ctx, b[0]); err != nil || string(data) != "a" {
+		t.Errorf("Get(B) = %q, %v, want its value", data, err)
+	}
+}

@@ -136,10 +136,11 @@ func TestCheckerCatchesOrphanFuture(t *testing.T) {
 	if len(vs) != 1 || vs[0].Invariant != "I1-futures" {
 		t.Fatalf("violations = %v, want exactly one I1", vs)
 	}
-	// The same future with a typed cause recorded is not a violation.
-	rt.mu.Lock()
-	rt.errs[orphan] = skaderr.New(skaderr.Unavailable, "injected: producer crashed")
-	rt.mu.Unlock()
+	// The same future failed with a typed cause on its record is not a
+	// violation.
+	if err := rt.Head.Table.MarkLost(orphan, skaderr.New(skaderr.Unavailable, "injected: producer crashed")); err != nil {
+		t.Fatal(err)
+	}
 	if vs := checker.Check(); len(vs) != 0 {
 		t.Fatalf("explained future still flagged: %v", vs)
 	}

@@ -38,8 +38,8 @@ func TestFreeReclaimsEverything(t *testing.T) {
 	if rt.Head.Table.Len() != 0 {
 		t.Errorf("ownership entries = %d after Free", rt.Head.Table.Len())
 	}
-	if rt.Head.Lineage.Len() != 0 {
-		t.Errorf("lineage entries = %d after Free", rt.Head.Lineage.Len())
+	if _, ok := rt.Head.Table.Producer(refs[0]); ok {
+		t.Error("producer still recorded after Free")
 	}
 	// Freed objects are gone for good.
 	ctx2, cancel := context.WithTimeout(ctx, 50*time.Millisecond)

@@ -1,18 +1,21 @@
 // Package runtime composes the substrates into Skadi's stateful serverless
 // runtime (§2.3): a simulated disaggregated cluster with a head service
-// (ownership + lineage), a raylet per executable node, the caching layer
-// spanning every memory tier, and one control plane — sharded ownership
-// directory, placement mesh, gossip liveness — whose centralized form is
-// the configuration with a single shard host. It exposes the
-// distributed task API — Put/Submit/Get/Wait, actors, gang submission — and
-// failure handling: a lost object is repaired from a surviving cached copy
-// if one exists and re-derived by lineage re-execution if none does.
+// (actor records, the directory ring's permanent member), a raylet per
+// executable node, the caching layer spanning every memory tier, and one
+// control plane — sharded ownership directory, placement mesh, gossip
+// liveness — whose centralized form is the configuration with a single
+// shard host. One ownership record per object says where it is, which task
+// makes it and why it failed. The package exposes the distributed task API
+// — Put/Submit/Get/Wait, actors, gang submission — and failure handling: a
+// lost object is repaired from a surviving cached copy if one exists and
+// re-derived by re-running its recorded producer if none does.
 package runtime
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -26,6 +29,7 @@ import (
 	"skadi/internal/fabric"
 	"skadi/internal/gossip"
 	"skadi/internal/idgen"
+	"skadi/internal/lineage"
 	"skadi/internal/metrics"
 	"skadi/internal/migrate"
 	"skadi/internal/objectstore"
@@ -161,14 +165,11 @@ type Runtime struct {
 	job       idgen.JobID
 	migrator  *migrate.Migrator
 
-	mu   sync.Mutex
-	errs map[idgen.ObjectID]error
-	// tasks tracks every submitted-but-unfinished task's cancellation
-	// control, keyed by task ID; Cancel walks lineage and fires these.
-	tasks map[idgen.TaskID]*taskCtl
-	// producers indexes the registered tasks a Get/Wait may run itself
-	// (taskCtl.helpable) by return ID; see help.
-	producers map[idgen.ObjectID]*taskCtl
+	mu sync.Mutex
+	// tasks tracks every submitted-but-unfinished task's control, keyed by
+	// task ID: Cancel fires these, and a Get/Wait finds the producer it may
+	// run itself through its record's Task (see help).
+	tasks     map[idgen.TaskID]*taskCtl
 	inflight  sync.WaitGroup
 	autoscale autoscaleState
 	// retiredExecuted accumulates TasksExecuted from raylets discarded by
@@ -255,11 +256,6 @@ func (rt *Runtime) registerTask(ctl *taskCtl) bool {
 		return false
 	}
 	rt.tasks[ctl.spec.ID] = ctl
-	if ctl.helpable {
-		for _, ret := range ctl.spec.Returns {
-			rt.producers[ret] = ctl
-		}
-	}
 	return true
 }
 
@@ -269,11 +265,6 @@ func (rt *Runtime) registerTask(ctl *taskCtl) bool {
 func (rt *Runtime) finish(ctl *taskCtl) {
 	rt.mu.Lock()
 	delete(rt.tasks, ctl.spec.ID)
-	if ctl.helpable {
-		for _, ret := range ctl.spec.Returns {
-			delete(rt.producers, ret)
-		}
-	}
 	redo := ctl.resubmitted
 	rt.mu.Unlock()
 	if redo && slices.ContainsFunc(ctl.spec.Returns, rt.pending) {
@@ -312,9 +303,7 @@ func New(spec ClusterSpec, opts Options) (*Runtime, error) {
 		opts:      opts,
 		raylets:   make(map[idgen.NodeID]*raylet.Raylet),
 		rayletCfg: make(map[idgen.NodeID]raylet.Config),
-		errs:      make(map[idgen.ObjectID]error),
 		tasks:     make(map[idgen.TaskID]*taskCtl),
-		producers: make(map[idgen.ObjectID]*taskCtl),
 		job:       idgen.Next(),
 
 		decentralized: opts.Decentralized,
@@ -328,8 +317,8 @@ func New(spec ClusterSpec, opts Options) (*Runtime, error) {
 	}
 	rt.Layer = layer
 	// Cache-byte quotas gate the put path; evictions under per-tenant
-	// pressure free the object cluster-wide (ownership + residency +
-	// lineage) so the chaos residency invariant keeps holding.
+	// pressure free the object cluster-wide (record + residency) so the
+	// chaos residency invariant keeps holding.
 	layer.SetQuota(rt.Tenancy)
 	rt.Tenancy.SetEvictor(func(id idgen.ObjectID) { rt.Free(id) })
 
@@ -745,7 +734,7 @@ func (rt *Runtime) SubmitGang(ctx context.Context, specs []*task.Spec) ([][]idge
 			defer rt.finish(ctl)
 			rt.Tenancy.GangStarted(s.Tenant)
 			ctl.executing.Store(true)
-			err := rt.execOn(tctx, placements[i], s)
+			err := rt.execOn(tctx, placements[i], s, 0)
 			ctl.executing.Store(false)
 			rt.Sched.Finished(placements[i])
 			rt.Tenancy.GangFinished(s.Tenant)
@@ -761,17 +750,15 @@ func (rt *Runtime) SubmitGang(ctx context.Context, specs []*task.Spec) ([][]idge
 	return refs, nil
 }
 
-// prepare registers a spec's returns and lineage before dispatch.
+// prepare creates a spec's return records, naming it their producer,
+// before dispatch.
 func (rt *Runtime) prepare(spec *task.Spec) {
 	if spec.Job.IsNil() {
 		spec.Job = rt.job
 	}
 	spec.Owner = rt.driver
-	for _, ret := range spec.Returns {
-		// Ignore ErrExists: a spec submitted again keeps its records.
-		_ = rt.Head.Table.CreatePending(ret, rt.driver, spec.ID)
-	}
-	rt.Head.Lineage.Record(spec)
+	// Ignore ErrExists: a spec submitted again keeps its records.
+	_ = rt.Head.Table.CreateTask(spec, rt.driver)
 }
 
 // dispatch picks a node (unless pinned; under DataLocality once the
@@ -833,12 +820,16 @@ func (rt *Runtime) dispatch(ctx context.Context, ctl *taskCtl, pinned idgen.Node
 				attemptCancel(nil)
 			}
 		}
-		node := pinned
-		if node.IsNil() && !spec.Actor.IsNil() {
+		node, epoch := pinned, uint64(0)
+		if !spec.Actor.IsNil() {
 			// An actor without a record gets no home here; the raylet it is
-			// placed on refuses it with NotFound.
+			// placed on refuses it with NotFound. The epoch travels with the
+			// task, so the home runs it only on state adopted at that epoch.
 			rec, _ := rt.Head.Actor(spec.Actor)
-			node = rec.Home
+			epoch = rec.Epoch
+			if node.IsNil() {
+				node = rec.Home
+			}
 		}
 		if !node.IsNil() {
 			rt.Sched.Started(node)
@@ -853,7 +844,7 @@ func (rt *Runtime) dispatch(ctx context.Context, ctl *taskCtl, pinned idgen.Node
 			rt.Metrics.Counter(MetricRedundantRuns).Inc()
 		}
 		ctl.executing.Store(true)
-		err = rt.execOn(attemptCtx, node, spec)
+		err = rt.execOn(attemptCtx, node, spec, epoch)
 		ctl.executing.Store(false)
 		preempted := grant != nil &&
 			skaderr.CodeOf(context.Cause(attemptCtx)) == skaderr.Preempted
@@ -953,9 +944,10 @@ func (rt *Runtime) awaitArgs(ctx context.Context, spec *task.Spec, pinned idgen.
 	return nil
 }
 
-// execOn performs the exec RPC against one raylet.
-func (rt *Runtime) execOn(ctx context.Context, node idgen.NodeID, spec *task.Spec) error {
-	payload := transport.MustEncode(raylet.ExecRequest{Spec: *spec})
+// execOn performs the exec RPC against one raylet; epoch is the actor
+// record's epoch for an actor task.
+func (rt *Runtime) execOn(ctx context.Context, node idgen.NodeID, spec *task.Spec, epoch uint64) error {
+	payload := transport.MustEncode(raylet.ExecRequest{Spec: *spec, Epoch: epoch})
 	_, err := rt.Cluster.Transport.Call(ctx, rt.driver, node, raylet.KindExec, payload)
 	return err
 }
@@ -971,29 +963,29 @@ func (rt *Runtime) actorMoved(actor idgen.ActorID, node idgen.NodeID, err error)
 	return ok && rec.Home != node
 }
 
-// failTask marks every return of a failed task lost and records the error.
-// The error is recorded BEFORE MarkLost wakes any waiter, so a Get released
-// by the loss always sees the typed failure, never a bare "lost".
+// failTask marks every return of a failed task Lost with the error as its
+// cause.
 func (rt *Runtime) failTask(spec *task.Spec, err error) {
 	err = skaderr.Coerce(err)
 	if skaderr.CodeOf(err) == skaderr.DeadlineExceeded {
 		rt.Metrics.Counter(MetricTasksDeadlineExceeded).Inc()
 	}
-	rt.mu.Lock()
+	rt.loseReturns(spec, err)
+}
+
+// loseReturns marks every return of spec Lost with err, attributed to the
+// task, as its cause. A return already Lost keeps the cause it has.
+func (rt *Runtime) loseReturns(spec *task.Spec, err error) {
+	cause := fmt.Errorf("task %s (%s): %w", spec.ID.Short(), spec.Fn, err)
 	for _, ret := range spec.Returns {
-		rt.errs[ret] = fmt.Errorf("task %s (%s): %w", spec.ID.Short(), spec.Fn, err)
-	}
-	rt.mu.Unlock()
-	for _, ret := range spec.Returns {
-		_ = rt.Head.Table.MarkLost(ret)
+		_ = rt.Head.Table.MarkLost(ret, cause)
 	}
 }
 
-// taskErr returns the recorded failure for a reference, if any.
+// taskErr returns the failure recorded on a reference's record, if any.
 func (rt *Runtime) taskErr(id idgen.ObjectID) error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.errs[id]
+	rec, _ := rt.Head.Table.Get(id)
+	return rec.Cause
 }
 
 // Get blocks until the referenced object is ready and returns its bytes at
@@ -1030,20 +1022,25 @@ func (rt *Runtime) waitReady(ctx context.Context, id idgen.ObjectID) error {
 	return rt.Head.Table.WaitReady(ctx, id)
 }
 
-// help runs id's producer in the calling goroutine if it is registered,
-// helpable (value arguments only, not a gang member) and not started yet:
-// the caller would park until it finishes anyway, and running it here saves
-// the two cross-thread wake-ups of the task's goroutine and of the parked
-// caller. A caller whose ctx can be cancelled or can expire never helps, so
-// it returns on time instead of sitting inside someone's kernel.
+// help runs id's producer in the calling goroutine if it is registered
+// (id's Pending record names a task in rt.tasks), helpable (value
+// arguments only, not a gang member) and not started yet: the caller would
+// park until it finishes anyway, and running it here saves the two
+// cross-thread wake-ups of the task's goroutine and of the parked caller.
+// A caller whose ctx can be cancelled or can expire never helps, so it
+// returns on time instead of sitting inside someone's kernel.
 func (rt *Runtime) help(ctx context.Context, id idgen.ObjectID) {
 	if ctx.Done() != nil {
 		return
 	}
+	rec, err := rt.Head.Table.Get(id)
+	if err != nil || rec.State != ownership.Pending {
+		return
+	}
 	rt.mu.Lock()
-	ctl := rt.producers[id]
+	ctl := rt.tasks[rec.Task]
 	rt.mu.Unlock()
-	if ctl != nil && rt.run(ctl) {
+	if ctl != nil && ctl.helpable && rt.run(ctl) {
 		rt.Metrics.Counter(MetricTasksHelped).Inc()
 	}
 }
@@ -1239,10 +1236,11 @@ func (rt *Runtime) pending(id idgen.ObjectID) bool {
 // or found Lost): §2.1's two mechanisms as an order. Each id is settled —
 // Ready if a copy is readable, Pending if its producer is re-submitted,
 // else Lost; with rederive false (a drained node's dead weight), Lost
-// unlooked. A producer whose recorded failure is terminal (see
-// terminalFailure) is never re-submitted: its outputs are Lost. Lineage asks the same of every argument: one readable or
-// Pending will arrive, the rest are re-derived too. Every planned return
-// is claimed Pending (Settle, a compare-and-set: concurrent restores
+// unlooked. A producer whose record carries a terminal failure (see
+// terminalFailure) is never re-submitted: its outputs are Lost. Lineage
+// asks the same of every argument: one readable or Pending will arrive,
+// the rest are re-derived from their records' producers too. Every planned
+// return is claimed Pending (Settle, a compare-and-set: concurrent restores
 // re-submit a producer once) before its producer starts through dispatch;
 // restore waits for none. It returns the ids judged Lost and the first
 // lineage error.
@@ -1252,8 +1250,8 @@ func (rt *Runtime) restore(ids []idgen.ObjectID, rederive bool) (lost []idgen.Ob
 		var plan []*task.Spec
 		planned := make(map[idgen.TaskID]bool)
 		for _, id := range ids {
-			// One plan per id: an object with no lineage dooms only itself.
-			steps, perr := rt.Head.Lineage.RecoveryPlan([]idgen.ObjectID{id}, available)
+			// One plan per id: an object with no producer dooms only itself.
+			steps, perr := lineage.RecoveryPlan([]idgen.ObjectID{id}, rt.Head.Table.Producer, available)
 			if slices.ContainsFunc(steps, func(s *task.Spec) bool { return !s.Actor.IsNil() }) {
 				// Ray's rule: re-running an actor method would apply its
 				// state change twice.
@@ -1263,28 +1261,23 @@ func (rt *Runtime) restore(ids []idgen.ObjectID, rederive bool) (lost []idgen.Ob
 				err = perr
 			}
 			for _, spec := range steps {
-				// Never re-run a terminal failure. Cancellation cascades to
-				// every downstream consumer, and a consumer of a failed
-				// output fails on the lost argument, so a dependent of a
-				// skipped producer is itself skipped.
-				if !planned[spec.ID] && !rt.failedTerminally(spec) {
+				// Never re-run a terminal failure. A dependent of a
+				// skipped producer fails on the lost argument if it runs.
+				if !planned[spec.ID] && !slices.ContainsFunc(spec.Returns, rt.terminalFailure) {
 					planned[spec.ID] = true
 					plan = append(plan, spec)
 				}
 			}
 		}
 		// The plan is in dependency order, so a producer's returns are
-		// claimed before any consumer of them starts.
+		// claimed (their causes cleared) before any consumer of them starts.
 		for _, spec := range plan {
 			mine := false
-			rt.mu.Lock()
 			for _, ret := range spec.Returns {
 				if rt.Head.Table.Settle(ret, ownership.Pending) {
 					mine = true
-					delete(rt.errs, ret)
 				}
 			}
-			rt.mu.Unlock()
 			if mine {
 				rt.start(context.Background(), idgen.Nil, spec, true)
 			}
@@ -1296,12 +1289,6 @@ func (rt *Runtime) restore(ids []idgen.ObjectID, rederive bool) (lost []idgen.Ob
 		}
 	}
 	return lost, err
-}
-
-// failedTerminally reports whether any of a task's returns carries a
-// terminal failure (see terminalFailure).
-func (rt *Runtime) failedTerminally(spec *task.Spec) bool {
-	return slices.ContainsFunc(spec.Returns, rt.terminalFailure)
 }
 
 // CancelReport summarizes what one Cancel call reclaimed.
@@ -1316,67 +1303,70 @@ type CancelReport struct {
 	BytesReclaimed int64
 }
 
-// Cancel revokes the tasks producing the given objects and, cascading over
-// lineage consumer edges, every queued or in-flight descendant. In-flight
-// tasks are interrupted at the raylet's cancel checkpoints (the cancel rides
-// the transport to the remote handler), futures fail with skaderr.Cancelled,
-// blocked Get/Wait callers wake, and already-committed outputs of the doomed
-// graph are freed from the caching layer.
+// Cancel revokes the tasks producing the given objects and every
+// unfinished task that depends on one of their outputs, directly or through
+// finished intermediates, which are doomed too. In-flight tasks are
+// interrupted at the raylet's cancel checkpoints (the cancel rides the
+// transport to the remote handler), futures fail with skaderr.Cancelled,
+// blocked Get/Wait callers wake, and already-committed outputs of the
+// doomed graph are freed from the caching layer. A finished descendant
+// that nothing unfinished depends on keeps its value.
 func (rt *Runtime) Cancel(ids ...idgen.ObjectID) CancelReport {
-	// Seed with the producers of the given objects, then BFS downstream:
-	// every recorded consumer of a cancelled task's outputs is doomed too.
-	seen := make(map[idgen.TaskID]bool)
-	var frontier, doomed []*task.Spec
+	rt.mu.Lock()
+	tasks := maps.Clone(rt.tasks)
+	rt.mu.Unlock()
+	// The seeds are the given objects' recorded producers. Every unfinished
+	// task walks upward through its arguments' recorded producers; a walk
+	// that reaches a doomed task dooms every task on it.
+	doomed, visited := make(map[idgen.TaskID]bool), make(map[idgen.TaskID]bool)
+	var order []*task.Spec
+	doom := func(spec *task.Spec) {
+		doomed[spec.ID] = true
+		order = append(order, spec)
+	}
 	for _, id := range ids {
-		if spec, ok := rt.Head.Lineage.Producer(id); ok && !seen[spec.ID] {
-			seen[spec.ID] = true
-			frontier = append(frontier, spec)
+		if spec, ok := rt.Head.Table.Producer(id); ok && !doomed[spec.ID] {
+			doom(spec)
 		}
 	}
-	for len(frontier) > 0 {
-		spec := frontier[0]
-		frontier = frontier[1:]
-		doomed = append(doomed, spec)
-		for _, ret := range spec.Returns {
-			for _, c := range rt.Head.Lineage.Consumers(ret) {
-				if !seen[c.ID] {
-					seen[c.ID] = true
-					frontier = append(frontier, c)
-				}
-			}
+	var reaches func(spec *task.Spec) bool
+	reaches = func(spec *task.Spec) bool {
+		if doomed[spec.ID] || visited[spec.ID] {
+			return doomed[spec.ID]
 		}
+		visited[spec.ID] = true
+		hit := false
+		for _, ref := range spec.RefArgs() {
+			p, ok := rt.Head.Table.Producer(ref)
+			hit = ok && reaches(p) || hit
+		}
+		if hit {
+			doom(spec)
+		}
+		return hit
+	}
+	for _, ctl := range tasks {
+		reaches(ctl.spec)
 	}
 
 	var rep CancelReport
 	cancelErr := skaderr.New(skaderr.Cancelled, "runtime: cancelled")
-	for _, spec := range doomed {
+	for _, spec := range order {
 		rep.TasksCancelled++
-		rt.mu.Lock()
-		ctl := rt.tasks[spec.ID]
-		rt.mu.Unlock()
-		if ctl != nil {
+		if ctl := tasks[spec.ID]; ctl != nil {
 			if ctl.executing.Load() {
 				rep.WorkersReclaimed++
 			}
 			ctl.cancel(cancelErr)
 		}
-		// Record the error BEFORE MarkLost wakes waiters, so a released Get
-		// sees Cancelled rather than a bare loss.
-		rt.mu.Lock()
-		for _, ret := range spec.Returns {
-			if _, exists := rt.errs[ret]; !exists {
-				rt.errs[ret] = fmt.Errorf("task %s (%s): %w", spec.ID.Short(), spec.Fn, cancelErr)
-			}
-		}
-		rt.mu.Unlock()
 		for _, ret := range spec.Returns {
 			if rec, err := rt.Head.Table.Get(ret); err == nil && rec.State == ownership.Ready {
 				// Partial progress of the doomed graph: reclaim the bytes.
 				rep.BytesReclaimed += rec.Size
 				rt.Layer.Delete(ret)
 			}
-			_ = rt.Head.Table.MarkLost(ret)
 		}
+		rt.loseReturns(spec, cancelErr)
 	}
 	rt.Metrics.Counter(MetricTasksCancelled).Add(int64(rep.TasksCancelled))
 	rt.Metrics.Counter(MetricWorkersReclaimed).Add(int64(rep.WorkersReclaimed))
@@ -1429,18 +1419,14 @@ func (rt *Runtime) RestartNode(node idgen.NodeID) {
 }
 
 // Free releases objects cluster-wide: every cached copy, replica, EC
-// shard, and DSM entry is reclaimed, the ownership entries are deleted
-// (pending waiters are released with a loss error), and lineage is
-// forgotten. Freed objects cannot be recovered; free only consumed
+// shard, and DSM entry is reclaimed, and the ownership records — with the
+// producer and cause they hold — are deleted (pending waiters are released
+// with a loss error). Freed objects cannot be recovered; free only consumed
 // results and dead intermediates.
 func (rt *Runtime) Free(ids ...idgen.ObjectID) {
 	for _, id := range ids {
 		rt.Head.Table.Delete(id)
 		rt.Layer.Delete(id)
-		rt.Head.Lineage.Forget(id)
-		rt.mu.Lock()
-		delete(rt.errs, id)
-		rt.mu.Unlock()
 	}
 }
 
@@ -1453,16 +1439,6 @@ func (rt *Runtime) FabricStats() fabric.Stats { return rt.Cluster.Fabric.TotalSt
 func (rt *Runtime) Shutdown() {
 	rt.stopGossipPump()
 	rt.Drain()
-	// Record the cause before AbortPending wakes waiters: a released Get
-	// must observe Unavailable, never a bare loss.
-	rt.mu.Lock()
-	for _, id := range rt.Head.Table.PendingIDs() {
-		if _, ok := rt.errs[id]; !ok {
-			rt.errs[id] = skaderr.New(skaderr.Unavailable,
-				"runtime: shutdown before object %s was produced", id.Short())
-		}
-	}
-	rt.mu.Unlock()
-	rt.Head.Table.AbortPending()
+	rt.Head.Table.AbortPending(skaderr.New(skaderr.Unavailable, "runtime: shutdown before the object was produced"))
 	_ = rt.Cluster.Transport.Close()
 }

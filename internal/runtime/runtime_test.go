@@ -327,7 +327,7 @@ func TestKillNodeRecoveryMixed(t *testing.T) {
 	// producer against an argument that has bytes but a Lost record.
 	rt.Layer.Delete(b)
 	for _, id := range []idgen.ObjectID{a, b} {
-		if err := rt.Head.Table.MarkLost(id); err != nil {
+		if err := rt.Head.Table.MarkLost(id, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -513,7 +513,7 @@ func TestResubmissionWhileRegistered(t *testing.T) {
 		t.Fatal("task still registered after Drain")
 	}
 	rt.Layer.Delete(ref)
-	if err := rt.Head.Table.MarkLost(ref); err != nil {
+	if err := rt.Head.Table.MarkLost(ref, nil); err != nil {
 		t.Fatal(err)
 	}
 	resubmissions := rt.Metrics.Counter(MetricLineageRecoveries)

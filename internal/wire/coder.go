@@ -70,6 +70,10 @@ func Unmarshal(b []byte, m Message) error {
 	return err
 }
 
+// Decoding reports whether the Coder fills fields from input, for a field
+// whose in-memory form is rebuilt from its coded parts.
+func (c *Coder) Decoding() bool { return c.decoding }
+
 // Tag codes the leading byte that names the message type; decoding any
 // other byte fails the Coder.
 func (c *Coder) Tag(t byte) {
