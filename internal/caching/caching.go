@@ -7,11 +7,12 @@
 // erasure coding; the lineage-vs-reliable-cache trade-off of §2.1 is
 // exercised by experiment E6.
 //
-// The layer keeps no list of full copies: a node holds one exactly when its
-// store contains the key, so every read, delete and last-copy test asks the
-// stores. What no store can answer, which objects live in disaggregated
-// memory and where each erasure-coded object's shards are, sits in a
-// hash-sharded table.
+// The layer keeps no table of its own: each tier is the index of what it
+// holds. A node holds a full copy exactly when its store contains the key;
+// an object is in disaggregated memory exactly when the blade holds it, with
+// its format beside its bytes; and shard i of an erasure-coded object is
+// wherever a store (or, once spilled, the blade) holds the key
+// shardKey(id, i). Every read, delete and recoverability test asks them.
 //
 // The data plane is parallel end to end (E15): redundancy writes fan out
 // concurrently over a bounded worker pool, remote hits stream over the
@@ -21,6 +22,7 @@ package caching
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -89,10 +91,9 @@ var (
 // shard fetches when Config.FanOut is zero.
 const defaultFanOut = 8
 
-// numShards is the DSM/EC table's shard count. 32 shards keep per-shard lock
-// contention negligible for any realistic core count while the fixed array
-// stays small.
-const numShards = 32
+// shardTrailer is the size of the object length each EC shard carries
+// after its bytes, so k shards alone rebuild the object.
+const shardTrailer = 8
 
 // Config configures a Layer.
 type Config struct {
@@ -142,24 +143,9 @@ type counters struct {
 	degradedPlacements atomic.Int64
 }
 
-type ecInfo struct {
-	shardIDs []idgen.ObjectID
-	nodes    []idgen.NodeID // node of each shard; Nil marks a failed slot
-	origLen  int
-	format   string
-}
-
 type storeInfo struct {
 	store *objectstore.Store
 	tier  Tier
-}
-
-// dirShard is one hash shard of what no store can answer. Full copies are
-// not listed here: a node holds one exactly when its store contains the key.
-type dirShard struct {
-	mu  sync.RWMutex
-	dsm map[idgen.ObjectID]string // format of each object held in DSM
-	ec  map[idgen.ObjectID]*ecInfo
 }
 
 // flightKey identifies one in-flight non-local fetch: hot-key coalescing is
@@ -180,7 +166,6 @@ type flight struct {
 	err    error
 }
 
-// Layer is the cluster-wide caching layer. It is safe for concurrent use.
 // Quota is the consumer-side interface to per-tenant cache-byte quotas.
 // The tenancy controller implements it; the caching layer stays free of a
 // tenancy dependency. Reserve is charged once per logical object on the
@@ -192,6 +177,7 @@ type Quota interface {
 	Release(id idgen.ObjectID)
 }
 
+// Layer is the cluster-wide caching layer. It is safe for concurrent use.
 type Layer struct {
 	fabric *fabric.Fabric
 	cfg    Config
@@ -211,8 +197,6 @@ type Layer struct {
 	pool    *dsm.Pool
 	rr      int // round-robin cursor for shard/replica placement
 
-	shards [numShards]dirShard
-
 	flightMu sync.Mutex
 	flights  map[flightKey]*flight
 
@@ -226,11 +210,6 @@ func NewLayer(f *fabric.Fabric, cfg Config) (*Layer, error) {
 		cfg:     cfg,
 		stores:  make(map[idgen.NodeID]*storeInfo),
 		flights: make(map[flightKey]*flight),
-	}
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.dsm = make(map[idgen.ObjectID]string)
-		sh.ec = make(map[idgen.ObjectID]*ecInfo)
 	}
 	if cfg.Mode == ModeReplicate && cfg.Replicas < 2 {
 		return nil, fmt.Errorf("caching: ModeReplicate needs Replicas >= 2, got %d", cfg.Replicas)
@@ -259,9 +238,19 @@ func (l *Layer) getQuota() Quota {
 	return l.quota
 }
 
-// shardFor returns the DSM/EC table shard owning id.
-func (l *Layer) shardFor(id idgen.ObjectID) *dirShard {
-	return &l.shards[id.Seq()%numShards]
+// shardKey is the store key of shard i of object id: id with the counter
+// half set to 1<<63 | seq<<8 | i. idgen.Next counters stay below 2^63, so
+// no shard key is an object's ID, and k+m <= 256 gives each shard of an
+// object its own key.
+func shardKey(id idgen.ObjectID, i int) idgen.ObjectID {
+	key := id
+	binary.BigEndian.PutUint64(key[8:], 1<<63|id.Seq()<<8|uint64(i))
+	return key
+}
+
+// shardCount returns k+m, the number of shards each object is coded into.
+func (l *Layer) shardCount() int {
+	return l.coder.DataShards() + l.coder.ParityShards()
 }
 
 // fanOut returns the bounded worker-pool width for parallel writes.
@@ -314,14 +303,10 @@ func (l *Layer) onEvict(node idgen.NodeID, id idgen.ObjectID, data []byte, forma
 	if pool == nil || l.heldOutside(node, id, (*objectstore.Store).Keeps) {
 		return nil // nothing to demote to, or another copy survives
 	}
-	// ErrExists: an earlier eviction already demoted this object.
-	if err := pool.Write(node, id, data); err != nil && !errors.Is(err, dsm.ErrExists) {
+	// ErrExists: an eviction racing this one already demoted the object.
+	if err := pool.Write(node, id, data, format); err != nil && !errors.Is(err, dsm.ErrExists) {
 		return err
 	}
-	sh := l.shardFor(id)
-	sh.mu.Lock()
-	sh.dsm[id] = format
-	sh.mu.Unlock()
 	return nil
 }
 
@@ -332,9 +317,9 @@ func (l *Layer) SetDSM(pool *dsm.Pool) {
 	l.storeMu.Unlock()
 }
 
-// heldOutside reports whether a store other than node's has id, as judged
-// by has: (*objectstore.Store).Contains, or Keeps to leave out a copy its
-// store is evicting.
+// heldOutside reports whether the blade or a store other than node's has
+// id, a store as judged by has: (*objectstore.Store).Contains, or Keeps to
+// leave out a copy its store is evicting.
 func (l *Layer) heldOutside(node idgen.NodeID, id idgen.ObjectID, has func(*objectstore.Store, idgen.ObjectID) bool) bool {
 	l.storeMu.RLock()
 	defer l.storeMu.RUnlock()
@@ -343,7 +328,7 @@ func (l *Layer) heldOutside(node idgen.NodeID, id idgen.ObjectID, has func(*obje
 			return true
 		}
 	}
-	return false
+	return l.pool != nil && l.pool.Contains(id)
 }
 
 // copies returns the nodes other than except whose store holds a full copy
@@ -418,17 +403,13 @@ func (l *Layer) putCtx(ctx context.Context, from idgen.NodeID, id idgen.ObjectID
 	case errors.Is(err, objectstore.ErrExists):
 		return tier, err
 	case pool != nil:
-		if derr := pool.Write(from, id, data); derr != nil {
+		if derr := pool.Write(from, id, data, format); derr != nil {
 			if quota != nil {
 				quota.Release(id)
 			}
 			return tier, fmt.Errorf("caching: primary put failed: %v; dsm: %w", err, derr)
 		}
 		tier = DisaggMem.String()
-		sh := l.shardFor(id)
-		sh.mu.Lock()
-		sh.dsm[id] = format
-		sh.mu.Unlock()
 	default:
 		if quota != nil {
 			quota.Release(id)
@@ -543,9 +524,11 @@ func (l *Layer) repick(exclude idgen.NodeID, id idgen.ObjectID) (idgen.NodeID, *
 }
 
 // encodeShards writes k+m erasure shards across other nodes, fanning the
-// shard transfers out concurrently. Placement is node-disjoint whenever the
-// cluster has enough nodes; a shortfall (shards forced to share nodes,
-// weakening the k+m guarantee) is surfaced via DegradedPlacements.
+// shard transfers out concurrently. Shard i goes under shardKey(id, i) with
+// the object's format, and its bytes end in the object's length, so the
+// shard describes itself. Placement is node-disjoint whenever the cluster
+// has enough nodes; a shortfall (shards forced to share nodes, weakening
+// the k+m guarantee) is surfaced via DegradedPlacements.
 func (l *Layer) encodeShards(ctx context.Context, from idgen.NodeID, id idgen.ObjectID, data []byte, format string) error {
 	shards := l.coder.Split(data)
 	if err := l.coder.Encode(shards); err != nil {
@@ -559,19 +542,13 @@ func (l *Layer) encodeShards(ctx context.Context, from idgen.NodeID, id idgen.Ob
 	if len(targets) < n {
 		l.stats.degradedPlacements.Add(1)
 	}
-	info := &ecInfo{
-		origLen:  len(data),
-		format:   format,
-		shardIDs: make([]idgen.ObjectID, n),
-		nodes:    make([]idgen.NodeID, n),
-	}
-	err := l.forEachParallel(n, func(i int) error {
+	return l.forEachParallel(n, func(i int) error {
 		node := targets[i%len(targets)]
 		si := l.store(node)
 		if si == nil {
-			// Target dropped since placement: substitute any node not yet
-			// holding a shard of this object, or skip the slot (Nil node;
-			// reconstruct tolerates missing shards up to parity).
+			// Target dropped since placement: substitute another node, or
+			// skip the shard (reconstruct tolerates missing shards up to
+			// parity).
 			var ok bool
 			node, si, ok = l.repick(from, id)
 			if !ok {
@@ -579,30 +556,24 @@ func (l *Layer) encodeShards(ctx context.Context, from idgen.NodeID, id idgen.Ob
 				return nil
 			}
 		}
-		shardID := idgen.Next()
-		if _, err := l.fabric.Move(ctx, from, node, shards[i], 0); err != nil {
-			// Target departed mid-encode: skip the slot (Nil node; parity
-			// tolerates missing shards), counted as a degraded placement.
+		shard := binary.BigEndian.AppendUint64(shards[i], uint64(len(data)))
+		if _, err := l.fabric.Move(ctx, from, node, shard, 0); err != nil {
+			// Target departed mid-encode: skip the shard (parity tolerates
+			// missing shards), counted as a degraded placement.
 			l.stats.degradedPlacements.Add(1)
 			return nil
 		}
-		if err := si.store.Put(shardID, shards[i], "ec-shard"); err != nil {
+		err := si.store.Put(shardKey(id, i), shard, format)
+		if errors.Is(err, objectstore.ErrExists) {
+			return nil // an earlier put of the object left this shard there
+		}
+		if err != nil {
 			return fmt.Errorf("caching: shard %d on %s: %w", i, node.Short(), err)
 		}
-		info.shardIDs[i] = shardID // distinct slot per worker: no lock needed
-		info.nodes[i] = node
 		l.stats.shardWrites.Add(1)
-		l.stats.bytesTransferred.Add(int64(len(shards[i])))
+		l.stats.bytesTransferred.Add(int64(len(shard)))
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	sh := l.shardFor(id)
-	sh.mu.Lock()
-	sh.ec[id] = info
-	sh.mu.Unlock()
-	return nil
 }
 
 // pickNodes returns up to n distinct nodes other than exclude, round-robin
@@ -722,29 +693,20 @@ func (l *Layer) fetchMiss(ctx context.Context, to idgen.NodeID, id idgen.ObjectI
 		return data, f, remote.tier.String(), "remote", nil
 	}
 
-	sh := l.shardFor(id)
-	sh.mu.RLock()
-	format, inDSM := sh.dsm[id]
-	info := sh.ec[id]
-	sh.mu.RUnlock()
-
-	// 3. Disaggregated memory.
-	if inDSM {
-		if pool := l.dsmPool(); pool != nil {
-			if data, err := pool.Read(to, id); err == nil {
-				l.stats.dsmHits.Add(1)
-				l.stats.bytesTransferred.Add(int64(len(data)))
-				return data, format, DisaggMem.String(), "dsm", nil
-			}
+	// 3. Disaggregated memory: the blade keeps the format with the bytes.
+	if pool := l.dsmPool(); pool != nil {
+		if data, format, err := pool.Read(to, id); err == nil {
+			l.stats.dsmHits.Add(1)
+			l.stats.bytesTransferred.Add(int64(len(data)))
+			return data, format, DisaggMem.String(), "dsm", nil
 		}
 	}
 
 	// 4. EC reconstruction.
-	if info != nil {
-		data, err := l.reconstruct(ctx, to, info)
-		if err == nil {
+	if l.cfg.Mode == ModeEC {
+		if data, format, err := l.reconstruct(ctx, to, id); err == nil {
 			l.stats.reconstructions.Add(1)
-			return data, info.format, "", "ec", nil
+			return data, format, "", "ec", nil
 		}
 	}
 
@@ -752,50 +714,55 @@ func (l *Layer) fetchMiss(ctx context.Context, to idgen.NodeID, id idgen.ObjectI
 	return nil, "", "", "", fmt.Errorf("%w: %s", ErrNotFound, id.Short())
 }
 
-// reconstruct rebuilds a value from its surviving EC shards, fetching the
-// k needed shards over the fabric in parallel.
-func (l *Layer) reconstruct(ctx context.Context, to idgen.NodeID, info *ecInfo) ([]byte, error) {
-	k := l.coder.DataShards()
-	total := k + l.coder.ParityShards()
-	shards := make([][]byte, total)
-
-	// Select the first k surviving shards (control path: store reads are
-	// local to their node), then pay the k fabric moves concurrently.
-	type fetch struct {
-		idx  int
-		node idgen.NodeID
-		data []byte
+// reconstruct rebuilds id from the first k of its shards that a store or
+// the blade holds, fetched over the fabric in parallel. The shards' own
+// bytes and format describe the object.
+func (l *Layer) reconstruct(ctx context.Context, to idgen.NodeID, id idgen.ObjectID) ([]byte, string, error) {
+	shards, formats := make([][]byte, l.shardCount()), make([]string, l.shardCount())
+	var picked []int
+	for i := 0; i < len(shards) && len(picked) < l.coder.DataShards(); i++ {
+		if l.heldOutside(idgen.Nil, shardKey(id, i), (*objectstore.Store).Contains) {
+			picked = append(picked, i)
+		}
 	}
-	var fetches []fetch
-	for i := 0; i < len(info.shardIDs) && len(fetches) < k; i++ {
-		if info.nodes[i].IsNil() {
-			continue // slot skipped at write time (degraded placement)
+	l.forEachParallel(len(picked), func(j int) error {
+		i := picked[j] // distinct slot per worker: no lock needed
+		if data, format, ok := l.fetchShard(ctx, to, shardKey(id, i)); ok && len(data) > shardTrailer {
+			l.stats.bytesTransferred.Add(int64(len(data)))
+			shards[i], formats[i] = data, format
 		}
-		si := l.store(info.nodes[i])
-		if si == nil {
-			continue
+		return nil // a shard gone meanwhile is a hole within parity
+	})
+	origLen, format := 0, ""
+	for i, s := range shards {
+		if n := len(s) - shardTrailer; n > 0 {
+			origLen, format = int(binary.BigEndian.Uint64(s[n:])), formats[i]
+			shards[i] = s[:n]
 		}
-		data, _, err := si.store.Get(info.shardIDs[i])
-		if err != nil {
-			continue
-		}
-		fetches = append(fetches, fetch{idx: i, node: info.nodes[i], data: data})
-	}
-	if err := l.forEachParallel(len(fetches), func(i int) error {
-		f := fetches[i]
-		if _, err := l.fabric.Move(ctx, f.node, to, f.data, 0); err != nil {
-			return nil // shard source departed; the hole is within parity
-		}
-		l.stats.bytesTransferred.Add(int64(len(f.data)))
-		shards[f.idx] = f.data
-		return nil
-	}); err != nil {
-		return nil, err
 	}
 	if err := l.coder.Reconstruct(shards); err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	return l.coder.Join(shards, info.origLen)
+	data, err := l.coder.Join(shards, origLen)
+	return data, format, err
+}
+
+// fetchShard moves one shard to node to from the first store, in
+// registration order, that holds it, or else from the blade.
+func (l *Layer) fetchShard(ctx context.Context, to idgen.NodeID, key idgen.ObjectID) ([]byte, string, bool) {
+	for _, node := range l.copies(key, idgen.Nil) {
+		if si := l.store(node); si != nil {
+			if data, format, err := si.store.Get(key); err == nil {
+				_, err := l.fabric.Move(ctx, node, to, data, 0)
+				return data, format, err == nil
+			}
+		}
+	}
+	if pool := l.dsmPool(); pool != nil {
+		data, format, err := pool.Read(to, key)
+		return data, format, err == nil
+	}
+	return nil, "", false
 }
 
 // Contains reports whether id is readable by some path, without moving data.
@@ -804,16 +771,23 @@ func (l *Layer) Contains(id idgen.ObjectID) bool {
 }
 
 // RecoverableWithout reports whether id could still be materialized if
-// node's copy vanished: another store holds the bytes, or the DSM tier or
-// an EC group does. Invariant checkers use it to catch silently lost
-// copies.
+// node's copy vanished: another store or the blade holds the bytes, or at
+// least k of its EC shards survive outside node. Invariant checkers use it
+// to catch silently lost copies.
 func (l *Layer) RecoverableWithout(node idgen.NodeID, id idgen.ObjectID) bool {
-	sh := l.shardFor(id)
-	sh.mu.RLock()
-	_, inDSM := sh.dsm[id]
-	_, coded := sh.ec[id]
-	sh.mu.RUnlock()
-	return inDSM || coded || l.heldOutside(node, id, (*objectstore.Store).Contains)
+	if l.heldOutside(node, id, (*objectstore.Store).Contains) {
+		return true
+	}
+	if l.cfg.Mode != ModeEC {
+		return false
+	}
+	k, found := l.coder.DataShards(), 0
+	for i := 0; i < l.shardCount() && found < k; i++ {
+		if l.heldOutside(node, shardKey(id, i), (*objectstore.Store).Contains) {
+			found++
+		}
+	}
+	return found == k
 }
 
 // Locations returns the nodes whose store holds a full copy, in store
@@ -822,37 +796,32 @@ func (l *Layer) Locations(id idgen.ObjectID) []idgen.NodeID {
 	return l.copies(id, idgen.Nil)
 }
 
-// Delete removes every copy, shard, and DSM entry for id. The store table
-// is read under storeMu, so a concurrent AddStore/DropNode does not race
-// the iteration.
+// Delete removes every copy of id, from the stores and the blade, and in
+// ModeEC every one of its shards wherever they went.
 func (l *Layer) Delete(id idgen.ObjectID) {
-	sh := l.shardFor(id)
-	sh.mu.Lock()
-	info := sh.ec[id]
-	_, inDSM := sh.dsm[id]
-	delete(sh.dsm, id)
-	delete(sh.ec, id)
-	sh.mu.Unlock()
-
-	l.storeMu.RLock()
-	for _, si := range l.stores {
-		_ = si.store.Delete(id)
-	}
-	if info != nil {
-		for i, shardID := range info.shardIDs {
-			if si := l.stores[info.nodes[i]]; si != nil {
-				_ = si.store.Delete(shardID)
-			}
-		}
-	}
-	l.storeMu.RUnlock()
-	if inDSM {
-		if pool := l.dsmPool(); pool != nil {
-			_ = pool.Free(id)
+	l.drop(id)
+	if l.cfg.Mode == ModeEC {
+		for i := 0; i < l.shardCount(); i++ {
+			l.drop(shardKey(id, i))
 		}
 	}
 	if q := l.getQuota(); q != nil {
 		q.Release(id)
+	}
+}
+
+// drop deletes key from every registered store and frees it on the blade.
+// The store table is read under storeMu, so a concurrent AddStore/DropNode
+// does not race the iteration.
+func (l *Layer) drop(key idgen.ObjectID) {
+	l.storeMu.RLock()
+	for _, si := range l.stores {
+		_ = si.store.Delete(key)
+	}
+	pool := l.pool
+	l.storeMu.RUnlock()
+	if pool != nil {
+		_ = pool.Free(key)
 	}
 }
 

@@ -272,3 +272,145 @@ func TestTierString(t *testing.T) {
 		}
 	}
 }
+
+// shardHolders returns the nodes other than writer whose store holds a key
+// other than id: with one object put, those keys are its EC shards.
+func (r *rig) shardHolders(writer idgen.NodeID, id idgen.ObjectID) []idgen.NodeID {
+	var out []idgen.NodeID
+	for _, n := range r.nodes {
+		if n == writer {
+			continue
+		}
+		for _, key := range r.layer.Store(n).List() {
+			if key != id {
+				out = append(out, n)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// TestRecoverableWithoutCountsSurvivingShards: an EC 2+1 object whose
+// shard holders are down to one is not recoverable without the writer's
+// copy, and Get agrees once that copy goes too.
+func TestRecoverableWithoutCountsSurvivingShards(t *testing.T) {
+	r := newRig(t, Config{Mode: ModeEC, ECData: 2, ECParity: 1}, 4, 1<<20)
+	writer, id := r.nodes[0], idgen.Next()
+	if err := r.layer.Put(writer, id, bytes.Repeat([]byte("ec"), 500), "raw"); err != nil {
+		t.Fatal(err)
+	}
+	holders := r.shardHolders(writer, id)
+	if len(holders) != 3 {
+		t.Fatalf("shard holders = %d, want 3", len(holders))
+	}
+	if !r.layer.RecoverableWithout(writer, id) {
+		t.Fatal("all three shards survive, yet the object is not recoverable without the writer")
+	}
+	r.layer.DropNode(holders[0])
+	r.layer.DropNode(holders[1])
+	if r.layer.RecoverableWithout(writer, id) {
+		t.Error("RecoverableWithout = true with one of three shards left (k = 2)")
+	}
+	r.layer.DropNode(writer)
+	if _, _, err := r.layer.Get(holders[2], id); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Get with one shard left = %v, want ErrNotFound", err)
+	}
+}
+
+// ecBladeRig wires EC 2+1 over four small stores backed by a blade.
+func ecBladeRig(t *testing.T, capacity int64) (*rig, *dsm.Pool) {
+	t.Helper()
+	r := newRig(t, Config{Mode: ModeEC, ECData: 2, ECParity: 1}, 4, capacity)
+	blade := idgen.Next()
+	r.fabric.Register(blade, fabric.Location{Rack: 0, Island: -1})
+	pool := dsm.New(r.fabric, blade, 1<<30)
+	r.layer.SetDSM(pool)
+	return r, pool
+}
+
+// TestDeleteFreesSpilledShards: twenty EC objects overflow small stores, so
+// eviction spills objects and shards to the blade; deleting every object
+// must leave nothing behind, on the blade or in a store.
+func TestDeleteFreesSpilledShards(t *testing.T) {
+	r, pool := ecBladeRig(t, 10000)
+	ids := make([]idgen.ObjectID, 20)
+	for i := range ids {
+		ids[i] = idgen.Next()
+		if err := r.layer.Put(r.nodes[i%len(r.nodes)], ids[i], make([]byte, 4000), "raw"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pool.Len() == 0 {
+		t.Fatal("nothing spilled to the blade; the test needs eviction")
+	}
+	for _, id := range ids {
+		r.layer.Delete(id)
+	}
+	if pool.Len() != 0 || r.layer.StorageBytes() != 0 {
+		t.Errorf("after deleting every object: %d blobs (%d bytes) on the blade, StorageBytes = %d",
+			pool.Len(), pool.Used(), r.layer.StorageBytes())
+	}
+}
+
+// TestReconstructReadsSpilledShard: a shard that eviction spilled to the
+// blade still counts toward k when the object is rebuilt.
+func TestReconstructReadsSpilledShard(t *testing.T) {
+	r, pool := ecBladeRig(t, 4096)
+	writer, id := r.nodes[0], idgen.Next()
+	payload := bytes.Repeat([]byte("shard"), 800)
+	if err := r.layer.Put(writer, id, payload, "arrow"); err != nil {
+		t.Fatal(err)
+	}
+	holders := r.shardHolders(writer, id)
+	if len(holders) != 3 {
+		t.Fatalf("shard holders = %d, want 3", len(holders))
+	}
+	// A filler put straight into the first holder's store evicts its shard.
+	if err := r.layer.Store(holders[0]).Put(idgen.Next(), make([]byte, 3000), "raw"); err != nil {
+		t.Fatal(err)
+	}
+	if pool.Len() != 1 {
+		t.Fatalf("blade holds %d blobs, want the one evicted shard", pool.Len())
+	}
+	r.layer.DropNode(writer)
+	r.layer.DropNode(holders[1])
+	if !r.layer.RecoverableWithout(idgen.Nil, id) {
+		t.Error("RecoverableWithout = false with one shard in a store and one on the blade")
+	}
+	data, format, err := r.layer.Get(holders[2], id)
+	if err != nil {
+		t.Fatalf("Get from one stored and one spilled shard: %v", err)
+	}
+	if !bytes.Equal(data, payload) || format != "arrow" {
+		t.Errorf("reconstructed %d bytes, format %q; want %d bytes, arrow", len(data), format, len(payload))
+	}
+}
+
+// TestShardKeysNeverNameAnObject: shard keys are deterministic, distinct
+// for each shard of an object and across objects, and disjoint from every
+// ID idgen.Next hands out.
+func TestShardKeysNeverNameAnObject(t *testing.T) {
+	ids := make(map[idgen.ObjectID]bool)
+	for i := 0; i < 1000; i++ {
+		ids[idgen.Next()] = true
+	}
+	keys := make(map[idgen.ObjectID]bool)
+	for id := range ids {
+		for i := 0; i < 256; i++ {
+			key := shardKey(id, i)
+			if key != shardKey(id, i) {
+				t.Fatalf("shardKey(%s, %d) is not deterministic", id.Short(), i)
+			}
+			if ids[key] || keys[key] {
+				t.Fatalf("shardKey(%s, %d) = %s collides", id.Short(), i, key.Short())
+			}
+			keys[key] = true
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		if id := idgen.Next(); keys[id] {
+			t.Fatalf("idgen.Next returned shard key %s", id.Short())
+		}
+	}
+}

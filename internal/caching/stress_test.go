@@ -165,19 +165,14 @@ func TestECShardPlacementNodeDisjoint(t *testing.T) {
 	if err := r.layer.Put(r.nodes[0], id, make([]byte, 6000), "raw"); err != nil {
 		t.Fatal(err)
 	}
-	sh := r.layer.shardFor(id)
-	sh.mu.RLock()
-	info := sh.ec[id]
-	sh.mu.RUnlock()
-	if info == nil {
-		t.Fatal("no EC info recorded")
-	}
 	seen := make(map[idgen.NodeID]bool)
-	for i, node := range info.nodes {
-		if node.IsNil() {
-			t.Errorf("shard %d has no node", i)
+	for i := 0; i < 6; i++ {
+		holders := r.layer.copies(shardKey(id, i), idgen.Nil)
+		if len(holders) != 1 {
+			t.Errorf("shard %d is held by %d stores, want 1", i, len(holders))
 			continue
 		}
+		node := holders[0]
 		if node == r.nodes[0] {
 			t.Errorf("shard %d co-located with the writer", i)
 		}

@@ -4,6 +4,10 @@
 // a spill target — the paper's Gen-2 extension "to resolve potential
 // out-of-memory and to increase availability, we extend the caching layer
 // to include disaggregated memory" (§2.3.2).
+//
+// The pool is the index of what was spilled: each blob keeps its format
+// beside its bytes, so the caching layer asks the pool, and keeps no table
+// of its own, to learn whether and how an object sits on the blade.
 package dsm
 
 import (
@@ -36,9 +40,15 @@ type Pool struct {
 	mu       sync.Mutex
 	capacity int64
 	used     int64
-	blobs    map[idgen.ObjectID][]byte
+	blobs    map[idgen.ObjectID]blob
 
 	reads, writes int64
+}
+
+// blob is one stored value and its format tag.
+type blob struct {
+	data   []byte
+	format string
 }
 
 // New returns a pool of the given capacity hosted on the blade node.
@@ -47,14 +57,15 @@ func New(f *fabric.Fabric, blade idgen.NodeID, capacity int64) *Pool {
 		blade:    blade,
 		fabric:   f,
 		capacity: capacity,
-		blobs:    make(map[idgen.ObjectID][]byte),
+		blobs:    make(map[idgen.ObjectID]blob),
 	}
 }
 
-// Write stores a blob from the given node, paying the fabric cost of
-// moving the data to the blade. The pool copies data. A write whose blade
-// or writer has left the fabric fails typed and leaves the pool as it was.
-func (p *Pool) Write(from idgen.NodeID, id idgen.ObjectID, data []byte) error {
+// Write stores a blob and its format from the given node, paying the
+// fabric cost of moving the data to the blade. The pool copies data. A
+// write whose blade or writer has left the fabric fails typed and leaves
+// the pool as it was.
+func (p *Pool) Write(from idgen.NodeID, id idgen.ObjectID, data []byte, format string) error {
 	p.mu.Lock()
 	if _, ok := p.blobs[id]; ok {
 		p.mu.Unlock()
@@ -66,7 +77,7 @@ func (p *Pool) Write(from idgen.NodeID, id idgen.ObjectID, data []byte) error {
 	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	p.blobs[id] = cp
+	p.blobs[id] = blob{data: cp, format: format}
 	p.used += int64(len(cp))
 	p.writes++
 	p.mu.Unlock()
@@ -88,45 +99,50 @@ func (p *Pool) Write(from idgen.NodeID, id idgen.ObjectID, data []byte) error {
 	return nil
 }
 
-// Read fetches a blob to the given node, paying the fabric cost of moving
-// the data back. The returned slice must not be modified.
-func (p *Pool) Read(to idgen.NodeID, id idgen.ObjectID) ([]byte, error) {
+// Read fetches a blob and its format to the given node, paying the fabric
+// cost of moving the data back. A missing blob costs no transfer. The
+// returned slice must not be modified.
+func (p *Pool) Read(to idgen.NodeID, id idgen.ObjectID) ([]byte, string, error) {
 	p.mu.Lock()
-	data, ok := p.blobs[id]
+	b, ok := p.blobs[id]
 	if ok {
 		p.reads++
 	}
 	p.mu.Unlock()
 	if !ok {
-		return nil, ErrNotFound
+		return nil, "", ErrNotFound
 	}
 	// Promotions stream back in pipelined chunks (see Write).
-	if _, err := p.fabric.Move(context.TODO(), p.blade, to, data, 0); err != nil {
-		return nil, fmt.Errorf("dsm: read %s: %w", id.Short(), err)
+	if _, err := p.fabric.Move(context.TODO(), p.blade, to, b.data, 0); err != nil {
+		return nil, "", fmt.Errorf("dsm: read %s: %w", id.Short(), err)
 	}
-	return data, nil
+	return b.data, b.format, nil
 }
 
-// Contains reports whether the blob is present, paying only a control
-// message (no payload) to the blade.
-func (p *Pool) Contains(from idgen.NodeID, id idgen.ObjectID) bool {
+// Contains reports whether the blob is present on a blade that is still on
+// the fabric. It moves nothing and charges no message: the caching layer
+// asks it on its bookkeeping paths, as it asks a store.
+func (p *Pool) Contains(id idgen.ObjectID) bool {
 	p.mu.Lock()
 	_, ok := p.blobs[id]
 	p.mu.Unlock()
-	_, err := p.fabric.Move(context.TODO(), from, p.blade, nil, 0)
-	return ok && err == nil
+	if !ok {
+		return false
+	}
+	_, up := p.fabric.Location(p.blade)
+	return up
 }
 
 // Free releases a blob.
 func (p *Pool) Free(id idgen.ObjectID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	data, ok := p.blobs[id]
+	b, ok := p.blobs[id]
 	if !ok {
 		return ErrNotFound
 	}
 	delete(p.blobs, id)
-	p.used -= int64(len(data))
+	p.used -= int64(len(b.data))
 	return nil
 }
 

@@ -22,15 +22,15 @@ func testPool(capacity int64) (*Pool, *fabric.Fabric, idgen.NodeID) {
 func TestWriteRead(t *testing.T) {
 	p, _, server := testPool(1024)
 	id := idgen.Next()
-	if err := p.Write(server, id, []byte("remote data")); err != nil {
+	if err := p.Write(server, id, []byte("remote data"), "arrow"); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	got, err := p.Read(server, id)
+	got, format, err := p.Read(server, id)
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	if !bytes.Equal(got, []byte("remote data")) {
-		t.Errorf("Read = %q", got)
+	if !bytes.Equal(got, []byte("remote data")) || format != "arrow" {
+		t.Errorf("Read = %q, format %q; want remote data, arrow", got, format)
 	}
 	reads, writes := p.Accesses()
 	if reads != 1 || writes != 1 {
@@ -42,11 +42,11 @@ func TestWriteCopiesData(t *testing.T) {
 	p, _, server := testPool(1024)
 	id := idgen.Next()
 	data := []byte("mutable")
-	if err := p.Write(server, id, data); err != nil {
+	if err := p.Write(server, id, data, "raw"); err != nil {
 		t.Fatal(err)
 	}
 	data[0] = 'X'
-	got, err := p.Read(server, id)
+	got, _, err := p.Read(server, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,20 +58,20 @@ func TestWriteCopiesData(t *testing.T) {
 func TestDuplicateWrite(t *testing.T) {
 	p, _, server := testPool(1024)
 	id := idgen.Next()
-	if err := p.Write(server, id, []byte("a")); err != nil {
+	if err := p.Write(server, id, []byte("a"), "raw"); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Write(server, id, []byte("b")); !errors.Is(err, ErrExists) {
+	if err := p.Write(server, id, []byte("b"), "raw"); !errors.Is(err, ErrExists) {
 		t.Errorf("duplicate Write = %v, want ErrExists", err)
 	}
 }
 
 func TestOutOfMemory(t *testing.T) {
 	p, _, server := testPool(10)
-	if err := p.Write(server, idgen.Next(), make([]byte, 8)); err != nil {
+	if err := p.Write(server, idgen.Next(), make([]byte, 8), "raw"); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Write(server, idgen.Next(), make([]byte, 8)); !errors.Is(err, ErrOutOfMemory) {
+	if err := p.Write(server, idgen.Next(), make([]byte, 8), "raw"); !errors.Is(err, ErrOutOfMemory) {
 		t.Errorf("Write = %v, want ErrOutOfMemory", err)
 	}
 }
@@ -79,7 +79,7 @@ func TestOutOfMemory(t *testing.T) {
 func TestFree(t *testing.T) {
 	p, _, server := testPool(10)
 	id := idgen.Next()
-	if err := p.Write(server, id, make([]byte, 10)); err != nil {
+	if err := p.Write(server, id, make([]byte, 10), "raw"); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Free(id); err != nil {
@@ -91,32 +91,38 @@ func TestFree(t *testing.T) {
 	if err := p.Free(id); !errors.Is(err, ErrNotFound) {
 		t.Errorf("double Free = %v, want ErrNotFound", err)
 	}
-	if _, err := p.Read(server, id); !errors.Is(err, ErrNotFound) {
+	if _, _, err := p.Read(server, id); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Read after Free = %v, want ErrNotFound", err)
 	}
 }
 
+// TestContains: Contains answers from the pool's own index and charges the
+// fabric nothing, so the caching layer can ask it on every lookup.
 func TestContains(t *testing.T) {
-	p, _, server := testPool(100)
+	p, f, server := testPool(100)
 	id := idgen.Next()
-	if p.Contains(server, id) {
+	if p.Contains(id) {
 		t.Error("Contains before Write")
 	}
-	if err := p.Write(server, id, []byte("x")); err != nil {
+	if err := p.Write(server, id, []byte("x"), "raw"); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Contains(server, id) {
+	f.ResetStats()
+	if !p.Contains(id) {
 		t.Error("Contains after Write")
+	}
+	if n := f.TotalStats().Messages; n != 0 {
+		t.Errorf("Contains sent %d fabric messages, want 0", n)
 	}
 }
 
 func TestFabricCharged(t *testing.T) {
 	p, f, server := testPool(1 << 20)
 	id := idgen.Next()
-	if err := p.Write(server, id, make([]byte, 1000)); err != nil {
+	if err := p.Write(server, id, make([]byte, 1000), "raw"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Read(server, id); err != nil {
+	if _, _, err := p.Read(server, id); err != nil {
 		t.Fatal(err)
 	}
 	// Blade and server share a rack; both directions charged.
@@ -132,7 +138,7 @@ func TestFabricCharged(t *testing.T) {
 func TestDepartedBladeRefusesAccess(t *testing.T) {
 	p, f, server := testPool(1 << 20)
 	f.Unregister(p.blade)
-	if err := p.Write(server, idgen.Next(), make([]byte, 1000)); skaderr.CodeOf(err) != skaderr.Unavailable {
+	if err := p.Write(server, idgen.Next(), make([]byte, 1000), "raw"); skaderr.CodeOf(err) != skaderr.Unavailable {
 		t.Fatalf("Write to departed blade = %v, want Unavailable", err)
 	}
 	if _, writes := p.Accesses(); p.Used() != 0 || p.Len() != 0 || writes != 0 {
@@ -141,14 +147,14 @@ func TestDepartedBladeRefusesAccess(t *testing.T) {
 
 	f.Register(p.blade, fabric.Location{Rack: 0, Island: -1})
 	kept := idgen.Next()
-	if err := p.Write(server, kept, []byte("landed")); err != nil {
+	if err := p.Write(server, kept, []byte("landed"), "raw"); err != nil {
 		t.Fatal(err)
 	}
 	f.Unregister(p.blade)
-	if _, err := p.Read(server, kept); skaderr.CodeOf(err) != skaderr.Unavailable {
+	if _, _, err := p.Read(server, kept); skaderr.CodeOf(err) != skaderr.Unavailable {
 		t.Errorf("Read from departed blade = %v, want Unavailable", err)
 	}
-	if p.Contains(server, kept) {
+	if p.Contains(kept) {
 		t.Error("Contains answered through a departed blade")
 	}
 }

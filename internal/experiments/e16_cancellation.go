@@ -167,9 +167,11 @@ func e16Run(arm string) (*e16Result, error) {
 	case "cancel-on-submit":
 		rt.Cancel(doomedRoots...)
 	case "cancel-mid-flight":
-		// Let the first long stage commit and the second start, so the
-		// cancel both interrupts executing kernels and frees partial output.
-		time.Sleep(e16LongStage * 3 / 2)
+		// Wait for the first long stage to commit, so the cancel both frees
+		// its output and interrupts the second stage's kernels.
+		if _, err := rt.Wait(context.Background(), doomedRoots, len(doomedRoots)); err != nil {
+			return nil, fmt.Errorf("first doomed stage: %w", err)
+		}
 		rt.Cancel(doomedRoots...)
 	}
 

@@ -70,7 +70,7 @@ func timeTierGets(size int) ([]string, error) {
 	if err := layer.Put(device, deviceID, data, "raw"); err != nil {
 		return nil, err
 	}
-	if err := pool.Write(blade, dsmID, data); err != nil {
+	if err := pool.Write(blade, dsmID, data, "raw"); err != nil {
 		return nil, err
 	}
 
@@ -93,7 +93,7 @@ func timeTierGets(size int) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	far, err := measure(func() error { _, e := pool.Read(reader, dsmID); return e })
+	far, err := measure(func() error { _, _, e := pool.Read(reader, dsmID); return e })
 	if err != nil {
 		return nil, err
 	}

@@ -459,3 +459,26 @@ func TestE20Shape(t *testing.T) {
 		t.Errorf("remote-arg fraction: locality %.2f vs random %.2f, want locality lower", locFrac, randFrac)
 	}
 }
+
+// TestE16Shape pins E16's counts, which no longer depend on the wall
+// clock: cancel-mid-flight waits for the first long stage to commit, so it
+// frees exactly that stage's four 32 KiB outputs, and both Cancel arms
+// count all 12 doomed tasks (4 chains × 3 stages). Worker-ms are wall-clock
+// measurements and are not asserted.
+func TestE16Shape(t *testing.T) {
+	tbl := runExperiment(t, "e16", 4)
+	for _, row := range tbl.Rows {
+		if row[8] != "4/4" {
+			t.Errorf("%s: survivors %s, want 4/4", row[0], row[8])
+		}
+		switch row[0] {
+		case "cancel-on-submit", "cancel-mid-flight":
+			if row[4] != "12" {
+				t.Errorf("%s: cancelled %s, want 12", row[0], row[4])
+			}
+		}
+	}
+	if got := tbl.Rows[2][7]; tbl.Rows[2][0] != "cancel-mid-flight" || got != "128.0 KiB" {
+		t.Errorf("%s: bytes reclaimed %s, want 128.0 KiB", tbl.Rows[2][0], got)
+	}
+}

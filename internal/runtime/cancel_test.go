@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"skadi/internal/idgen"
+	"skadi/internal/raylet"
 	"skadi/internal/skaderr"
 	"skadi/internal/task"
 )
@@ -511,9 +512,10 @@ func TestCancelReachesThroughFinishedIntermediate(t *testing.T) {
 	<-started
 
 	rep := rt.Cancel(a[0])
-	// B's exec RPC may still be returning, so it can count as reclaimed too.
-	if rep.TasksCancelled != 3 || rep.WorkersReclaimed < 1 {
-		t.Errorf("report = %+v, want 3 tasks cancelled and a worker reclaimed", rep)
+	// A's or B's exec RPC may still be returning, but their outputs are
+	// committed, so only C's worker is reclaimed.
+	if rep.TasksCancelled != 3 || rep.WorkersReclaimed != 1 {
+		t.Errorf("report = %+v, want 3 tasks cancelled and 1 worker reclaimed", rep)
 	}
 	if rep.BytesReclaimed < 2*int64(len(payload)) {
 		t.Errorf("BytesReclaimed = %d, want >= %d (A's and B's outputs)", rep.BytesReclaimed, 2*len(payload))
@@ -526,6 +528,40 @@ func TestCancelReachesThroughFinishedIntermediate(t *testing.T) {
 			t.Errorf("Get(%s) = %v, want skaderr.Cancelled", name, err)
 		}
 	}
+}
+
+// TestCancelReclaimsNoWorkerFromCommittedTask: a task whose output is
+// committed while its exec reply is still on the way holds no worker that
+// Cancel could reclaim. Its commit pushes the output to subscribers after
+// own.ready, and the interposer holds that push, so the exec RPC stays in
+// flight with the output live.
+func TestCancelReclaimsNoWorkerFromCommittedTask(t *testing.T) {
+	rt := newRuntime(t, Options{})
+	started, release := make(chan struct{}), make(chan struct{})
+	registerBlocker(rt, "block", started, release)
+	ref := rt.Submit(task.NewSpec(rt.Job(), "block", nil, 1))[0]
+	<-started
+
+	faults := &scriptedFaults{hold: raylet.KindPush, held: make(chan struct{}), release: make(chan struct{})}
+	rt.Cluster.Transport.SetInterposer(faults)
+	defer rt.Cluster.Transport.SetInterposer(nil)
+	// own.ready leaves the producer out, so some other worker gets a push.
+	for _, n := range rt.workerServers() {
+		if _, _, err := rt.Head.Table.Subscribe(ref, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(release)
+	<-faults.held
+	if !rt.live(ref) {
+		t.Fatal("the output is not live while its push is held")
+	}
+	rep := rt.Cancel(ref)
+	close(faults.release)
+	if rep.TasksCancelled != 1 || rep.WorkersReclaimed != 0 {
+		t.Errorf("report = %+v, want 1 task cancelled and no worker reclaimed (the kernel had finished)", rep)
+	}
+	rt.Drain()
 }
 
 // TestCancelKeepsFinishedDescendant: a finished descendant that nothing

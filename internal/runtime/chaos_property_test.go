@@ -1,12 +1,14 @@
 package runtime
 
 import (
+	"bytes"
 	"context"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"skadi/internal/caching"
 	"skadi/internal/chaos"
 	"skadi/internal/idgen"
 	"skadi/internal/scheduler"
@@ -147,30 +149,62 @@ func TestCheckerCatchesOrphanFuture(t *testing.T) {
 }
 
 // TestCheckerCatchesGhostLocation — I2: an ownership record pointing at a
-// node that silently lost the bytes must be flagged.
+// node that silently lost the bytes must be flagged. With EC 2+1 the
+// record is still vouched for while two shards survive, and flagged once
+// only one does.
 func TestCheckerCatchesGhostLocation(t *testing.T) {
-	rt, err := New(ClusterSpec{Servers: 2, ServerSlots: 1, ServerMemBytes: 32 << 20}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Shutdown()
-	checker := rt.ChaosChecker()
+	for _, tc := range []struct {
+		name      string
+		caching   caching.Config
+		keepShard int // shard holders left intact; -1: no EC
+	}{
+		{"full-copy", caching.Config{}, -1},
+		{"ec-2+1", caching.Config{Mode: caching.ModeEC, ECData: 2, ECParity: 1}, 1},
+	} {
+		rt, err := New(ClusterSpec{Servers: 4, ServerSlots: 1, ServerMemBytes: 32 << 20}, Options{Caching: tc.caching})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checker := rt.ChaosChecker()
 
-	node := rt.workerServers()[0]
-	id, err := rt.PutAt(node, []byte("payload"), "raw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vs := checker.Check(); len(vs) != 0 {
-		t.Fatalf("clean placement flagged: %v", vs)
-	}
-	// Delete the bytes behind the ownership table's back.
-	if err := rt.Layer.Store(node).Delete(id); err != nil {
-		t.Fatal(err)
-	}
-	vs := checker.Check()
-	if len(vs) != 1 || vs[0].Invariant != "I2-ownership" {
-		t.Fatalf("violations = %v, want exactly one I2", vs)
+		node := rt.workerServers()[0]
+		id, err := rt.PutAt(node, bytes.Repeat([]byte("payload"), 100), "raw")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vs := checker.Check(); len(vs) != 0 {
+			t.Fatalf("%s: clean placement flagged: %v", tc.name, vs)
+		}
+		// Delete the bytes behind the ownership table's back.
+		if err := rt.Layer.Store(node).Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		if tc.keepShard >= 0 {
+			if vs := checker.Check(); len(vs) != 0 {
+				t.Fatalf("%s: three shards survive, yet flagged: %v", tc.name, vs)
+			}
+			// Every other store key is a shard: keep keepShard holders.
+			holders := 0
+			for _, n := range rt.Cluster.Nodes() {
+				st := rt.Layer.Store(n.ID)
+				if st == nil || st.Len() == 0 {
+					continue
+				}
+				if holders++; holders > tc.keepShard {
+					for _, key := range st.List() {
+						_ = st.Delete(key)
+					}
+				}
+			}
+			if holders != 3 {
+				t.Fatalf("%s: %d stores hold shards, want 3", tc.name, holders)
+			}
+		}
+		vs := checker.Check()
+		if len(vs) != 1 || vs[0].Invariant != "I2-ownership" {
+			t.Errorf("%s: violations = %v, want exactly one I2", tc.name, vs)
+		}
+		rt.Shutdown()
 	}
 }
 

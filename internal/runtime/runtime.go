@@ -857,7 +857,7 @@ func (rt *Runtime) dispatch(ctx context.Context, ctl *taskCtl, pinned idgen.Node
 			return dequeued, false
 		}
 		// The error came after the commit: every output is live, so done.
-		if len(spec.Returns) > 0 && !slices.ContainsFunc(spec.Returns, func(id idgen.ObjectID) bool { return !rt.live(id) }) {
+		if rt.committed(spec) {
 			return dequeued, true
 		}
 		lastErr = err
@@ -1203,6 +1203,13 @@ func (rt *Runtime) live(id idgen.ObjectID) bool {
 		slices.ContainsFunc(rec.Locations, func(loc idgen.NodeID) bool { return rt.holds(loc, id) })
 }
 
+// committed reports whether every output of spec is live: its kernel
+// finished and the results are committed, whatever its exec RPC still does.
+func (rt *Runtime) committed(spec *task.Spec) bool {
+	return len(spec.Returns) > 0 &&
+		!slices.ContainsFunc(spec.Returns, func(id idgen.ObjectID) bool { return !rt.live(id) })
+}
+
 // readable reports whether id can be read now: it is live, or the caching
 // layer still serves a copy (replica, EC shards, DSM) and the record is
 // repaired from it onto the driver — never for an object whose task failed
@@ -1296,8 +1303,9 @@ type CancelReport struct {
 	// TasksCancelled counts tasks in the cancelled graph (queued, running,
 	// or already finished with reclaimable outputs).
 	TasksCancelled int
-	// WorkersReclaimed counts tasks whose exec RPC was in flight — a worker
-	// slot freed before the kernel would have finished on its own.
+	// WorkersReclaimed counts tasks whose exec RPC was in flight and whose
+	// outputs were not all committed — a worker slot freed before the
+	// kernel would have finished on its own.
 	WorkersReclaimed int
 	// BytesReclaimed sums the sizes of already-committed outputs freed.
 	BytesReclaimed int64
@@ -1354,7 +1362,7 @@ func (rt *Runtime) Cancel(ids ...idgen.ObjectID) CancelReport {
 	for _, spec := range order {
 		rep.TasksCancelled++
 		if ctl := tasks[spec.ID]; ctl != nil {
-			if ctl.executing.Load() {
+			if ctl.executing.Load() && !rt.committed(spec) {
 				rep.WorkersReclaimed++
 			}
 			ctl.cancel(cancelErr)
